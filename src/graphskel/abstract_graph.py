@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StructureError
-from .geometry import ComponentLabeling, PointCloud, component_centroid, threshold_components
+from .geometry import ComponentLabeling, PointCloud, component_centroid, pairs_between, threshold_components
 from .local_structure import Partition, ReconstructionConfig, partition as _partition
 
 if TYPE_CHECKING:
@@ -78,11 +78,22 @@ def cluster_p1(cloud: PointCloud, part: Partition, config: ReconstructionConfig)
     return threshold_components(cloud, part.p1, config.contact_scale)
 
 
-def _single_linkage(cloud: PointCloud, members_a: np.ndarray, members_b: np.ndarray) -> float:
-    a = cloud.coords[members_a]
-    b = cloud.coords[members_b]
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    return float(np.sqrt(d2.min()))
+def _touching(
+    cloud: PointCloud, edges: ComponentLabeling, vertices: ComponentLabeling, r: float, strict: bool
+) -> list[list[int]]:
+    """Per edge cluster, the sorted ids of vertex clusters within single-linkage
+    distance r of it (distance < r when `strict`, else <= r)."""
+    coords = cloud.coords
+    i, j, d = pairs_between(coords[edges.indices], coords[vertices.indices], r)
+    if strict:
+        keep = d < r
+        i, j = i[keep], j[keep]
+    nv = max(vertices.num_components, 1)
+    links = np.unique(edges.labels[i] * nv + vertices.labels[j])
+    out: list[list[int]] = [[] for _ in range(edges.num_components)]
+    for eid, vid in zip(*np.divmod(links, nv)):
+        out[eid].append(int(vid))
+    return out
 
 
 def refine(
@@ -96,14 +107,11 @@ def refine(
     Adjacency is strict single-linkage distance < 3*eps. A cluster adjacent to
     no vertex cluster cannot occur at a valid scale and raises StructureError.
     """
-    p0_parts = q0.sets()
+    touching = _touching(cloud, q1, q0, config.contact_scale, strict=True)
     moved: list[np.ndarray] = []
     kept: list[np.ndarray] = []
-    for cid in range(q1.num_components):
-        members = q1.members(cid)
-        adjacent = sum(
-            1 for vp in p0_parts if _single_linkage(cloud, vp, members) < config.contact_scale
-        )
+    for cid, members in enumerate(q1.sets()):
+        adjacent = len(touching[cid])
         if adjacent == 0:
             raise StructureError(
                 f"orphan edge cluster (id {cid}, {members.size} points): no vertex cluster "
@@ -134,12 +142,9 @@ def build_graph(cloud: PointCloud, refined: RefinedPartition, config: Reconstruc
     edge_clusters = e_cc.sets()
 
     boundary: list[tuple[int, int]] = []
-    for eid, emembers in enumerate(edge_clusters):
-        touching = [
-            vid
-            for vid, vmembers in enumerate(vertex_clusters)
-            if _single_linkage(cloud, vmembers, emembers) <= config.contact_scale
-        ]
+    for eid, (emembers, touching) in enumerate(
+        zip(edge_clusters, _touching(cloud, e_cc, v_cc, config.contact_scale, strict=False))
+    ):
         if len(touching) != 2:
             raise StructureError(
                 f"edge cluster {eid} ({emembers.size} points) touches {len(touching)} vertex "

@@ -186,7 +186,7 @@ def cmd_pipeline(args) -> int:
     in_regime = [r for r in ratios if r >= 12]
     reference_ratio = in_regime[0] if in_regime else ratios[0]
     ref_config = ReconstructionConfig(R=reference_ratio * eps, eps=eps)
-    ref_graph, _, _ = recover_graph(cloud, ref_config)
+    ref_graph, ref_refined, _ = recover_graph(cloud, ref_config)
     reference = _ReferenceStructure(
         vertices=np.array(ref_graph.vertex_centroids), edges=tuple(ref_graph.boundary)
     )
@@ -198,7 +198,10 @@ def cmd_pipeline(args) -> int:
         row = {"ratio": ratio, "R": config.R, "structure_match": False, "loglik": None,
                "n_vertices": None, "n_edges": None, "vertices": None, "error": None}
         try:
-            graph, refined, _ = recover_graph(cloud, config)
+            if ratio == reference_ratio:
+                graph, refined = ref_graph, ref_refined
+            else:
+                graph, refined, _ = recover_graph(cloud, config)
             row["n_vertices"], row["n_edges"] = graph.n_vertices, graph.n_edges
             match = match_to_ground_truth(graph, reference)
             row["structure_match"] = match.is_isomorphic

@@ -137,14 +137,29 @@ def _batch_setup(x, v1s, v2s, sigmas):
 
 
 def _batch_terms(x, v1s, v2s, sigmas):
+    """Closed-form ingredients for K segments at m points, all of shape (K, m).
+
+    With s_km = v1_k + v2_k - 2 x_m and w_k = v1_k - v2_k, a point enters the
+    density only through g_km = s_km . w_k and |s_km|^2. Both are expanded
+    about the mean of x into (K, n) @ (n, m) products, so no (K, m, n) array
+    is formed.
+    """
     x, v1s, v2s, sigmas, w, ll = _batch_setup(x, v1s, v2s, sigmas)
+    origin = x.mean(axis=0)
+    xc = x - origin
+    u = v1s + v2s - 2.0 * origin  # s_km = u_k - 2 xc_m
+    k = w.shape[0]
+    wx, ux = np.split(np.vstack([w, u]) @ xc.T, [k])
+    g = np.einsum("kn,kn->k", u, w)[:, None] - 2.0 * wx
+    ss = (
+        np.einsum("kn,kn->k", u, u)[:, None]
+        - 4.0 * ux
+        + 4.0 * np.einsum("mn,mn->m", xc, xc)[None, :]
+    )
     length = np.sqrt(ll)
-    s = (v1s + v2s)[:, None, :] - 2.0 * x[None, :, :]  # (K, m, n)
-    g = np.einsum("kmn,kn->km", s, w)
     denom = (2.0 * math.sqrt(2.0) * length * sigmas)[:, None]  # (K, 1)
     t_plus = (g + ll[:, None]) / denom
     t_minus = (g - ll[:, None]) / denom
-    ss = np.einsum("kmn,kmn->km", s, s)
     q = (g * g - ll[:, None] * ss) / (8.0 * ll * sigmas * sigmas)[:, None]
     n = x.shape[1]
     const = (
@@ -153,12 +168,12 @@ def _batch_terms(x, v1s, v2s, sigmas):
         + (1 - n) * np.log(sigmas)
         - np.log(length)
     )  # (K,)
-    return x, sigmas, w, ll, s, g, denom, t_plus, t_minus, q, const
+    return xc, sigmas, w, ll, u, g, denom, t_plus, t_minus, q, const
 
 
 def edge_log_density_batch(x, v1s, v2s, sigmas) -> np.ndarray:
     """Closed-form log densities for K segments at m points, shape (m, K)."""
-    _, _, _, _, _, _, _, t_plus, t_minus, q, const = _batch_terms(x, v1s, v2s, sigmas)
+    *_, t_plus, t_minus, q, const = _batch_terms(x, v1s, v2s, sigmas)
     out = log_erf_diff(t_plus, t_minus) + q + const[:, None]
     if np.any(np.isneginf(out)):
         warnings.warn(
@@ -183,14 +198,14 @@ def edge_log_density(x, v1, v2, sigma: float):
     return float(out[0]) if single else out
 
 
-def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
-    """Log densities plus gradients w.r.t. both endpoints for K segments.
+def _grad_coefficients(terms):
+    """logrho (K, m) and the (K, m) coefficients of both endpoint gradients.
 
-    Returns (logrho (K, m), d/dv1 (K, m, n), d/dv2 (K, m, n)). Underflowed
-    points get zero gradients; their responsibilities vanish in the same
-    regime.
+    d log rho_k(x_m) / d v1_k = alpha1_km * s_km + beta1_km * w_k, and likewise
+    for v2_k with (alpha2, beta2). Underflowed points get zero coefficients;
+    their responsibilities vanish in the same regime.
     """
-    x, sigmas, w, ll, s, g, denom, t_plus, t_minus, q, const = _batch_terms(x, v1s, v2s, sigmas)
+    _, sigmas, _, ll, _, g, denom, t_plus, t_minus, q, const = terms
     logdiff = log_erf_diff(t_plus, t_minus)
     logrho = logdiff + q + const[:, None]
 
@@ -199,31 +214,57 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
         r_plus = np.where(finite, _TWO_OVER_SQRT_PI * np.exp(-t_plus * t_plus - logdiff), 0.0)
         r_minus = np.where(finite, _TWO_OVER_SQRT_PI * np.exp(-t_minus * t_minus - logdiff), 0.0)
 
-    sig2 = (sigmas * sigmas)[:, None, None]
-    w_k = w[:, None, :]  # (K, 1, n)
-    ll_k = ll[:, None, None]
-    denom_k = denom[:, :, None]  # (K, 1, 1)
-    s4 = s / (4.0 * sig2)
-    g_over = (g / (4.0 * ll * sigmas * sigmas)[:, None])[:, :, None]  # (K, m, 1)
-    g2_over = ((g * g) / (4.0 * ll * ll * sigmas * sigmas)[:, None])[:, :, None]
+    sig2 = (sigmas * sigmas)[:, None]
+    ll = ll[:, None]
+    g_over = g / (4.0 * ll * sig2)
+    g2_over = g * g / (4.0 * ll * ll * sig2)
+    quarter = 1.0 / (4.0 * sig2)
+    r_diff = (r_plus - r_minus) / denom
 
-    dtp_1 = (s + 3.0 * w_k) / denom_k - t_plus[:, :, None] * w_k / ll_k
-    dtm_1 = (s - w_k) / denom_k - t_minus[:, :, None] * w_k / ll_k
-    dtp_2 = (-s - w_k) / denom_k + t_plus[:, :, None] * w_k / ll_k
-    dtm_2 = (3.0 * w_k - s) / denom_k + t_minus[:, :, None] * w_k / ll_k
+    alpha1 = r_diff + g_over - quarter
+    beta1 = (
+        r_plus * (3.0 / denom - t_plus / ll)
+        + r_minus * (1.0 / denom + t_minus / ll)
+        + g_over - g2_over - 1.0 / ll
+    )
+    alpha2 = -r_diff - g_over - quarter
+    beta2 = (
+        r_plus * (t_plus / ll - 1.0 / denom)
+        - r_minus * (3.0 / denom + t_minus / ll)
+        + g_over + g2_over + 1.0 / ll
+    )
+    coeffs = [np.where(finite, c, 0.0) for c in (alpha1, beta1, alpha2, beta2)]
+    return logrho, coeffs
 
-    dq_1 = g_over * (w_k + s) - g2_over * w_k - s4
-    dq_2 = g_over * (w_k - s) + g2_over * w_k - s4
 
-    rp = r_plus[:, :, None]
-    rm = r_minus[:, :, None]
-    grad1 = rp * dtp_1 - rm * dtm_1 + dq_1 - w_k / ll_k
-    grad2 = rp * dtp_2 - rm * dtm_2 + dq_2 + w_k / ll_k
-    keep = finite[:, :, None]
-    return logrho, np.where(keep, grad1, 0.0), np.where(keep, grad2, 0.0)
+def edge_log_density_grad_batch(x, v1s, v2s, sigmas, weights):
+    """Log densities plus weighted endpoint gradients for K segments.
+
+    Returns logrho (K, m) and G1, G2 (K, n) with
+    G1_k = sum_m weights[m, k] * d log rho_k(x_m) / d v1_k (G2 likewise for
+    v2_k). Each gradient is alpha * s + beta * w, so the sum over points is
+    one (K, m) @ (m, n) product plus row sums.
+    """
+    terms = _batch_terms(x, v1s, v2s, sigmas)
+    xc, _, w, _, u, *_ = terms
+    logrho, (alpha1, beta1, alpha2, beta2) = _grad_coefficients(terms)
+    wt = np.asarray(weights, dtype=float).T  # (K, m)
+    a1, a2 = wt * alpha1, wt * alpha2
+    k = w.shape[0]
+    a1x, a2x = np.split(np.vstack([a1, a2]) @ xc, [k])
+    grad1 = u * a1.sum(axis=1)[:, None] - 2.0 * a1x + w * (wt * beta1).sum(axis=1)[:, None]
+    grad2 = u * a2.sum(axis=1)[:, None] - 2.0 * a2x + w * (wt * beta2).sum(axis=1)[:, None]
+    return logrho, grad1, grad2
 
 
 def edge_log_density_grad(x, v1, v2, sigma: float):
-    """Single-segment version of edge_log_density_grad_batch, shapes (m,), (m, n)."""
-    logrho, g1, g2 = edge_log_density_grad_batch(np.atleast_2d(x), [v1], [v2], [sigma])
-    return logrho[0], g1[0], g2[0]
+    """Log density and per-point gradients w.r.t. both endpoints, shapes (m,), (m, n)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    logrho, (alpha1, beta1, alpha2, beta2) = _grad_coefficients(_batch_terms(x, [v1], [v2], [sigma]))
+    s = (v1 + v2) - 2.0 * x
+    w = v1 - v2
+    g1 = alpha1[0][:, None] * s + beta1[0][:, None] * w
+    g2 = alpha2[0][:, None] * s + beta2[0][:, None] * w
+    return logrho[0], g1, g2

@@ -230,10 +230,11 @@ def grad_vertices(
 
     if model.n1:
         i1, i2 = _edge_index_arrays(model)
-        _, g1, g2 = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[model.n0 :])
-        wgt = a[:, model.n0 :]  # (m, K)
-        np.add.at(grad, i1, np.einsum("mk,kmn->kn", wgt, g1) / m)
-        np.add.at(grad, i2, np.einsum("mk,kmn->kn", wgt, g2) / m)
+        _, g1, g2 = edge_log_density_grad_batch(
+            x, v[i1], v[i2], model.sigma[model.n0 :], a[:, model.n0 :]
+        )
+        np.add.at(grad, i1, g1 / m)
+        np.add.at(grad, i2, g2 / m)
 
     limit = _default_clip_norm(data) if clip_norm is None else float(clip_norm)
     if np.isfinite(limit):

@@ -1,14 +1,21 @@
 """Euclidean primitives, range/shell queries, and threshold-graph components.
 
-Everything in this module is a pure function over immutable inputs. Queries are
-exact vectorized linear scans, so their semantics coincide with the brute-force
-definitions they are tested against.
+Everything in this module is a pure function over immutable inputs.
+`ball_query` and `shell_query` are exact linear scans and serve as reference
+oracles. The shipped neighbour searches (`pairs_within`, `pairs_between`,
+`threshold_components`) query a k-d tree at a slightly padded radius and then
+decide every candidate with the same `sqrt(sum(d**2))` distance and the same
+comparison as the linear scans, so ties at the threshold resolve identically.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -21,7 +28,16 @@ __all__ = [
     "shell_query",
     "threshold_components",
     "component_centroid",
+    "ball_members",
+    "pairs_within",
+    "pairs_between",
+    "component_labels",
 ]
+
+# Relative radius padding for k-d tree queries. The tree rounds distances
+# differently from `_row_distances`; candidates found at the padded radius are
+# re-decided exactly, so the padding only has to exceed a few ulps.
+_QUERY_PAD = 1e-9
 
 
 class PointCloud:
@@ -202,24 +218,75 @@ def shell_query(cloud: PointCloud, center, r_in: float, r_out: float) -> np.ndar
     return np.flatnonzero((d > r_in) & (d <= r_out))
 
 
-class _UnionFind:
-    """Union-find with path compression, used for threshold-graph components."""
+def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distances ||a_i - b_i||, computed as the linear scans do."""
+    return np.sqrt(np.sum((a - b) ** 2, axis=1))
 
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
+def _padded(r: float) -> float:
+    return r * (1.0 + _QUERY_PAD)
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
+
+def _flatten(hits) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and concatenation of a k-d tree's per-query index lists."""
+    sizes = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    flat = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(sizes.sum()))
+    return sizes, flat
+
+
+def ball_members(
+    tree: cKDTree, coords: np.ndarray, centres: np.ndarray, r: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-ball members of several centres at once, as `ball_query` decides them.
+
+    Returns (owner, member, d): the position of the centre in `centres`, the
+    member index and its distance, sorted by (owner, member).
+    """
+    sizes, member = _flatten(tree.query_ball_point(coords[centres], _padded(r), return_sorted=True))
+    owner = np.repeat(np.arange(len(centres)), sizes)
+    d = _row_distances(coords[member], coords[centres[owner]])
+    keep = d <= r
+    return owner[keep], member[keep], d[keep]
+
+
+def pairs_within(coords: np.ndarray, r: float, tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs i < j with ||p_i - p_j|| <= r, sorted by (i, j)."""
+    if len(coords) < 2:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    tree = cKDTree(coords) if tree is None else tree
+    pairs = tree.query_pairs(_padded(r), output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    keep = _row_distances(coords[i], coords[j]) <= r
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def pairs_between(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs (i, j, d) with d = ||a_i - b_j|| <= r; the caller may tighten to d < r."""
+    if len(a) == 0 or len(b) == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    sizes, j = _flatten(cKDTree(b).query_ball_point(a, _padded(r)))
+    i = np.repeat(np.arange(len(a)), sizes)
+    d = _row_distances(a[i], b[j])
+    keep = d <= r
+    return i[keep], j[keep], d[keep]
+
+
+def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected components of the undirected graph on n nodes with edges (i, j).
+
+    Labels are contiguous and ordered by each component's smallest node.
+    """
+    if n == 0:
+        return np.empty(0, dtype=np.intp), 0
+    graph = csr_matrix((np.ones(i.size, dtype=bool), (i, j)), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(count, dtype=np.intp)
+    rank[labels[np.sort(first)]] = np.arange(count)
+    return rank[labels], int(count)
 
 
 def threshold_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling:
@@ -234,26 +301,9 @@ def threshold_components(cloud: PointCloud, subset, r: float) -> ComponentLabeli
     subset = np.unique(subset)
     if subset.size and (subset[0] < 0 or subset[-1] >= len(cloud)):
         raise ValueError("subset contains out-of-range indices")
-    k = subset.size
-    if k == 0:
-        return ComponentLabeling(subset, np.empty(0, dtype=int), 0)
-
-    pts = cloud.coords[subset]
-    dmat = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
-    ii, jj = np.nonzero(np.triu(dmat <= r, k=1))
-    uf = _UnionFind(k)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        uf.union(i, j)
-
-    roots = np.array([uf.find(i) for i in range(k)])
-    # relabel components in order of smallest member index (subset is sorted)
-    order: dict[int, int] = {}
-    labels = np.empty(k, dtype=int)
-    for i, root in enumerate(roots):
-        if root not in order:
-            order[root] = len(order)
-        labels[i] = order[root]
-    return ComponentLabeling(subset, labels, len(order))
+    i, j = pairs_within(cloud.coords[subset], r)
+    labels, count = component_labels(subset.size, i, j)
+    return ComponentLabeling(subset, labels, count)
 
 
 def component_centroid(cloud: PointCloud, members) -> np.ndarray:

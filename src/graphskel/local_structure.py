@@ -9,19 +9,21 @@ else is vertex-like.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
     PointCloud,
+    ball_members,
     ball_query,
     component_centroid,
+    component_labels,
     distance,
+    pairs_within,
     point_segment_distance,
     segment_segment_distance,
     shell_query,
@@ -53,6 +55,10 @@ VERTEX_LIKE = "vertex"
 EDGE_LIKE = "edge"
 
 _ASIN_CLAMP = 1e-12  # tolerate only rounding-level excursions outside [-1, 1]
+
+# Centres are classified in chunks whose (centre, ball member) nodes stay
+# under this count, which bounds the candidate-edge temporaries of one pass.
+_NODE_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -187,6 +193,8 @@ def inner_product_threshold(config: ReconstructionConfig) -> float:
 def classify_point(cloud: PointCloud, p_index: int, config: ReconstructionConfig) -> LocalLabel:
     """Classify one sample by its (R, eps)-local structure.
 
+    A direct transcription of the definition, one ball and one shell query
+    per call; `classify_all` is the batched path and must agree with it.
     The sample itself takes part in the ball graph but is removed from the
     shell (its self-distance 0 is <= R - eps). An empty shell counts as 0
     components, which classifies vertex-like and covers degree-0 vertices.
@@ -212,22 +220,93 @@ def classify_point(cloud: PointCloud, p_index: int, config: ReconstructionConfig
     return LocalLabel(tag, True, 2, ip)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GRAPHSKEL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> list[LocalLabel]:
-    """Classify every sample; pure per point, so workers may share the cloud."""
-    n = len(cloud)
-    workers = min(_worker_count(), n) if n else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: classify_point(cloud, i, config), range(n)))
-    return [classify_point(cloud, i, config) for i in range(n)]
+    """Classify every sample; same labels as `classify_point` at each index.
+
+    One k-d tree serves all centres. The ball graphs of a chunk of centres
+    form one graph whose nodes are (centre, ball member) pairs and whose edges
+    are contact pairs inside the same ball; the shell graph is that graph
+    restricted to members farther than R - eps. Components of both come from
+    one connected-components pass per chunk.
+    """
+    m = len(cloud)
+    if m == 0:
+        return []
+    coords = cloud.coords
+    tree = cKDTree(coords)
+    ci, cj = pairs_within(coords, config.contact_scale, tree)
+    # contact pairs i < j as a CSR adjacency: row i lists its larger neighbours
+    contact_ptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ci, minlength=m), out=contact_ptr[1:])
+
+    counts = tree.query_ball_point(coords, config.ball_radius, return_length=True)
+    ends = np.cumsum(counts)
+    labels: list[LocalLabel] = []
+    start = 0
+    while start < m:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _NODE_BUDGET, side="right")))
+        labels.extend(_classify_chunk(cloud, tree, np.arange(start, stop), contact_ptr, cj, config))
+        start = stop
+    return labels
+
+
+def _classify_chunk(cloud, tree, centres, contact_ptr, contact_nbr, config) -> list[LocalLabel]:
+    coords = cloud.coords
+    m, k = len(cloud), centres.size
+    owner, member, d = ball_members(tree, coords, centres, config.ball_radius)
+    n_nodes = member.size
+    # node keys are strictly increasing: ball members come sorted per centre
+    key = owner * m + member
+
+    # candidate edges: each node's larger contact neighbours, kept when the
+    # neighbour is a node of the same ball
+    deg = contact_ptr[member + 1] - contact_ptr[member]
+    src = np.repeat(np.arange(n_nodes), deg)
+    offsets = np.cumsum(deg) - deg
+    nbr = contact_nbr[np.arange(src.size) + np.repeat(contact_ptr[member] - offsets, deg)]
+    want = (key - member)[src] + nbr
+    dst = np.minimum(np.searchsorted(key, want), n_nodes - 1)
+    hit = key[dst] == want
+    src, dst = src[hit], dst[hit]
+
+    ball_lab, n_ball = component_labels(n_nodes, src, dst)
+    ball_count = _per_owner_count(ball_lab, n_ball, owner, k)
+
+    in_shell = d > config.shell_inner
+    shell_id = np.cumsum(in_shell) - 1
+    both = in_shell[src] & in_shell[dst]
+    shell_lab, n_shell = component_labels(int(in_shell.sum()), shell_id[src[both]], shell_id[dst[both]])
+    shell_owner, shell_member = owner[in_shell], member[in_shell]
+    shell_count = _per_owner_count(shell_lab, n_shell, shell_owner, k)
+    shell_bounds = np.searchsorted(shell_owner, np.arange(k + 1))
+
+    out = []
+    for c in range(k):
+        n_sh = int(shell_count[c])
+        if ball_count[c] > 1:
+            out.append(LocalLabel(EDGE_LIKE, False, n_sh))
+            continue
+        if n_sh != 2:
+            out.append(LocalLabel(VERTEX_LIKE, True, n_sh))
+            continue
+        # components ordered by smallest member index, as threshold_components does
+        lo, hi = shell_bounds[c], shell_bounds[c + 1]
+        lab = shell_lab[lo:hi]
+        first = lab == lab[0]
+        p = cloud[centres[c]]
+        q1 = component_centroid(cloud, shell_member[lo:hi][first])
+        q2 = component_centroid(cloud, shell_member[lo:hi][~first])
+        ip = float(np.dot(q1 - p, q2 - p))
+        out.append(LocalLabel(VERTEX_LIKE if ip > config.ip_threshold else EDGE_LIKE, True, 2, ip))
+    return out
+
+
+def _per_owner_count(labels: np.ndarray, n_labels: int, owner: np.ndarray, k: int) -> np.ndarray:
+    """Number of distinct components per centre; no component spans two centres."""
+    comp_owner = np.empty(n_labels, dtype=np.intp)
+    comp_owner[labels] = owner
+    return np.bincount(comp_owner, minlength=k)
 
 
 def partition_from_labels(labels: list[LocalLabel]) -> Partition:

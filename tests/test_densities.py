@@ -148,6 +148,17 @@ class TestEdgeLogDensity:
         for i, x in enumerate(xs):
             assert batch[i] == pytest.approx(edge_log_density(x, v1, v2, 0.3), rel=1e-14)
 
+    def test_batch_accurate_far_from_origin(self):
+        # the batch expands |s|^2 about the points' mean, so a shift of the
+        # whole configuration keeps per-point accuracy
+        rng = np.random.default_rng(15)
+        xs = rng.normal(size=(50, 3))
+        v1, v2 = rng.normal(size=(2, 3))
+        shift = np.array([1e3, -2e3, 5e2])
+        batch = edge_log_density(xs + shift, v1 + shift, v2 + shift, 0.05)
+        single = [edge_log_density(x, v1, v2, 0.05) for x in xs]
+        assert np.allclose(batch, single, rtol=1e-12, atol=1e-9)
+
 
 class TestLogErfDiff:
     def mp_ref(self, a, b):

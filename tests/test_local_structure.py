@@ -3,9 +3,12 @@ from __future__ import annotations
 import math
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphskel as gs
 from graphskel.geometry import PointCloud
@@ -14,6 +17,7 @@ from graphskel.local_structure import (
     VERTEX_LIKE,
     ReconstructionConfig,
     check_assumptions,
+    classify_all,
     classify_point,
     inner_product_threshold,
     partition,
@@ -184,15 +188,6 @@ class TestPartition:
         part = partition(PointCloud([[0.0, 0.0]]), cfg)
         assert part.p0.tolist() == [0] and part.p1.size == 0
 
-    def test_worker_count_env_does_not_change_labels(self, monkeypatch):
-        eps = 0.1
-        cfg = ReconstructionConfig(R=12 * eps, eps=eps)
-        cloud = line_cloud(eps, half_extent=3.0)
-        serial = gs.classify_all(cloud, cfg)
-        monkeypatch.setenv("GRAPHSKEL_THREADS", "4")
-        threaded = gs.classify_all(cloud, cfg)
-        assert serial == threaded
-
     def test_single_segment_far_zone_is_edge_like(self):
         eps = 0.1
         cfg = ReconstructionConfig(R=12 * eps, eps=eps)
@@ -210,6 +205,36 @@ class TestPartition:
         part = partition(fixture_cloud, ratio8_config)
         cc = gs.cluster_p0(fixture_cloud, part, ratio8_config)
         assert cc.num_components == 5
+
+
+@st.composite
+def clouds(draw):
+    """Small clouds in dims 1-5: on an eps/4 grid (exact ties), arbitrary
+    floats, or a noisy line (two-cluster shells), with duplicated points."""
+    dim = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["grid", "float", "line"]))
+    if kind == "grid":
+        coords = draw(hnp.arrays(float, (m, dim), elements=st.integers(-16, 16).map(lambda k: k * 0.025)))
+    else:
+        coords = draw(
+            hnp.arrays(float, (m, dim), elements=st.floats(-1.5, 1.5, allow_nan=False, width=64))
+        )
+        if kind == "line":
+            coords = coords * 0.03
+            coords[:, 0] += np.linspace(-1.5, 1.5, m)
+    if m:
+        dups = draw(st.lists(st.integers(0, m - 1), max_size=6))
+        coords = np.vstack([coords, coords[dups]])
+    return PointCloud(coords.reshape(-1, dim))
+
+
+class TestClassifyAll:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cloud=clouds(), ratio=st.sampled_from([3.0, 8.0, 12.0]))
+    def test_matches_classify_point(self, cloud, ratio):
+        cfg = ReconstructionConfig(R=ratio * 0.1, eps=0.1)
+        assert classify_all(cloud, cfg) == [classify_point(cloud, i, cfg) for i in range(len(cloud))]
 
 
 class TestCheckAssumptions:
