@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -25,6 +26,8 @@ __all__ = [
     "edge_log_density_grad",
     "edge_log_density_batch",
     "edge_log_density_grad_batch",
+    "EdgeCoefficients",
+    "endpoint_gradients",
     "log_erf_diff",
 ]
 
@@ -198,63 +201,90 @@ def edge_log_density(x, v1, v2, sigma: float):
     return float(out[0]) if single else out
 
 
-def _grad_coefficients(terms):
-    """logrho (K, m) and the (K, m) coefficients of both endpoint gradients.
+class EdgeCoefficients(NamedTuple):
+    """Everything the weighted endpoint gradients of K segments need.
 
-    d log rho_k(x_m) / d v1_k = alpha1_km * s_km + beta1_km * w_k, and likewise
-    for v2_k with (alpha2, beta2). Underflowed points get zero coefficients;
-    their responsibilities vanish in the same regime.
+    d log rho_k(x_m) / d v1_k = alpha1[k, m] * s_km + beta1[k, m] * w_k (v2_k
+    likewise with alpha2, beta2), where s_km = u_k - 2 xc_m, xc is x about
+    its mean and w_k = v1_k - v2_k. None of it depends on the weights.
+    Underflowed points get zero coefficients; their responsibilities vanish
+    in the same regime.
     """
-    _, sigmas, _, ll, _, g, denom, t_plus, t_minus, q, const = terms
+
+    alpha1: np.ndarray  # (K, m)
+    beta1: np.ndarray  # (K, m)
+    alpha2: np.ndarray  # (K, m)
+    beta2: np.ndarray  # (K, m)
+    xc: np.ndarray  # (m, n)
+    u: np.ndarray  # (K, n)
+    w: np.ndarray  # (K, n)
+
+
+def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
+    """Log densities (K, m) of K segments at m points, plus their gradient
+    coefficients.
+
+    One evaluation serves every weighting: `endpoint_gradients` turns the
+    returned `EdgeCoefficients` into weighted gradient sums. Each (K, m)
+    temporary is dropped once no later formula reads it, which keeps the
+    call's peak near a dozen (K, m) arrays.
+    """
+    xc, sigmas, w, ll, u, g, denom, t_plus, t_minus, q, const = _batch_terms(x, v1s, v2s, sigmas)
     logdiff = log_erf_diff(t_plus, t_minus)
     logrho = logdiff + q + const[:, None]
+    del q
 
     finite = np.isfinite(logdiff)
     with np.errstate(under="ignore"):
         r_plus = np.where(finite, _TWO_OVER_SQRT_PI * np.exp(-t_plus * t_plus - logdiff), 0.0)
         r_minus = np.where(finite, _TWO_OVER_SQRT_PI * np.exp(-t_minus * t_minus - logdiff), 0.0)
+    del logdiff
 
     sig2 = (sigmas * sigmas)[:, None]
     ll = ll[:, None]
     g_over = g / (4.0 * ll * sig2)
     g2_over = g * g / (4.0 * ll * ll * sig2)
+    del g
     quarter = 1.0 / (4.0 * sig2)
-    r_diff = (r_plus - r_minus) / denom
 
-    alpha1 = r_diff + g_over - quarter
     beta1 = (
         r_plus * (3.0 / denom - t_plus / ll)
         + r_minus * (1.0 / denom + t_minus / ll)
         + g_over - g2_over - 1.0 / ll
     )
-    alpha2 = -r_diff - g_over - quarter
     beta2 = (
         r_plus * (t_plus / ll - 1.0 / denom)
         - r_minus * (3.0 / denom + t_minus / ll)
         + g_over + g2_over + 1.0 / ll
     )
-    coeffs = [np.where(finite, c, 0.0) for c in (alpha1, beta1, alpha2, beta2)]
-    return logrho, coeffs
+    del t_plus, t_minus, g2_over
+    r_diff = (r_plus - r_minus) / denom
+    del r_plus, r_minus
+    alpha1 = r_diff + g_over - quarter
+    alpha2 = -r_diff - g_over - quarter
+    del r_diff, g_over
+
+    dead = ~finite
+    for c in (alpha1, beta1, alpha2, beta2):
+        c[dead] = 0.0
+    return logrho, EdgeCoefficients(alpha1, beta1, alpha2, beta2, xc, u, w)
 
 
-def edge_log_density_grad_batch(x, v1s, v2s, sigmas, weights):
-    """Log densities plus weighted endpoint gradients for K segments.
+def endpoint_gradients(coeffs: EdgeCoefficients, weights):
+    """Weighted endpoint gradients G1, G2, each (K, n).
 
-    Returns logrho (K, m) and G1, G2 (K, n) with
     G1_k = sum_m weights[m, k] * d log rho_k(x_m) / d v1_k (G2 likewise for
     v2_k). Each gradient is alpha * s + beta * w, so the sum over points is
     one (K, m) @ (m, n) product plus row sums.
     """
-    terms = _batch_terms(x, v1s, v2s, sigmas)
-    xc, _, w, _, u, *_ = terms
-    logrho, (alpha1, beta1, alpha2, beta2) = _grad_coefficients(terms)
+    alpha1, beta1, alpha2, beta2, xc, u, w = coeffs
     wt = np.asarray(weights, dtype=float).T  # (K, m)
     a1, a2 = wt * alpha1, wt * alpha2
     k = w.shape[0]
     a1x, a2x = np.split(np.vstack([a1, a2]) @ xc, [k])
     grad1 = u * a1.sum(axis=1)[:, None] - 2.0 * a1x + w * (wt * beta1).sum(axis=1)[:, None]
     grad2 = u * a2.sum(axis=1)[:, None] - 2.0 * a2x + w * (wt * beta2).sum(axis=1)[:, None]
-    return logrho, grad1, grad2
+    return grad1, grad2
 
 
 def edge_log_density_grad(x, v1, v2, sigma: float):
@@ -262,7 +292,7 @@ def edge_log_density_grad(x, v1, v2, sigma: float):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    logrho, (alpha1, beta1, alpha2, beta2) = _grad_coefficients(_batch_terms(x, [v1], [v2], [sigma]))
+    logrho, (alpha1, beta1, alpha2, beta2, *_) = edge_log_density_grad_batch(x, [v1], [v2], [sigma])
     s = (v1 + v2) - 2.0 * x
     w = v1 - v2
     g1 = alpha1[0][:, None] * s + beta1[0][:, None] * w

@@ -4,18 +4,26 @@ point Gaussians (vertex strata) and segment-convolved Gaussians (edge strata).
 The E-step computes responsibilities in log space with max-shift
 normalization. The M-step hill-climbs along per-vertex-scaled gradients with a
 backtracking line search that never accepts a decrease, so the marginal
-log-likelihood trace is non-decreasing across full iterations.
+log-likelihood trace is non-decreasing across full iterations. The densities
+are priced once per distinct vertex matrix: the objective, the gradient and
+the posterior logits are reductions of that one evaluation.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .abstract_graph import AbstractGraph, RefinedPartition
-from .densities import edge_log_density_batch, edge_log_density_grad_batch, vertex_log_density
+from .densities import (
+    EdgeCoefficients,
+    edge_log_density_grad_batch,
+    endpoint_gradients,
+    vertex_log_density,
+)
 from .errors import NumericalError
 from .geometry import PointCloud
 
@@ -91,7 +99,7 @@ class EmConfig:
     m_step_iters: int = 5
     grad_tol: float = 1e-8
     m_step_improve_tol: float = 1e-12  # stop ascending once gains drop below this
-    step_init: float | None = None  # None: sigma_min^2 (the single-Gaussian Newton scale)
+    step_init: float | None = None  # None: 1.0 (the direction already carries the sigma^2 |P| / mass scale)
     step_floor: float = 1e-12
     clip_norm: float | None = None  # None: 10 * data bounding-box diagonal
 
@@ -121,24 +129,72 @@ def _edge_index_arrays(model: StrataModel) -> tuple[np.ndarray, np.ndarray]:
     return i1, i2
 
 
-def _log_density_matrix(model: StrataModel, v: np.ndarray, data: PointCloud) -> np.ndarray:
-    """(|P|, N) log densities of every point under every stratum."""
+class _Evaluation(NamedTuple):
+    """The densities at one vertex matrix, priced once.
+
+    The objective for any (Pi, A), the posterior logits for any Pi and the
+    gradient for any A are reductions of these arrays; none of them depends
+    on A or Pi.
+    """
+
+    v: np.ndarray  # (n0, dim) vertex coordinates
+    logdens: np.ndarray  # (|P|, N) log densities of every point under every stratum
+    edge: EdgeCoefficients | None  # endpoint-gradient coefficients; None without edges
+
+
+def _evaluate(model: StrataModel, v, data: PointCloud) -> _Evaluation:
+    v = _check_vertices(model, v).copy()
     x = data.coords
-    out = np.empty((len(data), model.n_strata))
+    logrho, edge = None, None
+    if model.n1:  # before allocating logdens, so the kernel's peak does not overlap it
+        i1, i2 = _edge_index_arrays(model)
+        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[model.n0 :])
+    logdens = np.empty((len(data), model.n_strata))
     for i in range(model.n0):
-        out[:, i] = vertex_log_density(x, v[i], model.sigma[i])
+        logdens[:, i] = vertex_log_density(x, v[i], model.sigma[i])
+    if model.n1:
+        logdens[:, model.n0 :] = logrho.T
+    return _Evaluation(v=v, logdens=logdens, edge=edge)
+
+
+def _logits(ev: _Evaluation, pi) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return ev.logdens + np.log(np.asarray(pi, dtype=float))[None, :]
+
+
+def _objective(ev: _Evaluation, pi, a) -> float:
+    pi = np.asarray(pi, dtype=float)
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = ev.logdens + np.log(pi)[None, :]
+        terms *= a  # in place, which keeps the line search's peak memory low
+        terms[~(a > 0)] = 0.0
+    return float(terms.sum() / len(terms))
+
+
+def _gradient(model: StrataModel, ev: _Evaluation, a, data: PointCloud, limit: float) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    v = ev.v
+    x = data.coords
+    m = len(data)
+    grad = np.zeros_like(v)
+
+    for i in range(model.n0):
+        s2 = model.sigma[i] ** 2
+        grad[i] = (a[:, i][:, None] * (x - v[i])).sum(axis=0) / (s2 * m)
+
     if model.n1:
         i1, i2 = _edge_index_arrays(model)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # tail underflow handled downstream
-            out[:, model.n0 :] = edge_log_density_batch(x, v[i1], v[i2], model.sigma[model.n0 :])
-    return out
+        g1, g2 = endpoint_gradients(ev.edge, a[:, model.n0 :])
+        np.add.at(grad, i1, g1 / m)
+        np.add.at(grad, i2, g2 / m)
 
-
-def _posterior_logits(model: StrataModel, v: np.ndarray, pi, data: PointCloud) -> np.ndarray:
-    logdens = _log_density_matrix(model, _check_vertices(model, v), data)
-    with np.errstate(divide="ignore"):
-        return logdens + np.log(np.asarray(pi, dtype=float))[None, :]
+    if np.isfinite(limit):
+        norms = np.sqrt(np.sum(grad**2, axis=1))
+        over = norms > limit
+        if np.any(over):
+            grad[over] *= (limit / norms[over])[:, None]
+    return grad
 
 
 def _normalize_rows(logits: np.ndarray) -> np.ndarray:
@@ -165,7 +221,7 @@ def responsibilities(model: StrataModel, state: EmState, data: PointCloud) -> np
     Computed in log space with max-shift normalization. Rows where every
     stratum underflows to -inf fall back to uniform and a warning is recorded.
     """
-    return _normalize_rows(_posterior_logits(model, state.v, state.pi, data))
+    return _normalize_rows(_logits(_evaluate(model, state.v, data), state.pi))
 
 
 def update_mixing(a: np.ndarray) -> np.ndarray:
@@ -183,14 +239,7 @@ def log_likelihood(model: StrataModel, v, pi, a, data: PointCloud) -> float:
     Terms with A_ij = 0 contribute exactly 0 even when log pi_i or the log
     density is -inf.
     """
-    v = _check_vertices(model, v)
-    pi = np.asarray(pi, dtype=float)
-    a = np.asarray(a, dtype=float)
-    logdens = _log_density_matrix(model, v, data)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = logdens + np.log(pi)[None, :]
-        contrib = np.where(a > 0, a * terms, 0.0)
-    return float(contrib.sum() / len(data))
+    return _objective(_evaluate(model, v, data), pi, a)
 
 
 def marginal_log_likelihood(model: StrataModel, v, pi, data: PointCloud) -> float:
@@ -199,10 +248,13 @@ def marginal_log_likelihood(model: StrataModel, v, pi, data: PointCloud) -> floa
     This is the quantity generalized EM drives monotonically upward; it is the
     per-iteration trace recorded by em_fit.
     """
-    return float(np.mean(logsumexp(_posterior_logits(model, v, pi, data), axis=1)))
+    return float(np.mean(logsumexp(_logits(_evaluate(model, v, data), pi), axis=1)))
 
 
-def _default_clip_norm(data: PointCloud) -> float:
+def _clip_limit(data: PointCloud, clip_norm: float | None) -> float:
+    """`clip_norm`, or 10 x the data bounding-box diagonal when it is None."""
+    if clip_norm is not None:
+        return float(clip_norm)
     span = data.coords.max(axis=0) - data.coords.min(axis=0)
     diag = float(np.sqrt(np.sum(span**2)))
     return 10.0 * diag if diag > 0 else 10.0
@@ -218,31 +270,7 @@ def grad_vertices(
     stratum. Rows are clipped to `clip_norm` (default: 10 x the data
     bounding-box diagonal); pass numpy.inf to disable.
     """
-    v = _check_vertices(model, v)
-    a = np.asarray(a, dtype=float)
-    x = data.coords
-    m = len(data)
-    grad = np.zeros_like(v)
-
-    for i in range(model.n0):
-        s2 = model.sigma[i] ** 2
-        grad[i] = (a[:, i][:, None] * (x - v[i])).sum(axis=0) / (s2 * m)
-
-    if model.n1:
-        i1, i2 = _edge_index_arrays(model)
-        _, g1, g2 = edge_log_density_grad_batch(
-            x, v[i1], v[i2], model.sigma[model.n0 :], a[:, model.n0 :]
-        )
-        np.add.at(grad, i1, g1 / m)
-        np.add.at(grad, i2, g2 / m)
-
-    limit = _default_clip_norm(data) if clip_norm is None else float(clip_norm)
-    if np.isfinite(limit):
-        norms = np.sqrt(np.sum(grad**2, axis=1))
-        over = norms > limit
-        if np.any(over):
-            grad[over] *= (limit / norms[over])[:, None]
-    return grad
+    return _gradient(model, _evaluate(model, v, data), a, data, _clip_limit(data, clip_norm))
 
 
 def _vertex_mass(model: StrataModel, a: np.ndarray) -> np.ndarray:
@@ -255,27 +283,40 @@ def _vertex_mass(model: StrataModel, a: np.ndarray) -> np.ndarray:
     return mass
 
 
-def m_step(model: StrataModel, state: EmState, data: PointCloud, config: EmConfig = EmConfig()) -> np.ndarray:
+def m_step(
+    model: StrataModel,
+    state: EmState,
+    data: PointCloud,
+    config: EmConfig = EmConfig(),
+    evaluation: _Evaluation | None = None,
+) -> _Evaluation:
     """Hill-climb the vertex matrix with A and Pi fixed.
 
     Ascends along the gradient scaled per vertex by sigma^2 |P| / mass (the
     Newton step of the Gaussian part), with a backtracking line search that
     halves the step until the objective does not decrease (floor 1e-12).
-    Returns after `m_step_iters` or once the gradient norm drops below
+    Stops after `m_step_iters` or once the gradient norm drops below
     `grad_tol`.
+
+    `evaluation` is the density evaluation at `state.v` (as returned by the
+    previous call); without it one is made here. Returns the evaluation at the
+    accepted vertices, whose `v` is the new vertex matrix: each distinct
+    vertex matrix is priced once, and the objective and gradient are
+    reductions of its evaluation.
     """
-    v = _check_vertices(model, state.v).copy()
-    obj = lambda vv: log_likelihood(model, vv, state.pi, state.a, data)
-    f = obj(v)
+    if evaluation is None:
+        evaluation = _evaluate(model, state.v, data)
+    f = _objective(evaluation, state.pi, state.a)
     if not np.isfinite(f):
         raise NumericalError("M-step objective is non-finite at the current vertices")
 
     mass = _vertex_mass(model, np.asarray(state.a, dtype=float))
     scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
     step = config.step_init if config.step_init is not None else 1.0
+    limit = _clip_limit(data, config.clip_norm)
 
     for _ in range(config.m_step_iters):
-        g = grad_vertices(model, v, state.pi, state.a, data, config.clip_norm)
+        g = _gradient(model, evaluation, state.a, data, limit)
         if np.sqrt(np.sum(g**2)) < config.grad_tol:
             break
         direction = g * scale[:, None]  # positive diagonal scaling keeps ascent
@@ -284,16 +325,18 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
         saw_finite = False
         gain = 0.0
         while alpha >= config.step_floor:
-            trial = v + alpha * direction
+            trial = None  # release a rejected trial before pricing the next
             try:
-                ft = obj(trial)
+                trial = _evaluate(model, evaluation.v + alpha * direction, data)
             except ValueError:  # a trial step collapsed an edge
                 ft = -np.inf
+            else:
+                ft = _objective(trial, state.pi, state.a)
             if np.isfinite(ft):
                 saw_finite = True
                 if ft >= f:
                     gain = ft - f
-                    v, f = trial, ft
+                    evaluation, f = trial, ft
                     # grow only on clean accepts so the step does not oscillate
                     step = 2.0 * alpha if alpha == step else alpha
                     accepted = True
@@ -307,7 +350,7 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
             break  # precision floor reached; keep the current (non-decreased) V
         if gain < config.m_step_improve_tol:
             break
-    return v
+    return evaluation
 
 
 def initialize(
@@ -359,10 +402,14 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     the marginal log-likelihood ever goes non-finite.
     """
     v_init = np.array(state.v, dtype=float)
-    # logits at the current (V, Pi) feed the trace entry, the next E-step, and
-    # the cost bookkeeping, so each iteration prices exactly one density pass
-    # beyond the M-step's own evaluations.
-    logits = _posterior_logits(model, state.v, state.pi, data)
+    config = replace(config, clip_norm=_clip_limit(data, config.clip_norm))
+    # One evaluation per accepted vertex matrix feeds the trace entry, the next
+    # E-step, the cost bookkeeping and the next M-step's start point. `held`
+    # hands it to m_step without keeping a reference here, so m_step frees it
+    # once it accepts a trial: at most the current and the trial evaluation
+    # are alive.
+    held = [_evaluate(model, state.v, data)]
+    logits = _logits(held[0], state.pi)
     per_point = logsumexp(logits, axis=1)
     trace = [float(np.mean(per_point))]
     streak = 0
@@ -373,8 +420,8 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
         a = _normalize_rows(logits)
         pi = update_mixing(a)
         interim = EmState(v=state.v, pi=pi, a=a, loglik=state.loglik)
-        v = m_step(model, interim, data, config)
-        logits = _posterior_logits(model, v, pi, data)
+        held.append(m_step(model, interim, data, config, held.pop()))
+        logits = _logits(held[0], pi)
         per_point = logsumexp(logits, axis=1)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
@@ -382,7 +429,7 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
             raise NumericalError(f"non-finite log-likelihood at points {bad[:20]}")
         with np.errstate(invalid="ignore"):
             cost = float(np.where(a > 0, a * logits, 0.0).sum() / len(data))
-        state = EmState(v=v, pi=pi, a=a, loglik=cost)
+        state = EmState(v=held[0].v, pi=pi, a=a, loglik=cost)
         trace.append(ll)
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
             streak += 1

@@ -7,6 +7,7 @@ every JSON artifact embeds the config that produced it.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from typing import Any
@@ -47,9 +48,11 @@ def read_cloud(path: str, skip_header: bool = False) -> PointCloud:
                 continue
             parts = line.split(",")
             try:
-                row = [float(tok) for tok in parts]
+                row = list(map(float, parts))
             except ValueError:
                 raise CloudParseError(f"cannot parse coordinates from {line!r}", lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise CloudParseError(f"non-finite coordinates in {line!r}", lineno)
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -7,6 +7,7 @@ import pytest
 
 import graphskel as gs
 from graphskel.cli import main
+from graphskel.errors import CloudParseError
 from graphskel.fileio import read_cloud, write_cloud
 
 
@@ -104,6 +105,22 @@ class TestPartition:
         ])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "line 2" in err["message"]
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_coordinate_carries_line_number(self, tmp_path, capsys, token):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0.0,0.0\n1.0,{token}\n2.0,nan\n")
+        with pytest.raises(CloudParseError) as info:
+            read_cloud(str(bad))
+        assert info.value.line_number == 2
+        rc = main([
+            "partition", "--input", str(bad), "--output", str(tmp_path / "l.txt"),
+            "--ratio", "8", "--eps", "0.1",
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
         assert "line 2" in err["message"]
 
     def test_skip_header(self, tmp_path):

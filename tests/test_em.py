@@ -291,7 +291,7 @@ class TestMStep:
         data = PointCloud(pts)
         v = pts.mean(axis=0, keepdims=True)
         state = EmState(v=v, pi=np.ones(1), a=np.ones((20, 1)), loglik=0.0)
-        out = m_step(model, state, data)
+        out = m_step(model, state, data).v
         assert np.allclose(out, v, atol=1e-10)
 
     def test_converges_to_centroid(self):
@@ -304,7 +304,7 @@ class TestMStep:
         v = v0
         for _ in range(200):
             state = EmState(v=v, pi=state.pi, a=state.a, loglik=state.loglik)
-            v = m_step(model, state, data)
+            v = m_step(model, state, data).v
             if np.linalg.norm(v - pts.mean(axis=0)) < 1e-6:
                 break
         assert np.linalg.norm(v - pts.mean(axis=0)) < 1e-6
@@ -319,7 +319,7 @@ class TestMStep:
             pi = update_mixing(a)
             state = EmState(v=v, pi=pi, a=a, loglik=0.0)
             before = log_likelihood(model, v, pi, a, data)
-            after = log_likelihood(model, m_step(model, state, data), pi, a, data)
+            after = log_likelihood(model, m_step(model, state, data).v, pi, a, data)
             assert after >= before - 1e-12
 
 
@@ -408,7 +408,7 @@ class TestEmFit:
             pi = update_mixing(a)
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
-            v = m_step(model, EmState(v=state.v, pi=pi, a=a, loglik=0.0), fixture_cloud)
+            v = m_step(model, EmState(v=state.v, pi=pi, a=a, loglik=0.0), fixture_cloud).v
             state = EmState(v=v, pi=pi, a=a, loglik=0.0)
 
     def test_label_permutation_equivariance(self):
@@ -467,3 +467,112 @@ class TestEmFit:
             model, report.state.v, report.state.pi, fixture_cloud
         )
         assert recomputed == pytest.approx(report.loglik_trace[-1], abs=1e-12)
+
+
+def reference_m_step(model, v, pi, a, data, config):
+    """The M-step priced afresh at every use: public objective and gradient.
+
+    Returns the accepted vertices and the number of halved (rejected) trials.
+    """
+    f = log_likelihood(model, v, pi, a, data)
+    mass = a[:, : model.n0].sum(axis=0)
+    for k, (i, j) in enumerate(model.edge_endpoints):
+        mk = a[:, model.n0 + k].sum()
+        mass[i] += mk
+        mass[j] += mk
+    scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
+    step = config.step_init if config.step_init is not None else 1.0
+    backtracks = 0
+    for _ in range(config.m_step_iters):
+        g = grad_vertices(model, v, pi, a, data, config.clip_norm)
+        if np.sqrt(np.sum(g**2)) < config.grad_tol:
+            break
+        direction = g * scale[:, None]
+        alpha = step
+        accepted = False
+        gain = 0.0
+        while alpha >= config.step_floor:
+            trial = v + alpha * direction
+            try:
+                ft = log_likelihood(model, trial, pi, a, data)
+            except ValueError:
+                ft = -np.inf
+            if np.isfinite(ft) and ft >= f:
+                gain = ft - f
+                v, f = trial, ft
+                step = 2.0 * alpha if alpha == step else alpha
+                accepted = True
+                break
+            alpha *= 0.5
+            backtracks += 1
+        if not accepted or gain < config.m_step_improve_tol:
+            break
+    return v, backtracks
+
+
+def reference_em_fit(model, state, data, config):
+    """Generalized EM rebuilt from the public functions, one pass per quantity."""
+    v, pi = np.array(state.v, dtype=float), state.pi
+    trace = [marginal_log_likelihood(model, v, pi, data)]
+    streak = n_done = backtracks = 0
+    for n_done in range(1, config.max_iters + 1):
+        a = responsibilities(model, EmState(v=v, pi=pi, a=state.a, loglik=0.0), data)
+        pi = update_mixing(a)
+        v, halved = reference_m_step(model, v, pi, a, data, config)
+        backtracks += halved
+        trace.append(marginal_log_likelihood(model, v, pi, data))
+        if abs(trace[-1] - trace[-2]) < config.tol_ll:
+            streak += 1
+            if streak >= config.consecutive:
+                break
+        else:
+            streak = 0
+    return v, np.asarray(trace), n_done, backtracks
+
+
+@pytest.fixture(scope="module", params=["fixture-ratio8", "random-5d-large-step"])
+def em_case(request, fixture_cloud, ratio8_recovery):
+    """(model, state, data, config): the fixture at ratio 8, and a small 5-D
+    compliant graph whose large initial step forces line-search backtracks."""
+    if request.param == "fixture-ratio8":
+        graph, refined, _ = ratio8_recovery
+        model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
+        return model, state, fixture_cloud, EmConfig(max_iters=10)
+    spec = gs.random_compliant_graph(5, 3, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
+    cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, seed=0))
+    graph, refined, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
+    model, state = initialize(graph, refined, cloud, sigma=0.05)
+    return model, state, cloud, EmConfig(max_iters=10, step_init=64.0)
+
+
+class TestOneEvaluationPerVertexMatrix:
+    def test_matches_reference_em(self, em_case):
+        model, state, data, config = em_case
+        report = em_fit(model, state, data, config)
+        v, trace, n_done, backtracks = reference_em_fit(model, state, data, config)
+        assert np.array_equal(report.state.v, v)
+        assert np.array_equal(report.loglik_trace, trace)
+        assert report.n_iterations == n_done
+        if config.step_init is not None:
+            assert backtracks > 0  # rejected trials are exercised
+
+    def test_each_vertex_matrix_priced_once(self, em_case, monkeypatch):
+        model, state, data, config = em_case
+        seen = []  # (kernel name, endpoint bytes) of every edge-kernel call made by em_fit
+
+        def counted(kernel):
+            def wrapper(x, v1s, v2s, *rest):
+                seen.append((kernel.__name__, np.asarray(v1s).tobytes() + np.asarray(v2s).tobytes()))
+                return kernel(x, v1s, v2s, *rest)
+
+            return wrapper
+
+        kernels = (gs.densities.edge_log_density_grad_batch, gs.densities.edge_log_density_batch)
+        for module in (gs.em, gs.densities):
+            for kernel in kernels:
+                if getattr(module, kernel.__name__, None) is kernel:
+                    monkeypatch.setattr(module, kernel.__name__, counted(kernel))
+        report = em_fit(model, state, data, config)
+        assert len(seen) > report.n_iterations
+        assert {name for name, _ in seen} == {"edge_log_density_grad_batch"}
+        assert len({key for _, key in seen}) == len(seen)
