@@ -46,7 +46,6 @@ from .errors import CloudParseError, GenerationError, NumericalError, StructureE
 from .geometry import (
     ComponentLabeling,
     PointCloud,
-    Segment,
     ball_query,
     component_centroid,
     distance,

@@ -4,7 +4,9 @@ boundary operator.
 Vertex-like samples cluster at scale 3R/2 + 2*eps (one cluster per vertex);
 edge-like samples cluster at contact scale 3*eps. Edge-like clusters adjacent
 to a single vertex cluster live in a vertex's grey annulus and are reabsorbed
-into the vertex side before the final clustering.
+into the vertex side before the final clustering. Everything at the contact
+scale (edge clustering and which vertex clusters an edge cluster touches)
+reads the cloud's own contact pairs, the same ones classification used.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StructureError
-from .geometry import ComponentLabeling, PointCloud, component_centroid, pairs_between, threshold_components
+from .geometry import ComponentLabeling, PointCloud, component_centroid, contact_components, threshold_components
 from .local_structure import Partition, ReconstructionConfig, partition as _partition
 
 if TYPE_CHECKING:
@@ -75,7 +77,7 @@ def cluster_p0(cloud: PointCloud, part: Partition, config: ReconstructionConfig)
 
 def cluster_p1(cloud: PointCloud, part: Partition, config: ReconstructionConfig) -> ComponentLabeling:
     """Components of the threshold graph on P1 at scale 3*eps."""
-    return threshold_components(cloud, part.p1, config.contact_scale)
+    return contact_components(cloud, part.p1, config.contact_scale)
 
 
 def _touching(
@@ -83,13 +85,18 @@ def _touching(
 ) -> list[list[int]]:
     """Per edge cluster, the sorted ids of vertex clusters within single-linkage
     distance r of it (distance < r when `strict`, else <= r)."""
-    coords = cloud.coords
-    i, j, d = pairs_between(coords[edges.indices], coords[vertices.indices], r)
+    i, j, d = cloud.contact_pairs(r)
     if strict:
         keep = d < r
         i, j = i[keep], j[keep]
+    ids = np.full((2, len(cloud)), -1, dtype=np.intp)  # cluster id per point, -1 outside
+    ids[0, edges.indices], ids[1, vertices.indices] = edges.labels, vertices.labels
+    # a contact pair links an edge cluster to a vertex cluster in either order
+    e = np.concatenate([ids[0, i], ids[0, j]])
+    v = np.concatenate([ids[1, j], ids[1, i]])
+    hit = (e >= 0) & (v >= 0)
     nv = max(vertices.num_components, 1)
-    links = np.unique(edges.labels[i] * nv + vertices.labels[j])
+    links = np.unique(e[hit] * nv + v[hit])
     out: list[list[int]] = [[] for _ in range(edges.num_components)]
     for eid, vid in zip(*np.divmod(links, nv)):
         out[eid].append(int(vid))
@@ -137,7 +144,7 @@ def build_graph(cloud: PointCloud, refined: RefinedPartition, config: Reconstruc
     vertex clusters; anything else is a structural error naming the cluster.
     """
     v_cc = threshold_components(cloud, refined.p0_tilde, config.vertex_cluster_scale)
-    e_cc = threshold_components(cloud, refined.p1_tilde, config.contact_scale)
+    e_cc = contact_components(cloud, refined.p1_tilde, config.contact_scale)
     vertex_clusters = v_cc.sets()
     edge_clusters = e_cc.sets()
 

@@ -156,7 +156,6 @@ def cmd_fit(args) -> int:
         "vertices": [[float(c) for c in row] for row in report.state.v],
         "pi": [float(p) for p in report.state.pi],
         "final_loglik": float(report.loglik_trace[-1]),
-        "cost_value": float(report.state.loglik),
         "iterations": report.n_iterations,
         "converged": report.converged,
         "loglik_trace": [float(x) for x in report.loglik_trace],
@@ -177,8 +176,6 @@ def cmd_pipeline(args) -> int:
         raise ValueError("--ratios must list at least one ratio")
     ratios = sorted({float(r) for r in args.ratios}, reverse=True)
     eps = args.eps
-    if eps is None:
-        raise ValueError("--eps is required")
     sigma = args.sigma if args.sigma is not None else eps / 2
     cloud = read_cloud(args.input, skip_header=args.skip_header)
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)

@@ -24,7 +24,6 @@ __all__ = [
     "edge_density_quadrature",
     "edge_log_density",
     "edge_log_density_grad",
-    "edge_log_density_batch",
     "edge_log_density_grad_batch",
     "EdgeCoefficients",
     "endpoint_gradients",
@@ -123,71 +122,6 @@ def log_erf_diff(a, b):
     return out if out.ndim else float(out)
 
 
-def _batch_setup(x, v1s, v2s, sigmas):
-    """Broadcast K segments against m points; x -> (m, n), endpoints -> (K, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    v1s = np.atleast_2d(np.asarray(v1s, dtype=float))
-    v2s = np.atleast_2d(np.asarray(v2s, dtype=float))
-    sigmas = np.atleast_1d(_check_sigma(sigmas))
-    if sigmas.shape == (1,) and v1s.shape[0] > 1:
-        sigmas = np.full(v1s.shape[0], sigmas[0])
-    w = v1s - v2s  # (K, n)
-    ll = np.einsum("kn,kn->k", w, w)
-    if np.any(ll == 0.0):
-        dead = np.flatnonzero(ll == 0.0).tolist()
-        raise ValueError(f"degenerate segment: edge endpoints coincide (strata {dead})")
-    return x, v1s, v2s, sigmas, w, ll
-
-
-def _batch_terms(x, v1s, v2s, sigmas):
-    """Closed-form ingredients for K segments at m points, all of shape (K, m).
-
-    With s_km = v1_k + v2_k - 2 x_m and w_k = v1_k - v2_k, a point enters the
-    density only through g_km = s_km . w_k and |s_km|^2. Both are expanded
-    about the mean of x into (K, n) @ (n, m) products, so no (K, m, n) array
-    is formed.
-    """
-    x, v1s, v2s, sigmas, w, ll = _batch_setup(x, v1s, v2s, sigmas)
-    origin = x.mean(axis=0)
-    xc = x - origin
-    u = v1s + v2s - 2.0 * origin  # s_km = u_k - 2 xc_m
-    k = w.shape[0]
-    wx, ux = np.split(np.vstack([w, u]) @ xc.T, [k])
-    g = np.einsum("kn,kn->k", u, w)[:, None] - 2.0 * wx
-    ss = (
-        np.einsum("kn,kn->k", u, u)[:, None]
-        - 4.0 * ux
-        + 4.0 * np.einsum("mn,mn->m", xc, xc)[None, :]
-    )
-    length = np.sqrt(ll)
-    denom = (2.0 * math.sqrt(2.0) * length * sigmas)[:, None]  # (K, 1)
-    t_plus = (g + ll[:, None]) / denom
-    t_minus = (g - ll[:, None]) / denom
-    q = (g * g - ll[:, None] * ss) / (8.0 * ll * sigmas * sigmas)[:, None]
-    n = x.shape[1]
-    const = (
-        -0.5 * (n + 1) * math.log(2.0)
-        + 0.5 * (1 - n) * math.log(math.pi)
-        + (1 - n) * np.log(sigmas)
-        - np.log(length)
-    )  # (K,)
-    return xc, sigmas, w, ll, u, g, denom, t_plus, t_minus, q, const
-
-
-def edge_log_density_batch(x, v1s, v2s, sigmas) -> np.ndarray:
-    """Closed-form log densities for K segments at m points, shape (m, K)."""
-    *_, t_plus, t_minus, q, const = _batch_terms(x, v1s, v2s, sigmas)
-    out = log_erf_diff(t_plus, t_minus) + q + const[:, None]
-    if np.any(np.isneginf(out)):
-        warnings.warn(
-            "edge_log_density underflowed to -inf for some points (erf difference below "
-            "double precision); results are floored, not NaN",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return out.T
-
-
 def edge_log_density(x, v1, v2, sigma: float):
     """Closed-form log density of the segment-convolved Gaussian.
 
@@ -197,7 +131,15 @@ def edge_log_density(x, v1, v2, sigma: float):
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out = edge_log_density_batch(x[None, :] if single else x, [v1], [v2], [sigma])[:, 0]
+    logrho, _ = edge_log_density_grad_batch(x[None, :] if single else x, [v1], [v2], [sigma])
+    out = logrho[0]
+    if np.any(np.isneginf(out)):
+        warnings.warn(
+            "edge_log_density underflowed to -inf for some points (erf difference below "
+            "double precision); results are floored, not NaN",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return float(out[0]) if single else out
 
 
@@ -224,12 +166,51 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
     """Log densities (K, m) of K segments at m points, plus their gradient
     coefficients.
 
-    One evaluation serves every weighting: `endpoint_gradients` turns the
-    returned `EdgeCoefficients` into weighted gradient sums. Each (K, m)
-    temporary is dropped once no later formula reads it, which keeps the
-    call's peak near a dozen (K, m) arrays.
+    With s_km = v1_k + v2_k - 2 x_m and w_k = v1_k - v2_k, a point enters the
+    density only through g_km = s_km . w_k and |s_km|^2. Both are expanded
+    about the mean of x into (K, n) @ (n, m) products, so no (K, m, n) array
+    is formed. One evaluation serves every weighting: `endpoint_gradients`
+    turns the returned `EdgeCoefficients` into weighted gradient sums. Each
+    (K, m) temporary is dropped once no later formula reads it, which keeps
+    the call's peak near a dozen (K, m) arrays.
     """
-    xc, sigmas, w, ll, u, g, denom, t_plus, t_minus, q, const = _batch_terms(x, v1s, v2s, sigmas)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    v1s = np.atleast_2d(np.asarray(v1s, dtype=float))
+    v2s = np.atleast_2d(np.asarray(v2s, dtype=float))
+    sigmas = np.atleast_1d(_check_sigma(sigmas))
+    if sigmas.shape == (1,) and v1s.shape[0] > 1:
+        sigmas = np.full(v1s.shape[0], sigmas[0])
+    w = v1s - v2s  # (K, n)
+    ll = np.einsum("kn,kn->k", w, w)
+    if np.any(ll == 0.0):
+        dead = np.flatnonzero(ll == 0.0).tolist()
+        raise ValueError(f"degenerate segment: edge endpoints coincide (strata {dead})")
+
+    origin = x.mean(axis=0)
+    xc = x - origin
+    u = v1s + v2s - 2.0 * origin  # s_km = u_k - 2 xc_m
+    k = w.shape[0]
+    wx, ux = np.split(np.vstack([w, u]) @ xc.T, [k])
+    g = np.einsum("kn,kn->k", u, w)[:, None] - 2.0 * wx
+    ss = (
+        np.einsum("kn,kn->k", u, u)[:, None]
+        - 4.0 * ux
+        + 4.0 * np.einsum("mn,mn->m", xc, xc)[None, :]
+    )
+    length = np.sqrt(ll)
+    denom = (2.0 * math.sqrt(2.0) * length * sigmas)[:, None]  # (K, 1)
+    t_plus = (g + ll[:, None]) / denom
+    t_minus = (g - ll[:, None]) / denom
+    q = (g * g - ll[:, None] * ss) / (8.0 * ll * sigmas * sigmas)[:, None]
+    del wx, ux, ss
+    n = x.shape[1]
+    const = (
+        -0.5 * (n + 1) * math.log(2.0)
+        + 0.5 * (1 - n) * math.log(math.pi)
+        + (1 - n) * np.log(sigmas)
+        - np.log(length)
+    )  # (K,)
+
     logdiff = log_erf_diff(t_plus, t_minus)
     logrho = logdiff + q + const[:, None]
     del q

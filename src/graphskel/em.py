@@ -88,7 +88,6 @@ class EmState:
     v: np.ndarray  # (n0, dim) vertex coordinates
     pi: np.ndarray  # (N,) mixing weights
     a: np.ndarray  # (|P|, N) responsibilities
-    loglik: float  # cost-function value at (v, pi, a)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class EmConfig:
     m_step_iters: int = 5
     grad_tol: float = 1e-8
     m_step_improve_tol: float = 1e-12  # stop ascending once gains drop below this
-    step_init: float | None = None  # None: 1.0 (the direction already carries the sigma^2 |P| / mass scale)
+    step_init: float = 1.0  # the direction already carries the sigma^2 |P| / mass scale
     step_floor: float = 1e-12
     clip_norm: float | None = None  # None: 10 * data bounding-box diagonal
 
@@ -312,7 +311,7 @@ def m_step(
 
     mass = _vertex_mass(model, np.asarray(state.a, dtype=float))
     scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
-    step = config.step_init if config.step_init is not None else 1.0
+    step = config.step_init
     limit = _clip_limit(data, config.clip_norm)
 
     for _ in range(config.m_step_iters):
@@ -390,8 +389,7 @@ def initialize(
         a[np.asarray(members, dtype=int), i] = 1.0
     pi = update_mixing(a)
     v0 = np.array(graph.vertex_centroids, dtype=float)
-    state = EmState(v=v0, pi=pi, a=a, loglik=log_likelihood(model, v0, pi, a, data))
-    return model, state
+    return model, EmState(v=v0, pi=pi, a=a)
 
 
 def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfig = EmConfig()) -> FitReport:
@@ -404,10 +402,9 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     v_init = np.array(state.v, dtype=float)
     config = replace(config, clip_norm=_clip_limit(data, config.clip_norm))
     # One evaluation per accepted vertex matrix feeds the trace entry, the next
-    # E-step, the cost bookkeeping and the next M-step's start point. `held`
-    # hands it to m_step without keeping a reference here, so m_step frees it
-    # once it accepts a trial: at most the current and the trial evaluation
-    # are alive.
+    # E-step and the next M-step's start point. `held` hands it to m_step
+    # without keeping a reference here, so m_step frees it once it accepts a
+    # trial: at most the current and the trial evaluation are alive.
     held = [_evaluate(model, state.v, data)]
     logits = _logits(held[0], state.pi)
     per_point = logsumexp(logits, axis=1)
@@ -419,17 +416,14 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     for n_done in range(1, config.max_iters + 1):
         a = _normalize_rows(logits)
         pi = update_mixing(a)
-        interim = EmState(v=state.v, pi=pi, a=a, loglik=state.loglik)
-        held.append(m_step(model, interim, data, config, held.pop()))
+        held.append(m_step(model, EmState(v=state.v, pi=pi, a=a), data, config, held.pop()))
         logits = _logits(held[0], pi)
         per_point = logsumexp(logits, axis=1)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
             bad = np.flatnonzero(~np.isfinite(per_point)).tolist()
             raise NumericalError(f"non-finite log-likelihood at points {bad[:20]}")
-        with np.errstate(invalid="ignore"):
-            cost = float(np.where(a > 0, a * logits, 0.0).sum() / len(data))
-        state = EmState(v=held[0].v, pi=pi, a=a, loglik=cost)
+        state = EmState(v=held[0].v, pi=pi, a=a)
         trace.append(ll)
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
             streak += 1

@@ -68,7 +68,8 @@ def read_cloud(path: str, skip_header: bool = False) -> PointCloud:
         raise CloudParseError(str(exc)) from None
 
 
-def _atomic_write(path: str, payload: str) -> None:
+def write_text_atomic(path: str, payload: str) -> None:
+    """Write `payload` to a temp file beside `path`, then rename it over `path`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graphskel-", suffix=".tmp")
     try:
@@ -81,17 +82,13 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
-def write_text_atomic(path: str, payload: str) -> None:
-    _atomic_write(path, payload)
-
-
 def write_cloud(path: str, cloud: PointCloud) -> None:
     lines = [",".join(repr(float(c)) for c in row) for row in cloud.coords]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_json_atomic(path: str, obj: dict[str, Any]) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path: str) -> dict[str, Any]:
@@ -139,6 +136,16 @@ def graph_to_dict(graph: AbstractGraph, refined: RefinedPartition, config: dict[
     }
 
 
+def _get(doc: Any, *path: str | int) -> Any:
+    """doc[path[0]][path[1]]..., or a ValueError naming the missing field."""
+    for depth, key in enumerate(path):
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            raise ValueError(f"malformed document: no field {'.'.join(map(str, path[: depth + 1]))}") from None
+    return doc
+
+
 def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
     if doc.get("kind") != "graphskel.graph":
         raise ValueError(f"not a graphskel graph document (kind={doc.get('kind')!r})")
@@ -148,20 +155,20 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
         )
     if int(doc.get("dim", -1)) != cloud.dim:
         raise ValueError("graph document dimension does not match the cloud")
-    vertex_clusters = [np.asarray(v["members"], dtype=int) for v in doc["vertices"]]
-    edge_clusters = [np.asarray(e["members"], dtype=int) for e in doc["edges"]]
-    boundary = [(int(e["boundary"][0]), int(e["boundary"][1])) for e in doc["edges"]]
+    vertices, edges = _get(doc, "vertices"), _get(doc, "edges")
+    vertex_clusters = [np.asarray(_get(v, "members"), dtype=int) for v in vertices]
+    edge_clusters = [np.asarray(_get(e, "members"), dtype=int) for e in edges]
+    boundary = [(int(_get(e, "boundary", 0)), int(_get(e, "boundary", 1))) for e in edges]
     centroids = (
-        np.asarray([v["centroid"] for v in doc["vertices"]], dtype=float)
-        if doc["vertices"]
+        np.asarray([_get(v, "centroid") for v in vertices], dtype=float)
+        if vertices
         else np.empty((0, cloud.dim))
     )
     graph = AbstractGraph(vertex_clusters, edge_clusters, boundary, centroids, cloud)
-    labels = doc["labels"]
     refined = RefinedPartition(
-        p0_tilde=np.asarray(labels["p0_tilde"], dtype=int),
-        p1_tilde=np.asarray(labels["p1_tilde"], dtype=int),
-        moved=np.asarray(labels["moved"], dtype=int),
+        p0_tilde=np.asarray(_get(doc, "labels", "p0_tilde"), dtype=int),
+        p1_tilde=np.asarray(_get(doc, "labels", "p1_tilde"), dtype=int),
+        moved=np.asarray(_get(doc, "labels", "moved"), dtype=int),
     )
     return graph, refined
 
@@ -180,6 +187,6 @@ def graph_spec_from_dict(doc: dict[str, Any]) -> EmbeddedGraphSpec:
     if doc.get("kind") != "graphskel.graph-spec":
         raise ValueError(f"not a graphskel graph-spec document (kind={doc.get('kind')!r})")
     return EmbeddedGraphSpec(
-        np.asarray(doc["vertices"], dtype=float),
-        tuple((int(a), int(b)) for (a, b) in doc["edges"]),
+        np.asarray(_get(doc, "vertices"), dtype=float),
+        tuple((int(a), int(b)) for (a, b) in _get(doc, "edges")),
     )

@@ -2,10 +2,12 @@
 
 Everything in this module is a pure function over immutable inputs.
 `ball_query` and `shell_query` are exact linear scans and serve as reference
-oracles. The shipped neighbour searches (`pairs_within`, `pairs_between`,
+oracles. The shipped neighbour searches (`ball_members`, `pairs_within`,
 `threshold_components`) query a k-d tree at a slightly padded radius and then
 decide every candidate with the same `sqrt(sum(d**2))` distance and the same
 comparison as the linear scans, so ties at the threshold resolve identically.
+A `PointCloud` keeps its own k-d tree and its contact pairs, so every stage
+that needs the 3*eps contact graph of a cloud reads the same one.
 """
 from __future__ import annotations
 
@@ -19,18 +21,18 @@ from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
-    "Segment",
     "ComponentLabeling",
     "distance",
+    "angle_cosine",
     "point_segment_distance",
     "segment_segment_distance",
     "ball_query",
     "shell_query",
     "threshold_components",
+    "contact_components",
     "component_centroid",
     "ball_members",
     "pairs_within",
-    "pairs_between",
     "component_labels",
 ]
 
@@ -44,10 +46,11 @@ class PointCloud:
     """An immutable ordered set of points in R^n.
 
     Point order is stable: indices act as identities for all labeling steps.
-    Duplicate points are allowed.
+    Duplicate points are allowed. The k-d tree and the contact pairs are
+    derived from the coordinates on first use and kept.
     """
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_coords", "_tree", "_contact")
 
     def __init__(self, coords) -> None:
         arr = np.asarray(coords, dtype=float)
@@ -60,6 +63,8 @@ class PointCloud:
         arr = arr.copy()
         arr.setflags(write=False)
         self._coords = arr
+        self._tree = None
+        self._contact = None  # (r, pairs_within(coords, r)) for the last r asked for
 
     @property
     def coords(self) -> np.ndarray:
@@ -73,6 +78,22 @@ class PointCloud:
     def __len__(self) -> int:
         return self._coords.shape[0]
 
+    @property
+    def tree(self) -> cKDTree:
+        """k-d tree over the points, built on first use."""
+        if self._tree is None:
+            self._tree = cKDTree(self._coords)
+        return self._tree
+
+    def contact_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`pairs_within(coords, r)` from the cloud's tree, kept until another r is asked for."""
+        if self._contact is None or self._contact[0] != r:
+            pairs = pairs_within(self._coords, r, self.tree)
+            for arr in pairs:
+                arr.setflags(write=False)  # shared by every caller, like coords
+            self._contact = (r, pairs)
+        return self._contact[1]
+
     def __getitem__(self, index: int) -> np.ndarray:
         return self._coords[index]
 
@@ -81,32 +102,6 @@ class PointCloud:
 
     def __repr__(self) -> str:
         return f"PointCloud(n_points={len(self)}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A line segment with distinct endpoints."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != b.shape:
-            raise ValueError("segment endpoints must have the same dimension")
-        if np.array_equal(a, b):
-            raise ValueError("degenerate segment: endpoints coincide")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.a + self.b)
 
 
 @dataclass(frozen=True)
@@ -127,9 +122,6 @@ class ComponentLabeling:
     def sets(self) -> list[np.ndarray]:
         return [self.members(c) for c in range(self.num_components)]
 
-    def as_dict(self) -> dict[int, int]:
-        return {int(i): int(c) for i, c in zip(self.indices, self.labels)}
-
 
 def _check_same_dim(p: np.ndarray, q: np.ndarray) -> None:
     if p.shape != q.shape:
@@ -142,6 +134,13 @@ def distance(p, q) -> float:
     q = np.asarray(q, dtype=float)
     _check_same_dim(p, q)
     return float(np.sqrt(np.sum((p - q) ** 2)))
+
+
+def angle_cosine(apex, p, q) -> float:
+    """Cosine of the angle at `apex` between the rays to p and to q."""
+    u1 = p - apex
+    u2 = q - apex
+    return float(np.dot(u1, u2) / (np.linalg.norm(u1) * np.linalg.norm(u2)))
 
 
 def point_segment_distance(x, a, b) -> float:
@@ -249,29 +248,21 @@ def ball_members(
     return owner[keep], member[keep], d[keep]
 
 
-def pairs_within(coords: np.ndarray, r: float, tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs i < j with ||p_i - p_j|| <= r, sorted by (i, j)."""
+def pairs_within(
+    coords: np.ndarray, r: float, tree: cKDTree | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All pairs (i, j, d) with i < j and d = ||p_i - p_j|| <= r, sorted by (i, j)."""
     if len(coords) < 2:
         empty = np.empty(0, dtype=np.intp)
-        return empty, empty
+        return empty, empty, np.empty(0)
     tree = cKDTree(coords) if tree is None else tree
     pairs = tree.query_pairs(_padded(r), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
-    keep = _row_distances(coords[i], coords[j]) <= r
-    i, j = i[keep], j[keep]
-    order = np.lexsort((j, i))
-    return i[order], j[order]
-
-
-def pairs_between(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs (i, j, d) with d = ||a_i - b_j|| <= r; the caller may tighten to d < r."""
-    if len(a) == 0 or len(b) == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
-    sizes, j = _flatten(cKDTree(b).query_ball_point(a, _padded(r)))
-    i = np.repeat(np.arange(len(a)), sizes)
-    d = _row_distances(a[i], b[j])
+    d = _row_distances(coords[i], coords[j])
     keep = d <= r
-    return i[keep], j[keep], d[keep]
+    i, j, d = i[keep], j[keep], d[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order], d[order]
 
 
 def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, int]:
@@ -297,13 +288,34 @@ def threshold_components(cloud: PointCloud, subset, r: float) -> ComponentLabeli
     """
     if r < 0:
         raise ValueError("threshold must be nonnegative")
-    subset = np.asarray(subset, dtype=int)
-    subset = np.unique(subset)
-    if subset.size and (subset[0] < 0 or subset[-1] >= len(cloud)):
-        raise ValueError("subset contains out-of-range indices")
-    i, j = pairs_within(cloud.coords[subset], r)
+    subset = _checked_subset(cloud, subset)
+    i, j, _ = pairs_within(cloud.coords[subset], r)
     labels, count = component_labels(subset.size, i, j)
     return ComponentLabeling(subset, labels, count)
+
+
+def contact_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling:
+    """`threshold_components(cloud, subset, r)` read off `cloud.contact_pairs(r)`.
+
+    Builds no tree of its own: the subset's graph is the cloud's contact graph
+    restricted to the subset.
+    """
+    subset = _checked_subset(cloud, subset)
+    i, j, _ = cloud.contact_pairs(r)
+    pos = np.full(len(cloud), -1, dtype=np.intp)
+    pos[subset] = np.arange(subset.size)
+    pi, pj = pos[i], pos[j]
+    keep = (pi >= 0) & (pj >= 0)
+    labels, count = component_labels(subset.size, pi[keep], pj[keep])
+    return ComponentLabeling(subset, labels, count)
+
+
+def _checked_subset(cloud: PointCloud, subset) -> np.ndarray:
+    """Sorted distinct cloud indices; out-of-range indices are an error."""
+    subset = np.unique(np.asarray(subset, dtype=int))
+    if subset.size and (subset[0] < 0 or subset[-1] >= len(cloud)):
+        raise ValueError("subset contains out-of-range indices")
+    return subset
 
 
 def component_centroid(cloud: PointCloud, members) -> np.ndarray:

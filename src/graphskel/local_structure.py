@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     PointCloud,
+    angle_cosine,
     ball_members,
     ball_query,
     component_centroid,
     component_labels,
     distance,
-    pairs_within,
     point_segment_distance,
     segment_segment_distance,
     shell_query,
@@ -223,18 +222,18 @@ def classify_point(cloud: PointCloud, p_index: int, config: ReconstructionConfig
 def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> list[LocalLabel]:
     """Classify every sample; same labels as `classify_point` at each index.
 
-    One k-d tree serves all centres. The ball graphs of a chunk of centres
-    form one graph whose nodes are (centre, ball member) pairs and whose edges
-    are contact pairs inside the same ball; the shell graph is that graph
-    restricted to members farther than R - eps. Components of both come from
-    one connected-components pass per chunk.
+    The cloud's own k-d tree serves all centres. The ball graphs of a chunk
+    of centres form one graph whose nodes are (centre, ball member) pairs and
+    whose edges are the cloud's contact pairs inside the same ball; the shell
+    graph is that graph restricted to members farther than R - eps.
+    Components of both come from one connected-components pass per chunk.
     """
     m = len(cloud)
     if m == 0:
         return []
     coords = cloud.coords
-    tree = cKDTree(coords)
-    ci, cj = pairs_within(coords, config.contact_scale, tree)
+    tree = cloud.tree
+    ci, cj, _ = cloud.contact_pairs(config.contact_scale)
     # contact pairs i < j as a CSR adjacency: row i lists its larger neighbours
     contact_ptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(ci, minlength=m), out=contact_ptr[1:])
@@ -346,9 +345,7 @@ def _vertex_angles(graph: "EmbeddedGraphSpec") -> list[tuple[int, int, int, floa
         nbrs = graph.neighbors(v)
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
-                u1 = graph.vertices[nbrs[i]] - graph.vertices[v]
-                u2 = graph.vertices[nbrs[j]] - graph.vertices[v]
-                c = float(np.dot(u1, u2) / (np.linalg.norm(u1) * np.linalg.norm(u2)))
+                c = angle_cosine(graph.vertices[v], graph.vertices[nbrs[i]], graph.vertices[nbrs[j]])
                 out.append((v, nbrs[i], nbrs[j], math.acos(min(1.0, max(-1.0, c)))))
     return out
 

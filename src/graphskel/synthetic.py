@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import GenerationError
-from .geometry import PointCloud, distance, point_segment_distance, segment_segment_distance
+from .geometry import PointCloud, angle_cosine, distance, point_segment_distance, segment_segment_distance
 from .local_structure import ReconstructionConfig, check_assumptions
 
 __all__ = [
@@ -77,9 +76,7 @@ class EmbeddedGraphSpec:
             nbrs = self.neighbors(v)
             for i in range(len(nbrs)):
                 for j in range(i + 1, len(nbrs)):
-                    u1 = verts[nbrs[i]] - verts[v]
-                    u2 = verts[nbrs[j]] - verts[v]
-                    c = float(np.dot(u1, u2) / (np.linalg.norm(u1) * np.linalg.norm(u2)))
+                    c = angle_cosine(verts[v], verts[nbrs[i]], verts[nbrs[j]])
                     if c >= 1.0:
                         raise ValueError(f"edges at vertex {v} overlap (zero angle)")
                     if len(nbrs) == 2 and c <= -1.0:
@@ -237,8 +234,7 @@ def hausdorff_check(cloud: PointCloud, spec: EmbeddedGraphSpec, eps: float) -> H
     """Certify d_H(|G|, P) <= eps up to an eps/100 discretization slack."""
     resolution = eps / 100.0
     grid = _graph_discretization(spec, resolution)
-    tree = cKDTree(cloud.coords)
-    graph_to_cloud = float(tree.query(grid, k=1)[0].max())
+    graph_to_cloud = float(cloud.tree.query(grid, k=1)[0].max())
     cloud_to_graph = max(_distance_to_graph(x, spec) for x in cloud.coords)
     measured = max(graph_to_cloud, cloud_to_graph)
     tolerance = eps + resolution
@@ -287,9 +283,7 @@ def _edge_candidate_ok(
             v = shared.pop()
             other_new = b if v == a else a
             other_old = d if v == c else c
-            u1 = verts[other_new] - verts[v]
-            u2 = verts[other_old] - verts[v]
-            cosang = float(np.dot(u1, u2) / (np.linalg.norm(u1) * np.linalg.norm(u2)))
+            cosang = angle_cosine(verts[v], verts[other_new], verts[other_old])
             if math.acos(min(1.0, max(-1.0, cosang))) < phi_bound * margin:
                 return False
     return True

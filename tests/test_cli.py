@@ -52,6 +52,19 @@ class TestSimulate:
         rc = main(["simulate", "--graph", str(spec_path), "--eps", "0.1", "--output", str(out)])
         assert rc == 0
 
+    def test_graph_spec_without_edges_is_usage_error(self, tmp_path, capsys):
+        from graphskel.fileio import graph_spec_to_dict
+
+        doc = graph_spec_to_dict(gs.builtin_fixture())
+        del doc["edges"]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--graph", str(spec_path), "--eps", "0.1", "--output", str(tmp_path / "c.txt")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert "edges" in err["message"]
+
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "--eps", "0.1", "--output", str(tmp_path / "c.txt")])
         assert rc == 1
@@ -239,6 +252,30 @@ class TestFit:
             "--output", str(tmp_path / "f.json"),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda doc: doc.pop("labels"), "labels"),
+            (lambda doc: doc["edges"][0].update(boundary=[0]), "boundary"),
+        ],
+        ids=["no-labels", "one-element-boundary"],
+    )
+    def test_malformed_graph_document_is_usage_error(
+        self, cloud_file, graph_file, tmp_path, capsys, damage, field
+    ):
+        doc = json.loads(graph_file.read_text())
+        damage(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main([
+            "fit", "--input", str(cloud_file), "--graph", str(bad),
+            "--output", str(tmp_path / "f.json"),
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert field in err["message"]
 
 
 class TestPipeline:

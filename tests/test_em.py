@@ -78,7 +78,7 @@ class TestResponsibilities:
         rng = np.random.default_rng(0)
         model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([0.5]), dim=2)
         data = PointCloud(rng.normal(size=(6, 2)))
-        state = EmState(v=np.zeros((1, 2)), pi=np.ones(1), a=np.ones((6, 1)), loglik=0.0)
+        state = EmState(v=np.zeros((1, 2)), pi=np.ones(1), a=np.ones((6, 1)))
         a = responsibilities(model, state, data)
         assert np.allclose(a, 1.0)
 
@@ -86,7 +86,7 @@ class TestResponsibilities:
         model = StrataModel(n0=2, n1=0, edge_endpoints=(), sigma=np.array([0.5, 0.5]), dim=2)
         data = PointCloud([[0.0, 0.0]])
         v = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        state = EmState(v=v, pi=np.array([0.5, 0.5]), a=np.ones((1, 2)) / 2, loglik=0.0)
+        state = EmState(v=v, pi=np.array([0.5, 0.5]), a=np.ones((1, 2)) / 2)
         a = responsibilities(model, state, data)
         assert a[0].tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
 
@@ -95,7 +95,7 @@ class TestResponsibilities:
         model, v = small_model(rng, dim=2, n0=2, edges=((0, 1),), sigma=0.35)
         data = PointCloud(rng.normal(size=(10, 2)))
         pi = np.array([0.2, 0.5, 0.3])
-        state = EmState(v=v, pi=pi, a=np.ones((10, 3)) / 3, loglik=0.0)
+        state = EmState(v=v, pi=pi, a=np.ones((10, 3)) / 3)
         got = responsibilities(model, state, data)
         for j in range(10):
             x = data.coords[j]
@@ -117,7 +117,6 @@ class TestResponsibilities:
             v=np.array([[0.0, 0.0], [1.0, 0.0]]),
             pi=np.array([0.5, 0.5]),
             a=np.ones((1, 2)) / 2,
-            loglik=0.0,
         )
         with pytest.warns(RuntimeWarning, match="zero density"):
             a = responsibilities(model, state, data)
@@ -128,7 +127,7 @@ class TestResponsibilities:
         model, v = small_model(rng, n0=3, edges=((0, 1), (1, 2)))
         data = PointCloud(rng.normal(size=(40, 2)) * 2)
         pi = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-        state = EmState(v=v, pi=pi, a=np.ones((40, 5)) / 5, loglik=0.0)
+        state = EmState(v=v, pi=pi, a=np.ones((40, 5)) / 5)
         a = responsibilities(model, state, data)
         assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((a >= 0) & (a <= 1))
@@ -290,7 +289,7 @@ class TestMStep:
         pts = rng.normal(size=(20, 2))
         data = PointCloud(pts)
         v = pts.mean(axis=0, keepdims=True)
-        state = EmState(v=v, pi=np.ones(1), a=np.ones((20, 1)), loglik=0.0)
+        state = EmState(v=v, pi=np.ones(1), a=np.ones((20, 1)))
         out = m_step(model, state, data).v
         assert np.allclose(out, v, atol=1e-10)
 
@@ -300,10 +299,10 @@ class TestMStep:
         pts = rng.normal(size=(50, 3))
         data = PointCloud(pts)
         v0 = pts.mean(axis=0, keepdims=True) + 2.0
-        state = EmState(v=v0, pi=np.ones(1), a=np.ones((50, 1)), loglik=0.0)
+        state = EmState(v=v0, pi=np.ones(1), a=np.ones((50, 1)))
         v = v0
         for _ in range(200):
-            state = EmState(v=v, pi=state.pi, a=state.a, loglik=state.loglik)
+            state = EmState(v=v, pi=state.pi, a=state.a)
             v = m_step(model, state, data).v
             if np.linalg.norm(v - pts.mean(axis=0)) < 1e-6:
                 break
@@ -317,7 +316,7 @@ class TestMStep:
             a = rng.random((25, 5))
             a /= a.sum(axis=1, keepdims=True)
             pi = update_mixing(a)
-            state = EmState(v=v, pi=pi, a=a, loglik=0.0)
+            state = EmState(v=v, pi=pi, a=a)
             before = log_likelihood(model, v, pi, a, data)
             after = log_likelihood(model, m_step(model, state, data).v, pi, a, data)
             assert after >= before - 1e-12
@@ -384,7 +383,7 @@ class TestEmFit:
         a[:60, 0] = 1.0
         a[60:, 1] = 1.0
         v0 = np.array([[0.5, 0.5], [5.5, -0.5]])
-        state = EmState(v=v0, pi=update_mixing(a), a=a, loglik=0.0)
+        state = EmState(v=v0, pi=update_mixing(a), a=a)
         report = em_fit(model, state, data, EmConfig(max_iters=300))
         means = np.array([blob1.mean(axis=0), blob2.mean(axis=0)])
         for i in range(2):
@@ -408,8 +407,8 @@ class TestEmFit:
             pi = update_mixing(a)
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
-            v = m_step(model, EmState(v=state.v, pi=pi, a=a, loglik=0.0), fixture_cloud).v
-            state = EmState(v=v, pi=pi, a=a, loglik=0.0)
+            v = m_step(model, EmState(v=state.v, pi=pi, a=a), fixture_cloud).v
+            state = EmState(v=v, pi=pi, a=a)
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -425,14 +424,14 @@ class TestEmFit:
         a[30:60, 1] = 1.0
         a[60:, 2] = 1.0
         v0 = np.array([[0.1, 0.0], [3.9, 0.1]])
-        state = EmState(v=v0, pi=update_mixing(a), a=a, loglik=0.0)
+        state = EmState(v=v0, pi=update_mixing(a), a=a)
         base = em_fit(model, state, data, EmConfig(max_iters=2))
 
         # permute: swap the two vertex strata (edge endpoints follow)
         perm = [1, 0, 2]
         model_p = StrataModel(n0=2, n1=1, edge_endpoints=((1, 0),), sigma=np.full(3, 0.1), dim=2)
         a_p = a[:, perm]
-        state_p = EmState(v=v0[[1, 0]], pi=update_mixing(a_p), a=a_p, loglik=0.0)
+        state_p = EmState(v=v0[[1, 0]], pi=update_mixing(a_p), a=a_p)
         permuted = em_fit(model_p, state_p, data, EmConfig(max_iters=2))
 
         assert permuted.state.v[[1, 0]] == pytest.approx(base.state.v, abs=1e-9)
@@ -481,7 +480,7 @@ def reference_m_step(model, v, pi, a, data, config):
         mass[i] += mk
         mass[j] += mk
     scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
-    step = config.step_init if config.step_init is not None else 1.0
+    step = config.step_init
     backtracks = 0
     for _ in range(config.m_step_iters):
         g = grad_vertices(model, v, pi, a, data, config.clip_norm)
@@ -516,7 +515,7 @@ def reference_em_fit(model, state, data, config):
     trace = [marginal_log_likelihood(model, v, pi, data)]
     streak = n_done = backtracks = 0
     for n_done in range(1, config.max_iters + 1):
-        a = responsibilities(model, EmState(v=v, pi=pi, a=state.a, loglik=0.0), data)
+        a = responsibilities(model, EmState(v=v, pi=pi, a=state.a), data)
         pi = update_mixing(a)
         v, halved = reference_m_step(model, v, pi, a, data, config)
         backtracks += halved
@@ -553,7 +552,7 @@ class TestOneEvaluationPerVertexMatrix:
         assert np.array_equal(report.state.v, v)
         assert np.array_equal(report.loglik_trace, trace)
         assert report.n_iterations == n_done
-        if config.step_init is not None:
+        if config.step_init > EmConfig().step_init:
             assert backtracks > 0  # rejected trials are exercised
 
     def test_each_vertex_matrix_priced_once(self, em_case, monkeypatch):
@@ -567,7 +566,7 @@ class TestOneEvaluationPerVertexMatrix:
 
             return wrapper
 
-        kernels = (gs.densities.edge_log_density_grad_batch, gs.densities.edge_log_density_batch)
+        kernels = (gs.densities.edge_log_density_grad_batch,)
         for module in (gs.em, gs.densities):
             for kernel in kernels:
                 if getattr(module, kernel.__name__, None) is kernel:

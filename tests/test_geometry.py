@@ -7,7 +7,6 @@ import pytest
 
 from graphskel.geometry import (
     PointCloud,
-    Segment,
     ball_query,
     component_centroid,
     distance,
@@ -205,7 +204,7 @@ class TestThresholdComponents:
     def test_ids_ordered_by_smallest_member(self):
         cloud = PointCloud([[0.0], [10.0], [0.1], [10.1]])
         cc = threshold_components(cloud, [0, 1, 2, 3], 0.5)
-        assert cc.as_dict() == {0: 0, 2: 0, 1: 1, 3: 1}
+        assert (cc.indices.tolist(), cc.labels.tolist()) == ([0, 1, 2, 3], [0, 1, 0, 1])
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(8)
@@ -274,13 +273,3 @@ class TestCentroid:
             hull = Delaunay(pts[ConvexHull(pts).vertices])
             assert hull.find_simplex(c) >= 0
 
-
-class TestSegment:
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            Segment(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-
-    def test_length_midpoint(self):
-        seg = Segment(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
-        assert seg.length == 5.0
-        assert seg.midpoint.tolist() == [1.5, 2.0]

@@ -14,16 +14,22 @@ import subprocess
 import sys
 import textwrap
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 import graphskel as gs
-from graphskel.abstract_graph import RefinedPartition, build_graph, refine
+from graphskel import geometry
+from graphskel.abstract_graph import RefinedPartition, build_graph, cluster_p0, cluster_p1, refine
+from graphskel.cli import main
+from graphskel.fileio import write_cloud
 from graphskel.geometry import (
     PointCloud,
     ball_query,
-    pairs_between,
     shell_query,
     threshold_components,
 )
@@ -31,6 +37,7 @@ from graphskel.local_structure import (
     EDGE_LIKE,
     VERTEX_LIKE,
     LocalLabel,
+    Partition,
     ReconstructionConfig,
     classify_all,
     classify_point,
@@ -121,8 +128,8 @@ class TestRoundingTies:
         assert got == [scan_label(cloud, i, CFG) for i in range(len(cloud))]
         assert got[0].shell_component_count == 1  # the R+eps point, not the R-eps one
         assert threshold_components(cloud, [0, 3], CFG.contact_scale).num_components == 1
-        i, j, _ = pairs_between(cloud.coords[:1], cloud.coords[3:], CFG.contact_scale)
-        assert (i.tolist(), j.tolist()) == ([0], [0])
+        i, j, d = cloud.contact_pairs(CFG.contact_scale)
+        assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [3], [CFG.contact_scale])
 
 class TestAxisTies:
     def test_ties_are_exact_in_the_oracle(self):
@@ -194,6 +201,167 @@ class TestAxisTies:
         q1 = threshold_components(cloud, e_idx, CFG.contact_scale)
         with pytest.raises(gs.StructureError, match="orphan"):
             refine(cloud, q0, q1, CFG)
+
+
+def scan_refine(cloud: PointCloud, config: ReconstructionConfig, q0_sets, q1_sets):
+    """`refine` by all-pairs scans: (p0_tilde, p1_tilde, moved), or None for an orphan."""
+    moved, kept = [], []
+    for members in q1_sets:
+        adjacent = sum(scan_linkage(cloud, v, members) < config.contact_scale for v in q0_sets)
+        if adjacent == 0:
+            return None
+        (moved if adjacent == 1 else kept).append(members)
+    moved = sorted(int(i) for m in moved for i in m)
+    p0 = sorted(moved + [int(i) for v in q0_sets for i in v])
+    return p0, sorted(int(i) for e in kept for i in e), moved
+
+
+def scan_build(cloud: PointCloud, config: ReconstructionConfig, p0_tilde, p1_tilde):
+    """`build_graph` by all-pairs scans: (vertex sets, edge sets, boundary), or None."""
+    vertices = scan_components(cloud, p0_tilde, config.vertex_cluster_scale)
+    edges = scan_components(cloud, p1_tilde, config.contact_scale)
+    boundary = []
+    for e in edges:
+        touching = [k for k, v in enumerate(vertices) if scan_linkage(cloud, v, e) <= config.contact_scale]
+        if len(touching) != 2:
+            return None
+        boundary.append(tuple(touching))
+    return [v.tolist() for v in vertices], [e.tolist() for e in edges], boundary
+
+
+@st.composite
+def split_clouds(draw):
+    """Small clouds in dims 1-5 with duplicated points and a vertex-like mask.
+
+    Either an eps/4 grid (exact-distance repeats) or arbitrary floats with a
+    random mask, or a sampled graph: chains at spacing 1.5 eps between points
+    of a unit grid, vertex-like within a drawn radius of a grid point, so that
+    edge clusters meeting two vertex clusters occur.
+    """
+    dim = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["grid", "float", "graph"]))
+    if kind == "graph":
+        anchors = np.unique(draw(hnp.arrays(float, (3, dim), elements=st.integers(-2, 2))), axis=0)
+        pairs = [(a, b) for a in range(len(anchors)) for b in range(a + 1, len(anchors))]
+        chains = [anchors]
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []:
+            n = int(np.ceil(np.linalg.norm(anchors[b] - anchors[a]) / (1.5 * EPS))) + 1
+            t = np.linspace(0.0, 1.0, n)[:, None]
+            chains.append(anchors[a] + t * (anchors[b] - anchors[a]))
+        coords = np.vstack(chains)
+        coords = coords + draw(hnp.arrays(float, coords.shape, elements=st.floats(-0.03, 0.03, width=64)))
+        near = np.sqrt(np.sum((coords[:, None, :] - anchors[None, :, :]) ** 2, axis=2)).min(axis=1)
+        vertex_like = near <= draw(st.sampled_from([2 * EPS, 4 * EPS, 6 * EPS]))
+    else:
+        m = draw(st.integers(0, 30))
+        if kind == "grid":
+            elements = st.integers(-16, 16).map(lambda k: k * 0.025)
+        else:
+            elements = st.floats(-1.5, 1.5, allow_nan=False, width=64)
+        coords = draw(hnp.arrays(float, (m, dim), elements=elements))
+        vertex_like = draw(hnp.arrays(bool, m))
+    if len(coords):
+        dups = draw(st.lists(st.integers(0, len(coords) - 1), max_size=6))
+        coords = np.vstack([coords, coords[dups]])
+        vertex_like = np.concatenate([vertex_like, vertex_like[dups]])
+    return PointCloud(coords.reshape(-1, dim)), vertex_like
+
+
+class TestStageTwoMatchesScans:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=split_clouds(), ratio=st.sampled_from([1.5, 3.0, 12.0]))
+    def test_cluster_refine_build(self, case, ratio):
+        cloud, vertex_like = case
+        cfg = ReconstructionConfig(R=ratio * EPS, eps=EPS)
+        part = Partition(p0=np.flatnonzero(vertex_like), p1=np.flatnonzero(~vertex_like))
+
+        q0, q1 = cluster_p0(cloud, part, cfg), cluster_p1(cloud, part, cfg)
+        want_q1 = scan_components(cloud, part.p1, cfg.contact_scale)
+        assert [m.tolist() for m in q1.sets()] == [m.tolist() for m in want_q1]
+
+        want = scan_refine(cloud, cfg, q0.sets(), q1.sets())
+        if want is None:
+            with pytest.raises(gs.StructureError, match="orphan"):
+                refine(cloud, q0, q1, cfg)
+        else:
+            refined = refine(cloud, q0, q1, cfg)
+            got = (refined.p0_tilde.tolist(), refined.p1_tilde.tolist(), refined.moved.tolist())
+            assert got == want
+
+        # build_graph on the unrefined split too, so it is exercised when refine raises
+        unrefined = RefinedPartition(p0_tilde=part.p0, p1_tilde=part.p1, moved=np.empty(0, dtype=int))
+        for refined in [unrefined] + ([] if want is None else [refine(cloud, q0, q1, cfg)]):
+            want_graph = scan_build(cloud, cfg, refined.p0_tilde, refined.p1_tilde)
+            if want_graph is None:
+                with pytest.raises(gs.StructureError, match="touches"):
+                    build_graph(cloud, refined, cfg)
+                continue
+            graph = build_graph(cloud, refined, cfg)
+            got = ([v.tolist() for v in graph.vertex_clusters], [e.tolist() for e in graph.edge_clusters])
+            assert got == want_graph[:2]
+            assert graph.boundary == want_graph[2]
+
+
+def count_contact_work(monkeypatch):
+    """Count the k-d trees built (by size) and the radii `pairs_within` is asked
+    for, through every graphskel module's binding of either name."""
+    trees: list[int] = []
+    radii: list[float] = []
+    components: list[float] = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            trees.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    real_pairs, real_components = geometry.pairs_within, geometry.threshold_components
+
+    def pairs_within(coords, r, *args, **kwargs):
+        radii.append(r)
+        return real_pairs(coords, r, *args, **kwargs)
+
+    def threshold_components(cloud, subset, r):
+        components.append(r)
+        return real_components(cloud, subset, r)
+
+    for name, module in list(sys.modules.items()):
+        if name != "graphskel" and not name.startswith("graphskel."):
+            continue
+        if hasattr(module, "cKDTree"):
+            monkeypatch.setattr(module, "cKDTree", CountingTree)
+        if getattr(module, "pairs_within", None) is real_pairs:
+            monkeypatch.setattr(module, "pairs_within", pairs_within)
+        if getattr(module, "threshold_components", None) is real_components:
+            monkeypatch.setattr(module, "threshold_components", threshold_components)
+    return trees, radii, components
+
+
+class TestOneContactGraph:
+    def test_pairs_between_is_gone(self):
+        assert not hasattr(geometry, "pairs_between")
+
+    def test_recover_graph_builds_one_cloud_tree(self, fixture_cloud, monkeypatch):
+        cloud = PointCloud(fixture_cloud.coords)  # no tree or pairs cached yet
+        trees, radii, components = count_contact_work(monkeypatch)
+        graph, _, _ = gs.recover_graph(cloud, CFG)
+        assert (graph.n_vertices, graph.n_edges) == (5, 5)
+        assert trees.count(len(cloud)) == 1
+        assert len(trees) == 3  # the cloud's tree and the two vertex-scale subset trees
+        assert radii.count(CFG.contact_scale) == 1
+        assert CFG.contact_scale not in components
+
+    def test_pipeline_shares_the_contact_graph_across_ratios(self, fixture_cloud, tmp_path, monkeypatch):
+        path = tmp_path / "cloud.txt"
+        write_cloud(str(path), fixture_cloud)
+        trees, radii, components = count_contact_work(monkeypatch)
+        rc = main([
+            "pipeline", "--input", str(path), "--output", str(tmp_path / "report.json"),
+            "--eps", str(EPS), "--ratios", "12,10,8,6",
+        ])
+        assert rc == 0
+        assert trees.count(len(fixture_cloud)) == 1
+        assert radii.count(CFG.contact_scale) == 1
+        assert CFG.contact_scale not in components
 
 
 MEMORY_BUDGET_MIB = 400
