@@ -40,18 +40,20 @@ def _check_sigma(sigma) -> np.ndarray:
     return sigma
 
 
-def vertex_log_density(x, v, sigma: float):
+def vertex_log_density(x, v, sigma):
     """Log of the isotropic Gaussian N(v, sigma^2 I) at x.
 
-    x may be one point (n,) or a batch (m, n); returns a scalar or (m,).
+    x, v and sigma broadcast, with coordinates on the last axis of x and v: a
+    point (n,) gives a scalar, a batch (m, n) gives (m,), and x[:, None, :]
+    against K vertices (K, n) with per-vertex sigma (K,) gives (m, K).
     """
-    sigma = float(_check_sigma(sigma))
+    sigma = _check_sigma(sigma)
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
     n = v.shape[-1]
     with np.errstate(over="ignore"):  # astronomically distant points -> -inf
         sq = np.sum((x - v) ** 2, axis=-1)
-        out = -0.5 * n * math.log(2 * math.pi * sigma * sigma) - sq / (2 * sigma * sigma)
+        out = -0.5 * n * np.log(2 * math.pi * sigma * sigma) - sq / (2 * sigma * sigma)
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,7 +11,7 @@ the posterior logits are reductions of that one evaluation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,13 +42,20 @@ __all__ = [
     "em_fit",
 ]
 
+CONSECUTIVE = 3  # how many small deltas in a row declare convergence
+M_STEP_ITERS = 5
+GRAD_TOL = 1e-8
+M_STEP_IMPROVE_TOL = 1e-12  # stop ascending once gains drop below this
+STEP_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class StrataModel:
     """Stratum bookkeeping: counts, edge endpoints, noise scales, dimension.
 
     Strata are indexed 0..n0-1 (vertices) then n0..n0+n1-1 (edges);
-    edge_endpoints[k] holds the vertex indices bounding edge stratum n0+k.
+    edge_endpoints[k] holds the vertex indices bounding edge stratum n0+k, and
+    `ends` holds the same pairs as an (n1, 2) index array.
     """
 
     n0: int
@@ -75,6 +82,7 @@ class StrataModel:
         if not np.all(sigma > 0):
             raise ValueError("all sigma must be positive")
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "ends", np.array(self.edge_endpoints, dtype=int).reshape(-1, 2))
 
     @property
     def n_strata(self) -> int:
@@ -94,13 +102,7 @@ class EmState:
 class EmConfig:
     max_iters: int = 200
     tol_ll: float = 1e-8
-    consecutive: int = 3  # how many small deltas in a row declare convergence
-    m_step_iters: int = 5
-    grad_tol: float = 1e-8
-    m_step_improve_tol: float = 1e-12  # stop ascending once gains drop below this
     step_init: float = 1.0  # the direction already carries the sigma^2 |P| / mass scale
-    step_floor: float = 1e-12
-    clip_norm: float | None = None  # None: 10 * data bounding-box diagonal
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,12 @@ def _check_vertices(model: StrataModel, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (model.n0, model.dim):
         raise ValueError(f"vertex matrix must be {(model.n0, model.dim)}, got {v.shape}")
-    for k, (i, j) in enumerate(model.edge_endpoints):
-        if np.array_equal(v[i], v[j]):
-            raise ValueError(f"edge stratum {k} degenerate: vertices {i} and {j} coincide")
+    i1, i2 = model.ends.T
+    coincide = np.all(v[i1] == v[i2], axis=1)
+    if np.any(coincide):
+        k = int(np.argmax(coincide))
+        raise ValueError(f"edge stratum {k} degenerate: vertices {i1[k]} and {i2[k]} coincide")
     return v
-
-
-def _edge_index_arrays(model: StrataModel) -> tuple[np.ndarray, np.ndarray]:
-    i1 = np.array([i for (i, _) in model.edge_endpoints], dtype=int)
-    i2 = np.array([j for (_, j) in model.edge_endpoints], dtype=int)
-    return i1, i2
 
 
 class _Evaluation(NamedTuple):
@@ -144,15 +142,15 @@ class _Evaluation(NamedTuple):
 def _evaluate(model: StrataModel, v, data: PointCloud) -> _Evaluation:
     v = _check_vertices(model, v).copy()
     x = data.coords
+    n0 = model.n0
     logrho, edge = None, None
     if model.n1:  # before allocating logdens, so the kernel's peak does not overlap it
-        i1, i2 = _edge_index_arrays(model)
-        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[model.n0 :])
+        i1, i2 = model.ends.T
+        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:])
     logdens = np.empty((len(data), model.n_strata))
-    for i in range(model.n0):
-        logdens[:, i] = vertex_log_density(x, v[i], model.sigma[i])
+    logdens[:, :n0] = vertex_log_density(x[:, None, :], v, model.sigma[:n0])
     if model.n1:
-        logdens[:, model.n0 :] = logrho.T
+        logdens[:, n0:] = logrho.T
     return _Evaluation(v=v, logdens=logdens, edge=edge)
 
 
@@ -173,20 +171,17 @@ def _objective(ev: _Evaluation, pi, a) -> float:
 
 def _gradient(model: StrataModel, ev: _Evaluation, a, data: PointCloud, limit: float) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    v = ev.v
-    x = data.coords
-    m = len(data)
-    grad = np.zeros_like(v)
-
-    for i in range(model.n0):
-        s2 = model.sigma[i] ** 2
-        grad[i] = (a[:, i][:, None] * (x - v[i])).sum(axis=0) / (s2 * m)
+    n0, m = model.n0, len(data)
+    # sum_j a_ji (x_j - v_i) for every vertex at once, with x taken about its
+    # mean as in the edge kernel, which keeps far-from-origin clouds accurate
+    origin = data.coords.mean(axis=0)
+    av = a[:, :n0]
+    pull = av.T @ (data.coords - origin) - av.sum(axis=0)[:, None] * (ev.v - origin)
+    grad = pull / ((model.sigma[:n0, None] ** 2) * m)
 
     if model.n1:
-        i1, i2 = _edge_index_arrays(model)
-        g1, g2 = endpoint_gradients(ev.edge, a[:, model.n0 :])
-        np.add.at(grad, i1, g1 / m)
-        np.add.at(grad, i2, g2 / m)
+        g1, g2 = endpoint_gradients(ev.edge, a[:, n0:])
+        np.add.at(grad, model.ends.T.ravel(), np.vstack([g1, g2]) / m)
 
     if np.isfinite(limit):
         norms = np.sqrt(np.sum(grad**2, axis=1))
@@ -272,16 +267,6 @@ def grad_vertices(
     return _gradient(model, _evaluate(model, v, data), a, data, _clip_limit(data, clip_norm))
 
 
-def _vertex_mass(model: StrataModel, a: np.ndarray) -> np.ndarray:
-    """Responsibility mass pulling on each vertex: own stratum plus incident edges."""
-    mass = a[:, : model.n0].sum(axis=0)
-    for k, (i, j) in enumerate(model.edge_endpoints):
-        mk = a[:, model.n0 + k].sum()
-        mass[i] += mk
-        mass[j] += mk
-    return mass
-
-
 def m_step(
     model: StrataModel,
     state: EmState,
@@ -293,9 +278,8 @@ def m_step(
 
     Ascends along the gradient scaled per vertex by sigma^2 |P| / mass (the
     Newton step of the Gaussian part), with a backtracking line search that
-    halves the step until the objective does not decrease (floor 1e-12).
-    Stops after `m_step_iters` or once the gradient norm drops below
-    `grad_tol`.
+    halves the step until the objective does not decrease (floor STEP_FLOOR).
+    Stops after M_STEP_ITERS or once the gradient norm drops below GRAD_TOL.
 
     `evaluation` is the density evaluation at `state.v` (as returned by the
     previous call); without it one is made here. Returns the evaluation at the
@@ -309,21 +293,24 @@ def m_step(
     if not np.isfinite(f):
         raise NumericalError("M-step objective is non-finite at the current vertices")
 
-    mass = _vertex_mass(model, np.asarray(state.a, dtype=float))
+    # responsibility mass pulling on each vertex: own stratum plus incident edges
+    a = np.asarray(state.a, dtype=float)
+    mass = a[:, : model.n0].sum(axis=0)
+    np.add.at(mass, model.ends.ravel(), np.repeat(a[:, model.n0 :].sum(axis=0), 2))
     scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
     step = config.step_init
-    limit = _clip_limit(data, config.clip_norm)
+    limit = _clip_limit(data, None)
 
-    for _ in range(config.m_step_iters):
+    for _ in range(M_STEP_ITERS):
         g = _gradient(model, evaluation, state.a, data, limit)
-        if np.sqrt(np.sum(g**2)) < config.grad_tol:
+        if np.sqrt(np.sum(g**2)) < GRAD_TOL:
             break
         direction = g * scale[:, None]  # positive diagonal scaling keeps ascent
         alpha = step
         accepted = False
         saw_finite = False
         gain = 0.0
-        while alpha >= config.step_floor:
+        while alpha >= STEP_FLOOR:
             trial = None  # release a rejected trial before pricing the next
             try:
                 trial = _evaluate(model, evaluation.v + alpha * direction, data)
@@ -347,7 +334,7 @@ def m_step(
                     "M-step line search: objective non-finite at every trial step"
                 )
             break  # precision floor reached; keep the current (non-decreased) V
-        if gain < config.m_step_improve_tol:
+        if gain < M_STEP_IMPROVE_TOL:
             break
     return evaluation
 
@@ -395,12 +382,11 @@ def initialize(
 def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfig = EmConfig()) -> FitReport:
     """Run E-step / Pi update / M-step until the trace stalls.
 
-    Stops when |delta loglik| < tol_ll for `consecutive` iterations in a row,
+    Stops when |delta loglik| < tol_ll for CONSECUTIVE iterations in a row,
     or at max_iters. Raises NumericalError (with the offending point ids) if
     the marginal log-likelihood ever goes non-finite.
     """
     v_init = np.array(state.v, dtype=float)
-    config = replace(config, clip_norm=_clip_limit(data, config.clip_norm))
     # One evaluation per accepted vertex matrix feeds the trace entry, the next
     # E-step and the next M-step's start point. `held` hands it to m_step
     # without keeping a reference here, so m_step frees it once it accepts a
@@ -427,7 +413,7 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
         trace.append(ll)
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
             streak += 1
-            if streak >= config.consecutive:
+            if streak >= CONSECUTIVE:
                 converged = True
                 break
         else:

@@ -146,7 +146,13 @@ def _get(doc: Any, *path: str | int) -> Any:
     return doc
 
 
+def _check_object(doc: Any) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError("malformed document: the top level is not a JSON object")
+
+
 def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
+    _check_object(doc)
     if doc.get("kind") != "graphskel.graph":
         raise ValueError(f"not a graphskel graph document (kind={doc.get('kind')!r})")
     if int(doc.get("n_points", -1)) != len(cloud):
@@ -184,9 +190,15 @@ def graph_spec_to_dict(spec: EmbeddedGraphSpec) -> dict[str, Any]:
 
 
 def graph_spec_from_dict(doc: dict[str, Any]) -> EmbeddedGraphSpec:
+    _check_object(doc)
     if doc.get("kind") != "graphskel.graph-spec":
         raise ValueError(f"not a graphskel graph-spec document (kind={doc.get('kind')!r})")
-    return EmbeddedGraphSpec(
-        np.asarray(_get(doc, "vertices"), dtype=float),
-        tuple((int(a), int(b)) for (a, b) in _get(doc, "edges")),
-    )
+    vertices, edges = _get(doc, "vertices"), _get(doc, "edges")
+    try:
+        vertices = np.asarray(vertices, dtype=float)
+        edges = tuple((int(a), int(b)) for (a, b) in edges)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"malformed document: vertices must be coordinate rows and edges [i, j] pairs ({exc})"
+        ) from None
+    return EmbeddedGraphSpec(vertices, edges)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphskel as gs
 from graphskel.abstract_graph import (
@@ -251,3 +253,41 @@ class TestTheoremRoundTrip:
                     assert d.min() <= eps + 1e-9
                 checked += 1
         assert checked == 100
+
+
+class TestRecoverGraphInvariance:
+    """The recovered structure does not depend on point order or placement."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_point_order(self, fixture_cloud, ratio8_config, ratio8_recovery, seed):
+        base, _, _ = ratio8_recovery
+        perm = np.random.default_rng(seed).permutation(len(fixture_cloud))
+        graph, _, _ = recover_graph(PointCloud(fixture_cloud.coords[perm]), ratio8_config)
+
+        def structure(g, index):
+            """Vertex clusters as point sets, and each edge cluster's point set
+            mapped to the point sets of its two boundary vertex clusters."""
+            vertices = [frozenset(index[c].tolist()) for c in g.vertex_clusters]
+            edges = {
+                frozenset(index[c].tolist()): frozenset((vertices[i], vertices[j]))
+                for c, (i, j) in zip(g.edge_clusters, g.boundary)
+            }
+            return sorted(vertices, key=min), edges
+
+        # perm maps each index of the permuted cloud back to the original one
+        assert structure(graph, perm) == structure(base, np.arange(len(fixture_cloud)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rigid_motion(self, fixture_spec, fixture_cloud, ratio8_config, seed):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q *= np.sign(np.diag(r))  # a uniformly random orthogonal matrix
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]  # a rotation, not a reflection
+        shift = rng.uniform(-10.0, 10.0, size=3)
+        graph, _, _ = recover_graph(PointCloud(fixture_cloud.coords @ q.T + shift), ratio8_config)
+        moved = gs.EmbeddedGraphSpec(fixture_spec.vertices @ q.T + shift, fixture_spec.edges)
+        match = match_to_ground_truth(graph, moved)
+        assert match.is_isomorphic, match.reason

@@ -52,18 +52,25 @@ class TestSimulate:
         rc = main(["simulate", "--graph", str(spec_path), "--eps", "0.1", "--output", str(out)])
         assert rc == 0
 
-    def test_graph_spec_without_edges_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "edges"}, "edges"),
+            (lambda doc: {**doc, "edges": [0, 1]}, "edges"),
+            (lambda doc: [doc], "JSON object"),
+        ],
+        ids=["no-edges", "flat-edges", "top-level-list"],
+    )
+    def test_malformed_graph_spec_is_usage_error(self, tmp_path, capsys, damage, field):
         from graphskel.fileio import graph_spec_to_dict
 
-        doc = graph_spec_to_dict(gs.builtin_fixture())
-        del doc["edges"]
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(doc))
+        spec_path.write_text(json.dumps(damage(graph_spec_to_dict(gs.builtin_fixture()))))
         rc = main(["simulate", "--graph", str(spec_path), "--eps", "0.1", "--output", str(tmp_path / "c.txt")])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "usage"
-        assert "edges" in err["message"]
+        assert field in err["message"]
 
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "--eps", "0.1", "--output", str(tmp_path / "c.txt")])
@@ -120,7 +127,8 @@ class TestPartition:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "line 2" in err["message"]
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    # the last token makes row 2 three coordinates wide: a ragged row
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", pytest.param("0.0,3.0", id="ragged-row")])
     def test_non_finite_coordinate_carries_line_number(self, tmp_path, capsys, token):
         bad = tmp_path / "bad.txt"
         bad.write_text(f"0.0,0.0\n1.0,{token}\n2.0,nan\n")
@@ -256,18 +264,17 @@ class TestFit:
     @pytest.mark.parametrize(
         "damage, field",
         [
-            (lambda doc: doc.pop("labels"), "labels"),
-            (lambda doc: doc["edges"][0].update(boundary=[0]), "boundary"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "labels"}, "labels"),
+            (lambda doc: {**doc, "edges": [{**doc["edges"][0], "boundary": [0]}, *doc["edges"][1:]]}, "boundary"),
+            (lambda doc: [doc], "JSON object"),
         ],
-        ids=["no-labels", "one-element-boundary"],
+        ids=["no-labels", "one-element-boundary", "top-level-list"],
     )
     def test_malformed_graph_document_is_usage_error(
         self, cloud_file, graph_file, tmp_path, capsys, damage, field
     ):
-        doc = json.loads(graph_file.read_text())
-        damage(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(damage(json.loads(graph_file.read_text()))))
         rc = main([
             "fit", "--input", str(cloud_file), "--graph", str(bad),
             "--output", str(tmp_path / "f.json"),

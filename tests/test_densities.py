@@ -51,6 +51,13 @@ class TestVertexLogDensity:
         batch = vertex_log_density(xs, v, 0.4)
         for i, x in enumerate(xs):
             assert batch[i] == pytest.approx(vertex_log_density(x, v, 0.4), rel=1e-14)
+        # every vertex of a block, each with its own sigma, in one call
+        vs = rng.normal(size=(4, 3))
+        sigmas = rng.uniform(0.2, 0.6, size=4)
+        block = vertex_log_density(xs[:, None, :], vs, sigmas)
+        assert block.shape == (6, 4)
+        for k in range(4):
+            assert np.array_equal(block[:, k], vertex_log_density(xs, vs[k], sigmas[k]))
 
 
 class TestEdgeDensityQuadrature:

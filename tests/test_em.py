@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,11 @@ from scipy.integrate import simpson
 import graphskel as gs
 from graphskel.densities import edge_log_density, vertex_log_density
 from graphskel.em import (
+    CONSECUTIVE,
+    GRAD_TOL,
+    M_STEP_IMPROVE_TOL,
+    M_STEP_ITERS,
+    STEP_FLOOR,
     EmConfig,
     EmState,
     StrataModel,
@@ -96,17 +102,19 @@ class TestResponsibilities:
         data = PointCloud(rng.normal(size=(10, 2)))
         pi = np.array([0.2, 0.5, 0.3])
         state = EmState(v=v, pi=pi, a=np.ones((10, 3)) / 3)
-        got = responsibilities(model, state, data)
-        for j in range(10):
-            x = data.coords[j]
-            dens = [
-                mp_vertex_density(x, v[0], 0.35),
-                mp_vertex_density(x, v[1], 0.35),
-                mp_edge_density(x, v[0], v[1], 0.35),
-            ]
-            tot = mp.fsum(p * d for p, d in zip(pi, dens))
-            want = [float(p * d / tot) for p, d in zip(pi, dens)]
-            assert got[j].tolist() == pytest.approx(want, abs=1e-10)
+        # one sigma for every stratum, then a distinct sigma per stratum
+        for sigma in ((0.35, 0.35, 0.35), (0.25, 0.35, 0.45)):
+            got = responsibilities(replace(model, sigma=np.array(sigma)), state, data)
+            for j in range(10):
+                x = data.coords[j]
+                dens = [
+                    mp_vertex_density(x, v[0], sigma[0]),
+                    mp_vertex_density(x, v[1], sigma[1]),
+                    mp_edge_density(x, v[0], v[1], sigma[2]),
+                ]
+                tot = mp.fsum(p * d for p, d in zip(pi, dens))
+                want = [float(p * d / tot) for p, d in zip(pi, dens)]
+                assert got[j].tolist() == pytest.approx(want, abs=1e-10)
 
     def test_uniform_fallback_on_total_underflow(self):
         # a point so remote that its squared distance overflows drives every
@@ -237,6 +245,7 @@ class TestGradVertices:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
+        sigma_rng = np.random.default_rng(80)  # its own stream, so rng's draws stay as they were
         h = 1e-5
         for _ in range(25):
             dim = int(rng.choice([2, 3]))
@@ -253,16 +262,36 @@ class TestGradVertices:
             a /= a.sum(axis=1, keepdims=True)
             pi = rng.random(n0 + n1)
             pi /= pi.sum()
-            g = grad_vertices(model, v, pi, a, data, clip_norm=np.inf)
-            for i in range(n0):
-                for d in range(dim):
-                    vp = v.copy()
-                    vp[i, d] += h
-                    vm = v.copy()
-                    vm[i, d] -= h
-                    fd = (log_likelihood(model, vp, pi, a, data) - log_likelihood(model, vm, pi, a, data)) / (2 * h)
-                    denom = max(abs(g[i, d]), abs(fd), 1e-8)
-                    assert abs(g[i, d] - fd) / denom <= 1e-5
+            # the shared sigma, then a distinct sigma per stratum
+            for model in (model, replace(model, sigma=sigma_rng.uniform(0.05, 0.5, size=n0 + n1))):
+                g = grad_vertices(model, v, pi, a, data, clip_norm=np.inf)
+                for i in range(n0):
+                    for d in range(dim):
+                        vp = v.copy()
+                        vp[i, d] += h
+                        vm = v.copy()
+                        vm[i, d] -= h
+                        fd = (log_likelihood(model, vp, pi, a, data) - log_likelihood(model, vm, pi, a, data)) / (2 * h)
+                        denom = max(abs(g[i, d]), abs(fd), 1e-8)
+                        assert abs(g[i, d] - fd) / denom <= 1e-5
+
+    def test_far_from_origin_matches_untranslated(self):
+        # coordinates on a 2^-30 grid stay exact when shifted by 1e6, so the
+        # shifted problem is the same problem and any difference is rounding
+        shift = 1e6
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            model = StrataModel(
+                n0=4, n1=3, edge_endpoints=((0, 1), (1, 2), (2, 3)), sigma=rng.uniform(0.2, 0.5, size=7), dim=3
+            )
+            x = np.round(rng.normal(size=(60, 3)) * 1.5 * 2**30) / 2**30
+            v = np.round(rng.normal(size=(4, 3)) * 1.5 * 2**30) / 2**30
+            a = rng.random((60, 7))
+            a /= a.sum(axis=1, keepdims=True)
+            pi = np.full(7, 1 / 7)
+            near = grad_vertices(model, v, pi, a, PointCloud(x), clip_norm=np.inf)
+            far = grad_vertices(model, v + shift, pi, a, PointCloud(x + shift), clip_norm=np.inf)
+            assert np.abs(far - near).max() <= 1e-10 * np.abs(near).max()
 
     def test_clipping_contract(self):
         model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([0.1]), dim=2)
@@ -475,22 +504,22 @@ def reference_m_step(model, v, pi, a, data, config):
     """
     f = log_likelihood(model, v, pi, a, data)
     mass = a[:, : model.n0].sum(axis=0)
+    edge_mass = a[:, model.n0 :].sum(axis=0)
     for k, (i, j) in enumerate(model.edge_endpoints):
-        mk = a[:, model.n0 + k].sum()
-        mass[i] += mk
-        mass[j] += mk
+        mass[i] += edge_mass[k]
+        mass[j] += edge_mass[k]
     scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
     step = config.step_init
     backtracks = 0
-    for _ in range(config.m_step_iters):
-        g = grad_vertices(model, v, pi, a, data, config.clip_norm)
-        if np.sqrt(np.sum(g**2)) < config.grad_tol:
+    for _ in range(M_STEP_ITERS):
+        g = grad_vertices(model, v, pi, a, data)
+        if np.sqrt(np.sum(g**2)) < GRAD_TOL:
             break
         direction = g * scale[:, None]
         alpha = step
         accepted = False
         gain = 0.0
-        while alpha >= config.step_floor:
+        while alpha >= STEP_FLOOR:
             trial = v + alpha * direction
             try:
                 ft = log_likelihood(model, trial, pi, a, data)
@@ -504,7 +533,7 @@ def reference_m_step(model, v, pi, a, data, config):
                 break
             alpha *= 0.5
             backtracks += 1
-        if not accepted or gain < config.m_step_improve_tol:
+        if not accepted or gain < M_STEP_IMPROVE_TOL:
             break
     return v, backtracks
 
@@ -522,7 +551,7 @@ def reference_em_fit(model, state, data, config):
         trace.append(marginal_log_likelihood(model, v, pi, data))
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
             streak += 1
-            if streak >= config.consecutive:
+            if streak >= CONSECUTIVE:
                 break
         else:
             streak = 0
