@@ -152,7 +152,7 @@ class EdgeCoefficients(NamedTuple):
     likewise with alpha2, beta2), where s_km = u_k - 2 xc_m, xc is x about
     its mean and w_k = v1_k - v2_k. None of it depends on the weights.
     Underflowed points get zero coefficients; their responsibilities vanish
-    in the same regime.
+    in the same regime. So do the pairs a masked call leaves unpriced.
     """
 
     alpha1: np.ndarray  # (K, m)
@@ -164,7 +164,7 @@ class EdgeCoefficients(NamedTuple):
     w: np.ndarray  # (K, n)
 
 
-def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
+def edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask=None):
     """Log densities (K, m) of K segments at m points, plus their gradient
     coefficients.
 
@@ -172,9 +172,12 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
     density only through g_km = s_km . w_k and |s_km|^2. Both are expanded
     about the mean of x into (K, n) @ (n, m) products, so no (K, m, n) array
     is formed. One evaluation serves every weighting: `endpoint_gradients`
-    turns the returned `EdgeCoefficients` into weighted gradient sums. Each
-    (K, m) temporary is dropped once no later formula reads it, which keeps
-    the call's peak near a dozen (K, m) arrays.
+    turns the returned `EdgeCoefficients` into weighted gradient sums.
+
+    `mask` is an optional boolean (K, m) array of the pairs to price (None:
+    all of them). Every formula after the products runs on the masked pairs
+    alone, which gives each priced pair the same value as an unmasked call;
+    the other pairs get log density -inf and zero coefficients.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     v1s = np.atleast_2d(np.asarray(v1s, dtype=float))
@@ -191,20 +194,29 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
     origin = x.mean(axis=0)
     xc = x - origin
     u = v1s + v2s - 2.0 * origin  # s_km = u_k - 2 xc_m
-    k = w.shape[0]
+    k, m = w.shape[0], x.shape[0]
+    # the priced pairs by flat index into (K, m): stratum kk[p] at point mm[p]
+    if mask is not None and np.shape(mask) != (k, m):
+        raise ValueError(f"mask must have shape {(k, m)}, got {np.shape(mask)}")
+    flat = np.arange(k * m) if mask is None else np.flatnonzero(mask)
+    kk, mm = np.divmod(flat, m)
+
     wx, ux = np.split(np.vstack([w, u]) @ xc.T, [k])
-    g = np.einsum("kn,kn->k", u, w)[:, None] - 2.0 * wx
+    g = np.einsum("kn,kn->k", u, w)[kk] - 2.0 * wx.take(flat)
     ss = (
-        np.einsum("kn,kn->k", u, u)[:, None]
-        - 4.0 * ux
-        + 4.0 * np.einsum("mn,mn->m", xc, xc)[None, :]
+        np.einsum("kn,kn->k", u, u)[kk]
+        - 4.0 * ux.take(flat)
+        + 4.0 * np.einsum("mn,mn->m", xc, xc)[mm]
     )
+    del wx, ux
     length = np.sqrt(ll)
-    denom = (2.0 * math.sqrt(2.0) * length * sigmas)[:, None]  # (K, 1)
-    t_plus = (g + ll[:, None]) / denom
-    t_minus = (g - ll[:, None]) / denom
-    q = (g * g - ll[:, None] * ss) / (8.0 * ll * sigmas * sigmas)[:, None]
-    del wx, ux, ss
+    denom = (2.0 * math.sqrt(2.0) * length * sigmas)[kk]
+    sig2 = sigmas * sigmas
+    llp = ll[kk]
+    t_plus = (g + llp) / denom
+    t_minus = (g - llp) / denom
+    q = (g * g - llp * ss) / (8.0 * ll * sigmas * sigmas)[kk]
+    del ss
     n = x.shape[1]
     const = (
         -0.5 * (n + 1) * math.log(2.0)
@@ -214,7 +226,8 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
     )  # (K,)
 
     logdiff = log_erf_diff(t_plus, t_minus)
-    logrho = logdiff + q + const[:, None]
+    logrho = np.full((k, m), -np.inf)
+    logrho.put(flat, logdiff + q + const[kk])
     del q
 
     finite = np.isfinite(logdiff)
@@ -223,22 +236,20 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
         r_minus = np.where(finite, _TWO_OVER_SQRT_PI * np.exp(-t_minus * t_minus - logdiff), 0.0)
     del logdiff
 
-    sig2 = (sigmas * sigmas)[:, None]
-    ll = ll[:, None]
-    g_over = g / (4.0 * ll * sig2)
-    g2_over = g * g / (4.0 * ll * ll * sig2)
+    g_over = g / (4.0 * ll * sig2)[kk]
+    g2_over = g * g / (4.0 * ll * ll * sig2)[kk]
     del g
-    quarter = 1.0 / (4.0 * sig2)
+    quarter = (1.0 / (4.0 * sig2))[kk]
 
     beta1 = (
-        r_plus * (3.0 / denom - t_plus / ll)
-        + r_minus * (1.0 / denom + t_minus / ll)
-        + g_over - g2_over - 1.0 / ll
+        r_plus * (3.0 / denom - t_plus / llp)
+        + r_minus * (1.0 / denom + t_minus / llp)
+        + g_over - g2_over - 1.0 / llp
     )
     beta2 = (
-        r_plus * (t_plus / ll - 1.0 / denom)
-        - r_minus * (3.0 / denom + t_minus / ll)
-        + g_over + g2_over + 1.0 / ll
+        r_plus * (t_plus / llp - 1.0 / denom)
+        - r_minus * (3.0 / denom + t_minus / llp)
+        + g_over + g2_over + 1.0 / llp
     )
     del t_plus, t_minus, g2_over
     r_diff = (r_plus - r_minus) / denom
@@ -247,10 +258,10 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas):
     alpha2 = -r_diff - g_over - quarter
     del r_diff, g_over
 
-    dead = ~finite
-    for c in (alpha1, beta1, alpha2, beta2):
-        c[dead] = 0.0
-    return logrho, EdgeCoefficients(alpha1, beta1, alpha2, beta2, xc, u, w)
+    coeffs = np.zeros((4, k, m))
+    for full, c in zip(coeffs, (alpha1, beta1, alpha2, beta2)):
+        full.put(flat, np.where(finite, c, 0.0))
+    return logrho, EdgeCoefficients(*coeffs, xc, u, w)
 
 
 def endpoint_gradients(coeffs: EdgeCoefficients, weights):

@@ -6,16 +6,20 @@ normalization. The M-step hill-climbs along per-vertex-scaled gradients with a
 backtracking line search that never accepts a decrease, so the marginal
 log-likelihood trace is non-decreasing across full iterations. The densities
 are priced once per distinct vertex matrix: the objective, the gradient and
-the posterior logits are reductions of that one evaluation.
+the posterior logits are reductions of that one evaluation. Inside `em_fit`
+and `m_step` an evaluation prices only the (point, stratum) pairs that can
+carry responsibility; every pair it skips is one whose responsibility the
+all-pairs path computes as exactly 0.0, so the fit is the same.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import erf, logsumexp
 
 from .abstract_graph import AbstractGraph, RefinedPartition
 from .densities import (
@@ -47,6 +51,11 @@ M_STEP_ITERS = 5
 GRAD_TOL = 1e-8
 M_STEP_IMPROVE_TOL = 1e-12  # stop ascending once gains drop below this
 STEP_FLOOR = 1e-12
+# exp(z) is exactly 0.0 in double precision once z < -745.1332 (the log of half
+# the smallest subnormal). A logit this far below its row's maximum gets
+# responsibility 0.0 and adds 0.0 to logsumexp; the extra 0.87 nat covers the
+# rounding in the computed logits and bounds.
+UNDERFLOW_GAP = 746.0
 
 
 @dataclass(frozen=True)
@@ -131,27 +140,132 @@ class _Evaluation(NamedTuple):
 
     The objective for any (Pi, A), the posterior logits for any Pi and the
     gradient for any A are reductions of these arrays; none of them depends
-    on A or Pi.
+    on A or Pi. Skipped pairs have log density -inf and zero edge
+    coefficients.
     """
 
     v: np.ndarray  # (n0, dim) vertex coordinates
     logdens: np.ndarray  # (|P|, N) log densities of every point under every stratum
     edge: EdgeCoefficients | None  # endpoint-gradient coefficients; None without edges
+    skip: np.ndarray | None = None  # (N, |P|) pairs left unpriced; None: all priced
+    reach: np.ndarray | None = None  # (|P|,) bound on each point's largest skipped logit
+    logpi: np.ndarray | None = None  # (N,) the log mixing weights the skip was chosen for
 
 
-def _evaluate(model: StrataModel, v, data: PointCloud) -> _Evaluation:
+def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, logpi) -> tuple[np.ndarray, np.ndarray]:
+    """A lower bound (|P|,) on each point's largest logit and upper bounds
+    (N, |P|) on every log density, from distances alone.
+
+    At distance d from its centre a Gaussian stratum has log density h - d^2
+    / (2 sigma^2), h = -n/2 log(2 pi sigma^2): exactly a vertex density. An
+    edge density averages it over the segment, so it lies below its value at
+    the distance to the segment and, where x projects into the segment,
+    above that value times sqrt(pi/2) sigma / l erf(l / (sqrt(2) sigma)) for
+    length l. Squared distances come from one product about the cloud's
+    mean, with rounding below `tol`. Strata run along the first axis and the
+    arithmetic runs in place: fresh (N, |P|) temporaries cost more than it.
+    """
+    origin, xc = data.centred
+    n, n0 = model.dim, model.n0
+    vc = v - origin
+    vv = np.einsum("kn,kn->k", vc, vc)[:, None]
+    xx = np.einsum("mn,mn->m", xc, xc)
+    inv = (0.5 / model.sigma**2)[:, None]
+    tol = 16.0 * (n + 16) * np.finfo(float).eps * (xx.max() + vv.max()) * inv
+    out = np.empty((model.n_strata, len(data)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.matmul(-2.0 * vc, xc.T, out=out[:n0])  # squared distances to the vertices
+        sq += vv
+        sq += xx
+        if model.n1:
+            i1, i2 = model.ends.T
+            ll = np.sum((v[i1] - v[i2]) ** 2, axis=1)[:, None]
+            seg = np.take(sq, i2, axis=0, out=out[n0:])  # to v2 for now
+            t = np.take(sq, i1, axis=0)
+            along = seg + ll
+            along -= t  # 2 (x - v2) . (v1 - v2)
+            np.divide(along, 2.0 * ll, out=t)  # x projects to v2 + t (v1 - v2)
+            inside = (t >= 0.0) & (t <= 1.0)
+            tc = np.clip(t, 0.0, 1.0, out=t)
+            along /= ll  # seg -= tc (along - tc ll), without temporaries
+            along -= tc
+            along *= ll
+            along *= tc
+            seg -= along  # squared distances to the segments
+            del along
+        out *= inv
+        np.subtract(-0.5 * n * np.log(math.pi / inv) + tol, out, out=out)
+        top = np.max(out[:n0] + logpi[:n0, None], axis=0)
+        if model.n1:
+            l_over_s = np.sqrt(ll) / model.sigma[n0:, None]
+            keep = np.log(math.sqrt(math.pi / 2) / l_over_s * erf(l_over_s / math.sqrt(2)))
+            np.add(out[n0:], keep + logpi[n0:, None], out=t)
+            t[~inside] = -np.inf
+            np.maximum(top, np.max(t, axis=0), out=top)
+        top -= 2.0 * tol.max()
+    return top, out
+
+
+def _evaluate(model: StrataModel, v, data: PointCloud, pi=None, support=None) -> _Evaluation:
+    """The densities at v: every pair, or with `pi` only those that matter.
+
+    Those are the pairs in `support` (a boolean (N, |P|) array: supp(A)
+    transposed, all that the objective and the gradient read) and every pair
+    whose upper bound comes within UNDERFLOW_GAP of a lower bound on its
+    row's largest logit, which holds every pair the E-step can weigh.
+    """
     v = _check_vertices(model, v).copy()
+    if pi is None:
+        return _price(model, v, data)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logpi = np.log(np.asarray(pi, dtype=float))
+        top, upper = _bounds(model, v, data, logpi)
+        upper += logpi[:, None]
+        skip = upper < top - UNDERFLOW_GAP
+    skip &= ~support
+    upper[~skip] = -np.inf
+    return _price(model, v, data, skip)._replace(reach=np.max(upper, axis=0), logpi=logpi)
+
+
+def _price(model: StrataModel, v, data: PointCloud, skip=None) -> _Evaluation:
     x = data.coords
     n0 = model.n0
     logrho, edge = None, None
     if model.n1:  # before allocating logdens, so the kernel's peak does not overlap it
         i1, i2 = model.ends.T
-        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:])
-    logdens = np.empty((len(data), model.n_strata))
-    logdens[:, :n0] = vertex_log_density(x[:, None, :], v, model.sigma[:n0])
+        mask = None if skip is None else ~skip[n0:]
+        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], mask)
+    logdens = np.full((len(data), model.n_strata), -np.inf)
+    if skip is None:
+        logdens[:, :n0] = vertex_log_density(x[:, None, :], v, model.sigma[:n0])
+    else:  # gathered (point, vertex) differences, never an (|P|, n0, n) block
+        cols, rows = np.nonzero(~skip[:n0])
+        logdens[rows, cols] = vertex_log_density(x[rows], v[cols], model.sigma[cols])
     if model.n1:
         logdens[:, n0:] = logrho.T
-    return _Evaluation(v=v, logdens=logdens, edge=edge)
+    return _Evaluation(v, logdens, edge, skip)
+
+
+def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> tuple[_Evaluation, np.ndarray]:
+    """`ev` and the E-step logits under `pi`, equal to the all-pairs logits
+    wherever exp(logit - row maximum) is not exactly 0.0.
+
+    An evaluation kept from an earlier iteration was selected for older
+    weights; it is priced again, keeping its priced pairs, when a skipped
+    pair might come within UNDERFLOW_GAP of its row's maximum under `pi`.
+    """
+    logits = _logits(ev, pi)
+    if ev.skip is None:
+        return ev, logits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logpi = np.log(np.asarray(pi, dtype=float))
+        rise = np.fmax.reduce(logpi - ev.logpi)  # strata at pi = 0 both times are NaN here
+        top = np.max(logits, axis=1)
+        doubt = (ev.reach > -np.inf) & ~(ev.reach + rise < top - UNDERFLOW_GAP)
+    if doubt.any():
+        ev = _evaluate(model, ev.v, data, pi, ~ev.skip)
+        logits = _logits(ev, pi)
+    return ev, logits
 
 
 def _logits(ev: _Evaluation, pi) -> np.ndarray:
@@ -174,9 +288,9 @@ def _gradient(model: StrataModel, ev: _Evaluation, a, data: PointCloud, limit: f
     n0, m = model.n0, len(data)
     # sum_j a_ji (x_j - v_i) for every vertex at once, with x taken about its
     # mean as in the edge kernel, which keeps far-from-origin clouds accurate
-    origin = data.coords.mean(axis=0)
+    origin, xc = data.centred
     av = a[:, :n0]
-    pull = av.T @ (data.coords - origin) - av.sum(axis=0)[:, None] * (ev.v - origin)
+    pull = av.T @ xc - av.sum(axis=0)[:, None] * (ev.v - origin)
     grad = pull / ((model.sigma[:n0, None] ** 2) * m)
 
     if model.n1:
@@ -282,13 +396,16 @@ def m_step(
     Stops after M_STEP_ITERS or once the gradient norm drops below GRAD_TOL.
 
     `evaluation` is the density evaluation at `state.v` (as returned by the
-    previous call); without it one is made here. Returns the evaluation at the
-    accepted vertices, whose `v` is the new vertex matrix: each distinct
-    vertex matrix is priced once, and the objective and gradient are
-    reductions of its evaluation.
+    previous call); without it one is made here. It must price every pair in
+    supp(state.a), as one does whose logits gave state.a. Returns the
+    evaluation at the accepted vertices, whose `v` is the new vertex matrix:
+    each distinct vertex matrix is priced once, on the pairs that supp(A)
+    and the E-step under state.pi can weigh, and the objective and gradient
+    are reductions of its evaluation.
     """
+    support = np.asarray(state.a).T > 0
     if evaluation is None:
-        evaluation = _evaluate(model, state.v, data)
+        evaluation = _evaluate(model, state.v, data, state.pi, support)
     f = _objective(evaluation, state.pi, state.a)
     if not np.isfinite(f):
         raise NumericalError("M-step objective is non-finite at the current vertices")
@@ -313,7 +430,7 @@ def m_step(
         while alpha >= STEP_FLOOR:
             trial = None  # release a rejected trial before pricing the next
             try:
-                trial = _evaluate(model, evaluation.v + alpha * direction, data)
+                trial = _evaluate(model, evaluation.v + alpha * direction, data, state.pi, support)
             except ValueError:  # a trial step collapsed an edge
                 ft = -np.inf
             else:
@@ -391,8 +508,8 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     # E-step and the next M-step's start point. `held` hands it to m_step
     # without keeping a reference here, so m_step frees it once it accepts a
     # trial: at most the current and the trial evaluation are alive.
-    held = [_evaluate(model, state.v, data)]
-    logits = _logits(held[0], state.pi)
+    held = [_evaluate(model, state.v, data, state.pi, np.asarray(state.a).T > 0)]
+    held[0], logits = _exact_logits(model, held[0], data, state.pi)
     per_point = logsumexp(logits, axis=1)
     trace = [float(np.mean(per_point))]
     streak = 0
@@ -403,7 +520,7 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
         a = _normalize_rows(logits)
         pi = update_mixing(a)
         held.append(m_step(model, EmState(v=state.v, pi=pi, a=a), data, config, held.pop()))
-        logits = _logits(held[0], pi)
+        held[0], logits = _exact_logits(model, held[0], data, pi)
         per_point = logsumexp(logits, axis=1)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):

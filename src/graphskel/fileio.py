@@ -151,17 +151,29 @@ def _check_object(doc: Any) -> None:
         raise ValueError("malformed document: the top level is not a JSON object")
 
 
+def _field(doc: dict[str, Any], key: str, valid, what: str) -> Any:
+    """doc[key], or a ValueError naming the field when it is missing or not `what`."""
+    value = _get(doc, key)
+    if not valid(value):
+        raise ValueError(f"malformed document: field {key} is not {what}")
+    return value
+
+
+def _is_objects(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, dict) for item in value)
+
+
 def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
     _check_object(doc)
     if doc.get("kind") != "graphskel.graph":
         raise ValueError(f"not a graphskel graph document (kind={doc.get('kind')!r})")
-    if int(doc.get("n_points", -1)) != len(cloud):
-        raise ValueError(
-            f"graph document describes {doc.get('n_points')} points but the cloud has {len(cloud)}"
-        )
-    if int(doc.get("dim", -1)) != cloud.dim:
+    n_points = _field(doc, "n_points", lambda value: type(value) is int, "an integer")
+    if n_points != len(cloud):
+        raise ValueError(f"graph document describes {n_points} points but the cloud has {len(cloud)}")
+    if _field(doc, "dim", lambda value: type(value) is int, "an integer") != cloud.dim:
         raise ValueError("graph document dimension does not match the cloud")
-    vertices, edges = _get(doc, "vertices"), _get(doc, "edges")
+    vertices = _field(doc, "vertices", _is_objects, "a list of objects")
+    edges = _field(doc, "edges", _is_objects, "a list of objects")
     vertex_clusters = [np.asarray(_get(v, "members"), dtype=int) for v in vertices]
     edge_clusters = [np.asarray(_get(e, "members"), dtype=int) for e in edges]
     boundary = [(int(_get(e, "boundary", 0)), int(_get(e, "boundary", 1))) for e in edges]

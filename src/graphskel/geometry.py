@@ -46,11 +46,11 @@ class PointCloud:
     """An immutable ordered set of points in R^n.
 
     Point order is stable: indices act as identities for all labeling steps.
-    Duplicate points are allowed. The k-d tree and the contact pairs are
-    derived from the coordinates on first use and kept.
+    Duplicate points are allowed. The k-d tree, the contact pairs and the
+    centred coordinates are derived from the coordinates on first use and kept.
     """
 
-    __slots__ = ("_coords", "_tree", "_contact")
+    __slots__ = ("_coords", "_tree", "_contact", "_centred")
 
     def __init__(self, coords) -> None:
         arr = np.asarray(coords, dtype=float)
@@ -65,6 +65,7 @@ class PointCloud:
         self._coords = arr
         self._tree = None
         self._contact = None  # (r, pairs_within(coords, r)) for the last r asked for
+        self._centred = None
 
     @property
     def coords(self) -> np.ndarray:
@@ -84,6 +85,16 @@ class PointCloud:
         if self._tree is None:
             self._tree = cKDTree(self._coords)
         return self._tree
+
+    @property
+    def centred(self) -> tuple[np.ndarray, np.ndarray]:
+        """(origin, coords - origin) about the mean of the points, computed on first use."""
+        if self._centred is None:
+            origin = self._coords.mean(axis=0)
+            self._centred = (origin, self._coords - origin)
+            for arr in self._centred:
+                arr.setflags(write=False)
+        return self._centred
 
     def contact_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`pairs_within(coords, r)` from the cloud's tree, kept until another r is asked for."""

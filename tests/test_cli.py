@@ -267,8 +267,11 @@ class TestFit:
             (lambda doc: {k: v for k, v in doc.items() if k != "labels"}, "labels"),
             (lambda doc: {**doc, "edges": [{**doc["edges"][0], "boundary": [0]}, *doc["edges"][1:]]}, "boundary"),
             (lambda doc: [doc], "JSON object"),
+            (lambda doc: {**doc, "n_points": None}, "n_points"),
+            (lambda doc: {**doc, "vertices": 5}, "vertices"),
+            (lambda doc: {**doc, "dim": None}, "dim"),
         ],
-        ids=["no-labels", "one-element-boundary", "top-level-list"],
+        ids=["no-labels", "one-element-boundary", "top-level-list", "n_points-null", "vertices-not-list", "dim-null"],
     )
     def test_malformed_graph_document_is_usage_error(
         self, cloud_file, graph_file, tmp_path, capsys, damage, field

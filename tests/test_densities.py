@@ -12,6 +12,7 @@ from graphskel.densities import (
     edge_density_quadrature,
     edge_log_density,
     edge_log_density_grad,
+    edge_log_density_grad_batch,
     log_erf_diff,
     vertex_log_density,
 )
@@ -233,3 +234,36 @@ class TestEdgeLogDensityGrad:
             logrho, g1, g2 = edge_log_density_grad(np.array([[40.0, 0.0]]), v1, v2, 1.0)
         if np.isneginf(logrho[0]):
             assert np.all(g1 == 0) and np.all(g2 == 0)
+
+
+class TestEdgeLogDensityGradBatchMask:
+    @staticmethod
+    def case(rng, k=4, m=60, n=3):
+        x = rng.normal(size=(m, n)) * 2.0
+        v1s, v2s = rng.normal(size=(2, k, n))
+        return x, v1s, v2s, rng.uniform(0.1, 0.6, size=k)
+
+    def test_all_true_mask_is_no_mask(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x, v1s, v2s, sigmas = self.case(rng)
+            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas)
+            all_true = np.ones(logrho.shape, dtype=bool)
+            masked, masked_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, all_true)
+            assert np.array_equal(masked, logrho)
+            for got, want in zip(masked_coeffs, coeffs):
+                assert np.array_equal(got, want)
+
+    def test_prices_only_the_masked_pairs(self):
+        rng = np.random.default_rng(12)
+        for density in (0.0, 0.1, 0.5):
+            x, v1s, v2s, sigmas = self.case(rng)
+            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas)
+            mask = rng.random(logrho.shape) < density
+            masked, masked_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask)
+            assert np.array_equal(masked[mask], logrho[mask])
+            assert np.all(np.isneginf(masked[~mask]))
+            for got, want in zip(masked_coeffs[:4], coeffs[:4]):
+                assert np.array_equal(got[mask], want[mask]) and np.all(got[~mask] == 0.0)
+            for got, want in zip(masked_coeffs[4:], coeffs[4:]):  # xc, u, w
+                assert np.array_equal(got, want)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.special import logsumexp
 
 import graphskel as gs
 from graphskel.densities import edge_log_density, vertex_log_density
@@ -16,6 +20,7 @@ from graphskel.em import (
     M_STEP_IMPROVE_TOL,
     M_STEP_ITERS,
     STEP_FLOOR,
+    UNDERFLOW_GAP,
     EmConfig,
     EmState,
     StrataModel,
@@ -28,6 +33,7 @@ from graphskel.em import (
     responsibilities,
     update_mixing,
 )
+from graphskel.em import _evaluate, _exact_logits, _logits, _normalize_rows
 from graphskel.geometry import PointCloud
 
 mp.mp.dps = 50
@@ -558,14 +564,29 @@ def reference_em_fit(model, state, data, config):
     return v, np.asarray(trace), n_done, backtracks
 
 
-@pytest.fixture(scope="module", params=["fixture-ratio8", "random-5d-large-step"])
+@pytest.fixture(scope="module")
+def twelve_vertex_5d():
+    """(model, state, cloud): a 12-vertex compliant graph in R^5 sampled at
+    spacing eps (m = 2290), where most (point, stratum) pairs underflow."""
+    config = gs.GraphGenConfig(R=1.2, eps=0.1)
+    spec = gs.random_compliant_graph(5, 12, config, seed=0)
+    cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, spacing=0.1, seed=0))
+    graph, refined, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
+    model, state = initialize(graph, refined, cloud, sigma=0.05)
+    return model, state, cloud
+
+
+@pytest.fixture(scope="module", params=["fixture-ratio8", "random-5d-large-step", "random-5d-12-vertex"])
 def em_case(request, fixture_cloud, ratio8_recovery):
-    """(model, state, data, config): the fixture at ratio 8, and a small 5-D
-    compliant graph whose large initial step forces line-search backtracks."""
+    """(model, state, data, config): the fixture at ratio 8, a small 5-D
+    compliant graph whose large initial step forces line-search backtracks,
+    and a 12-vertex 5-D graph where most pairs are never priced."""
     if request.param == "fixture-ratio8":
         graph, refined, _ = ratio8_recovery
         model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
         return model, state, fixture_cloud, EmConfig(max_iters=10)
+    if request.param == "random-5d-12-vertex":
+        return *request.getfixturevalue("twelve_vertex_5d"), EmConfig(max_iters=4)
     spec = gs.random_compliant_graph(5, 3, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
     cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, seed=0))
     graph, refined, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
@@ -604,3 +625,92 @@ class TestOneEvaluationPerVertexMatrix:
         assert len(seen) > report.n_iterations
         assert {name for name, _ in seen} == {"edge_log_density_grad_batch"}
         assert len({key for _, key in seen}) == len(seen)
+
+
+class TestSparsePricing:
+    def test_most_edge_pairs_are_never_priced(self, twelve_vertex_5d, monkeypatch):
+        model, state, cloud = twelve_vertex_5d
+        kernel = gs.em.edge_log_density_grad_batch
+        fractions = []  # share of the (edge, point) pairs each kernel call prices
+
+        def counted(x, v1s, v2s, sigmas, mask=None):
+            fractions.append(1.0 if mask is None else float(np.mean(mask)))
+            return kernel(x, v1s, v2s, sigmas, mask)
+
+        monkeypatch.setattr(gs.em, "edge_log_density_grad_batch", counted)
+        em_fit(model, state, cloud, EmConfig(max_iters=4))
+        assert fractions and max(fractions) <= 0.2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 5),
+        shift=st.sampled_from([0.0, 1e6]),
+        remote=st.booleans(),
+    )
+    def test_matches_all_pairs(self, seed, dim, shift, remote):
+        rng = np.random.default_rng(seed)
+        n0 = int(rng.integers(2, 6))
+        pairs = [(i, j) for i in range(n0) for j in range(i + 1, n0)]
+        edges = tuple(pairs[k] for k in rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)])
+        n_strata = n0 + len(edges)
+        sigma = 10 ** rng.uniform(-1.5, 0.0, size=n_strata)
+        model = StrataModel(n0=n0, n1=len(edges), edge_endpoints=edges, sigma=sigma, dim=dim)
+        v = rng.normal(size=(n0, dim)) * 3.0
+        # points around random strata, from on top of them to far outside
+        points = []
+        for _ in range(int(rng.integers(20, 80))):
+            k = int(rng.integers(n_strata))
+            if k < n0:
+                centre = v[k]
+            else:
+                i, j = edges[k - n0]
+                centre = v[j] + rng.uniform(-0.2, 1.2) * (v[i] - v[j])
+            points.append(centre + rng.normal(size=dim) * sigma[k] * 10 ** rng.uniform(-1, 1.5))
+        if remote:  # so far away that its squared distances overflow: a dead row
+            points.append(np.full(dim, 1e155))
+        data = PointCloud(np.array(points) + shift)
+        v = v + shift
+        pi = rng.dirichlet(np.ones(n_strata))
+        pi[rng.random(n_strata) < 0.3] = 10.0 ** -rng.uniform(50, 300)
+        support = rng.random((n_strata, len(data))) < 0.05
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dense = _evaluate(model, v, data)
+            masked = _evaluate(model, v, data, pi, support)
+            ev, logits = _exact_logits(model, masked, data, pi)
+            dense_logits = _logits(dense, pi)
+        assert ev is masked  # selected for this pi: nothing is priced twice
+        priced = ~masked.skip.T
+        assert np.all(priced[support.T])
+        assert np.array_equal(masked.logdens[priced], dense.logdens[priced], equal_nan=True)
+        assert np.all(np.isneginf(masked.logdens[~priced]))
+        if edges:
+            on = priced[:, n0:].T
+            for got, want in zip(masked.edge[:4], dense.edge[:4]):
+                assert np.array_equal(got[on], want[on]) and np.all(got[~on] == 0.0)
+        top = np.broadcast_to(np.max(dense_logits, axis=1, keepdims=True), dense_logits.shape)
+        assert np.all(dense_logits[~priced] <= top[~priced] - UNDERFLOW_GAP)
+
+        moved = rng.dirichlet(np.ones(n_strata))  # weights that moved since the selection
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            moved_logits = _exact_logits(model, masked, data, moved)[1]
+        for got_logits, want_logits in ((logits, dense_logits), (moved_logits, _logits(dense, moved))):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                got = _normalize_rows(got_logits)
+            with warnings.catch_warnings(record=True) as seen_dense:
+                warnings.simplefilter("always")
+                want = _normalize_rows(want_logits)
+            assert np.array_equal(got, want)
+            assert [str(w.message) for w in seen] == [str(w.message) for w in seen_dense]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert np.array_equal(
+                    logsumexp(got_logits, axis=1), logsumexp(want_logits, axis=1), equal_nan=True
+                )
+            if remote:  # every stratum underflows at the remote point
+                assert any("zero density" in str(w.message) for w in seen)
+                assert np.all(got[-1] == 1.0 / n_strata)
