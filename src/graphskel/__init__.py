@@ -22,9 +22,7 @@ from .abstract_graph import (
     refine,
 )
 from .densities import (
-    edge_density_quadrature,
     edge_log_density,
-    edge_log_density_grad,
     log_erf_diff,
     vertex_log_density,
 )
@@ -34,24 +32,18 @@ from .em import (
     FitReport,
     StrataModel,
     em_fit,
-    grad_vertices,
     initialize,
-    log_likelihood,
     m_step,
-    marginal_log_likelihood,
-    responsibilities,
     update_mixing,
 )
 from .errors import CloudParseError, GenerationError, NumericalError, StructureError
 from .geometry import (
     ComponentLabeling,
     PointCloud,
-    ball_query,
     component_centroid,
     distance,
     point_segment_distance,
     segment_segment_distance,
-    shell_query,
     threshold_components,
 )
 from .local_structure import (
@@ -61,7 +53,6 @@ from .local_structure import (
     ReconstructionConfig,
     check_assumptions,
     classify_all,
-    classify_point,
     inner_product_threshold,
     partition,
     phi,

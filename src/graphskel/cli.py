@@ -134,11 +134,15 @@ def cmd_fit(args) -> int:
     doc = read_json(args.graph)
     graph, refined = graph_from_dict(doc, cloud)
     graph_cfg = doc.get("config", {})
+    if not isinstance(graph_cfg, dict):
+        raise ValueError("malformed document: field config is not an object")
     sigma = args.sigma
     if sigma is None:
         eps = graph_cfg.get("eps")
         if eps is None:
             raise ValueError("--sigma not given and the graph document has no eps to default from")
+        if type(eps) not in (int, float):
+            raise ValueError("malformed document: field config.eps is not a number")
         sigma = float(eps) / 2
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     model, report = _fit(cloud, graph, refined, sigma, em_config)
@@ -286,7 +290,6 @@ def _add_em(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=None, help="noise scale sigma (default eps/2)")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=200, help="EM iteration cap")
     p.add_argument("--tol", type=float, default=1e-8, help="EM log-likelihood tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed (EM itself is deterministic)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,10 +4,9 @@ The segment density is the convolution of uniform measure on a segment with an
 isotropic Gaussian. It has a closed form built from a difference of error
 functions; that difference is evaluated through the scaled complementary error
 function whenever both arguments share a sign, because the naive difference
-cancels to zero a few sigma away from the segment.
-
-`edge_density_quadrature` integrates the defining formula directly and is kept
-deliberately independent of the closed form so the two can cross-check.
+cancels to zero a few sigma away from the segment. One batch kernel prices
+every segment at every point it is asked for, together with the coefficients
+of the endpoint gradients.
 """
 from __future__ import annotations
 
@@ -16,14 +15,11 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf, erfcx
 
 __all__ = [
     "vertex_log_density",
-    "edge_density_quadrature",
     "edge_log_density",
-    "edge_log_density_grad",
     "edge_log_density_grad_batch",
     "EdgeCoefficients",
     "endpoint_gradients",
@@ -55,39 +51,6 @@ def vertex_log_density(x, v, sigma):
         sq = np.sum((x - v) ** 2, axis=-1)
         out = -0.5 * n * np.log(2 * math.pi * sigma * sigma) - sq / (2 * sigma * sigma)
     return float(out) if out.ndim == 0 else out
-
-
-def edge_density_quadrature(x, v1, v2, sigma: float) -> float:
-    """Segment-convolved Gaussian density by adaptive quadrature.
-
-    Evaluates (2 pi sigma^2)^(-n/2) * int_0^1 exp(-|x - (t v1 + (1-t) v2)|^2
-    / (2 sigma^2)) dt to ~1e-10 relative. The quadrature is hinted at the
-    along-segment projection so narrow bumps (small sigma) are not missed.
-    """
-    sigma = float(_check_sigma(sigma))
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    w = v1 - v2
-    ll = float(np.dot(w, w))
-    if ll == 0.0:
-        raise ValueError("degenerate segment: edge endpoints coincide")
-    x = np.asarray(x, dtype=float)
-    inv2s2 = 1.0 / (2 * sigma * sigma)
-
-    def integrand(t: float) -> float:
-        diff = x - (t * v1 + (1.0 - t) * v2)
-        return math.exp(-float(np.dot(diff, diff)) * inv2s2)
-
-    # peak of the integrand along the segment parameter; when the projection
-    # falls outside [0, 1] the mass sits in a boundary layer at the near end
-    t0 = float(np.dot(x - v2, w)) / ll
-    anchor = min(1.0, max(0.0, t0))
-    width = sigma / math.sqrt(ll)
-    hints = sorted({anchor + k * width for k in (-8.0, -2.0, 0.0, 2.0, 8.0)})
-    hints = [t for t in hints if 0.0 < t < 1.0]
-    val, _ = quad(integrand, 0.0, 1.0, points=hints or None, epsabs=0.0, epsrel=1e-11, limit=200)
-    n = x.shape[-1]
-    return float((2 * math.pi * sigma * sigma) ** (-0.5 * n) * val)
 
 
 def log_erf_diff(a, b):
@@ -279,16 +242,3 @@ def endpoint_gradients(coeffs: EdgeCoefficients, weights):
     grad1 = u * a1.sum(axis=1)[:, None] - 2.0 * a1x + w * (wt * beta1).sum(axis=1)[:, None]
     grad2 = u * a2.sum(axis=1)[:, None] - 2.0 * a2x + w * (wt * beta2).sum(axis=1)[:, None]
     return grad1, grad2
-
-
-def edge_log_density_grad(x, v1, v2, sigma: float):
-    """Log density and per-point gradients w.r.t. both endpoints, shapes (m,), (m, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    logrho, (alpha1, beta1, alpha2, beta2, *_) = edge_log_density_grad_batch(x, [v1], [v2], [sigma])
-    s = (v1 + v2) - 2.0 * x
-    w = v1 - v2
-    g1 = alpha1[0][:, None] * s + beta1[0][:, None] * w
-    g2 = alpha2[0][:, None] * s + beta2[0][:, None] * w
-    return logrho[0], g1, g2

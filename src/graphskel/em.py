@@ -2,14 +2,15 @@
 point Gaussians (vertex strata) and segment-convolved Gaussians (edge strata).
 
 The E-step computes responsibilities in log space with max-shift
-normalization. The M-step hill-climbs along per-vertex-scaled gradients with a
-backtracking line search that never accepts a decrease, so the marginal
-log-likelihood trace is non-decreasing across full iterations. The densities
-are priced once per distinct vertex matrix: the objective, the gradient and
-the posterior logits are reductions of that one evaluation. Inside `em_fit`
-and `m_step` an evaluation prices only the (point, stratum) pairs that can
-carry responsibility; every pair it skips is one whose responsibility the
-all-pairs path computes as exactly 0.0, so the fit is the same.
+normalization; the same shift gives the marginal log-likelihood. The M-step
+hill-climbs along per-vertex-scaled gradients with a backtracking line search
+that never accepts a decrease, so the marginal log-likelihood trace is
+non-decreasing across full iterations. The densities are priced once per
+distinct vertex matrix: the objective, the gradient and the posterior logits
+are reductions of that one evaluation. An evaluation prices only the (point,
+stratum) pairs that can carry responsibility; every pair it skips is one
+whose responsibility an all-pairs evaluation would give as exactly 0.0, so
+the fit is the one that evaluation would give.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf, logsumexp
+from scipy.special import erf
 
 from .abstract_graph import AbstractGraph, RefinedPartition
 from .densities import (
@@ -36,11 +37,7 @@ __all__ = [
     "EmState",
     "EmConfig",
     "FitReport",
-    "responsibilities",
     "update_mixing",
-    "log_likelihood",
-    "marginal_log_likelihood",
-    "grad_vertices",
     "m_step",
     "initialize",
     "em_fit",
@@ -53,7 +50,7 @@ M_STEP_IMPROVE_TOL = 1e-12  # stop ascending once gains drop below this
 STEP_FLOOR = 1e-12
 # exp(z) is exactly 0.0 in double precision once z < -745.1332 (the log of half
 # the smallest subnormal). A logit this far below its row's maximum gets
-# responsibility 0.0 and adds 0.0 to logsumexp; the extra 0.87 nat covers the
+# responsibility 0.0 and adds 0.0 to its row's sum; the extra 0.87 nat covers the
 # rounding in the computed logits and bounds.
 UNDERFLOW_GAP = 746.0
 
@@ -147,9 +144,9 @@ class _Evaluation(NamedTuple):
     v: np.ndarray  # (n0, dim) vertex coordinates
     logdens: np.ndarray  # (|P|, N) log densities of every point under every stratum
     edge: EdgeCoefficients | None  # endpoint-gradient coefficients; None without edges
-    skip: np.ndarray | None = None  # (N, |P|) pairs left unpriced; None: all priced
-    reach: np.ndarray | None = None  # (|P|,) bound on each point's largest skipped logit
-    logpi: np.ndarray | None = None  # (N,) the log mixing weights the skip was chosen for
+    skip: np.ndarray  # (N, |P|) pairs left unpriced
+    reach: np.ndarray  # (|P|,) bound on each point's largest skipped logit
+    logpi: np.ndarray  # (N,) the log mixing weights the skip was chosen for
 
 
 def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, logpi) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +203,8 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, logpi) -> tuple
     return top, out
 
 
-def _evaluate(model: StrataModel, v, data: PointCloud, pi=None, support=None) -> _Evaluation:
-    """The densities at v: every pair, or with `pi` only those that matter.
+def _evaluate(model: StrataModel, v, data: PointCloud, pi, support) -> _Evaluation:
+    """The densities at v of the pairs that matter under `pi`.
 
     Those are the pairs in `support` (a boolean (N, |P|) array: supp(A)
     transposed, all that the objective and the gradient read) and every pair
@@ -215,8 +212,6 @@ def _evaluate(model: StrataModel, v, data: PointCloud, pi=None, support=None) ->
     row's largest logit, which holds every pair the E-step can weigh.
     """
     v = _check_vertices(model, v).copy()
-    if pi is None:
-        return _price(model, v, data)
     with np.errstate(divide="ignore", invalid="ignore"):
         logpi = np.log(np.asarray(pi, dtype=float))
         top, upper = _bounds(model, v, data, logpi)
@@ -224,26 +219,22 @@ def _evaluate(model: StrataModel, v, data: PointCloud, pi=None, support=None) ->
         skip = upper < top - UNDERFLOW_GAP
     skip &= ~support
     upper[~skip] = -np.inf
-    return _price(model, v, data, skip)._replace(reach=np.max(upper, axis=0), logpi=logpi)
+    reach = np.max(upper, axis=0)
+    del upper, top
 
-
-def _price(model: StrataModel, v, data: PointCloud, skip=None) -> _Evaluation:
     x = data.coords
     n0 = model.n0
     logrho, edge = None, None
     if model.n1:  # before allocating logdens, so the kernel's peak does not overlap it
         i1, i2 = model.ends.T
-        mask = None if skip is None else ~skip[n0:]
-        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], mask)
+        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], ~skip[n0:])
     logdens = np.full((len(data), model.n_strata), -np.inf)
-    if skip is None:
-        logdens[:, :n0] = vertex_log_density(x[:, None, :], v, model.sigma[:n0])
-    else:  # gathered (point, vertex) differences, never an (|P|, n0, n) block
-        cols, rows = np.nonzero(~skip[:n0])
-        logdens[rows, cols] = vertex_log_density(x[rows], v[cols], model.sigma[cols])
+    # gathered (point, vertex) differences, never an (|P|, n0, n) block
+    cols, rows = np.nonzero(~skip[:n0])
+    logdens[rows, cols] = vertex_log_density(x[rows], v[cols], model.sigma[cols])
     if model.n1:
         logdens[:, n0:] = logrho.T
-    return _Evaluation(v, logdens, edge, skip)
+    return _Evaluation(v, logdens, edge, skip, reach, logpi)
 
 
 def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> tuple[_Evaluation, np.ndarray]:
@@ -255,8 +246,6 @@ def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> 
     pair might come within UNDERFLOW_GAP of its row's maximum under `pi`.
     """
     logits = _logits(ev, pi)
-    if ev.skip is None:
-        return ev, logits
     with np.errstate(divide="ignore", invalid="ignore"):
         logpi = np.log(np.asarray(pi, dtype=float))
         rise = np.fmax.reduce(logpi - ev.logpi)  # strata at pi = 0 both times are NaN here
@@ -297,15 +286,20 @@ def _gradient(model: StrataModel, ev: _Evaluation, a, data: PointCloud, limit: f
         g1, g2 = endpoint_gradients(ev.edge, a[:, n0:])
         np.add.at(grad, model.ends.T.ravel(), np.vstack([g1, g2]) / m)
 
-    if np.isfinite(limit):
-        norms = np.sqrt(np.sum(grad**2, axis=1))
-        over = norms > limit
-        if np.any(over):
-            grad[over] *= (limit / norms[over])[:, None]
+    norms = np.sqrt(np.sum(grad**2, axis=1))
+    over = norms > limit
+    if np.any(over):
+        grad[over] *= (limit / norms[over])[:, None]
     return grad
 
 
-def _normalize_rows(logits: np.ndarray) -> np.ndarray:
+def _normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior rows (summing to 1) and each row's log normalizer, log sum
+    exp(logits), from one max shift, one exp and one sum.
+
+    Rows where every stratum underflows to -inf fall back to uniform, with a
+    warning; their log normalizer stays -inf.
+    """
     shift = np.max(logits, axis=1, keepdims=True)
     dead = ~np.isfinite(shift[:, 0])
     if np.any(dead):
@@ -319,17 +313,13 @@ def _normalize_rows(logits: np.ndarray) -> np.ndarray:
         shift[dead, 0] = 0.0
     with np.errstate(under="ignore"):
         w = np.exp(logits - shift)
-    w[dead] = 1.0
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def responsibilities(model: StrataModel, state: EmState, data: PointCloud) -> np.ndarray:
-    """Posterior stratum probabilities, rows summing to 1.
-
-    Computed in log space with max-shift normalization. Rows where every
-    stratum underflows to -inf fall back to uniform and a warning is recorded.
-    """
-    return _normalize_rows(_logits(_evaluate(model, state.v, data), state.pi))
+    total = w.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        lognorm = np.log(total[:, 0]) + shift[:, 0]
+    if np.any(dead):
+        w[dead] = 1.0
+        total[dead] = w.shape[1]
+    return w / total, lognorm
 
 
 def update_mixing(a: np.ndarray) -> np.ndarray:
@@ -341,44 +331,11 @@ def update_mixing(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=0) / total
 
 
-def log_likelihood(model: StrataModel, v, pi, a, data: PointCloud) -> float:
-    """Cost-function value (1/|P|) sum_j sum_i A_ij (log rho_i(x_j) + log pi_i).
-
-    Terms with A_ij = 0 contribute exactly 0 even when log pi_i or the log
-    density is -inf.
-    """
-    return _objective(_evaluate(model, v, data), pi, a)
-
-
-def marginal_log_likelihood(model: StrataModel, v, pi, data: PointCloud) -> float:
-    """Incomplete-data log-likelihood (1/|P|) sum_j log sum_i pi_i rho_i(x_j).
-
-    This is the quantity generalized EM drives monotonically upward; it is the
-    per-iteration trace recorded by em_fit.
-    """
-    return float(np.mean(logsumexp(_logits(_evaluate(model, v, data), pi), axis=1)))
-
-
-def _clip_limit(data: PointCloud, clip_norm: float | None) -> float:
-    """`clip_norm`, or 10 x the data bounding-box diagonal when it is None."""
-    if clip_norm is not None:
-        return float(clip_norm)
+def _clip_limit(data: PointCloud) -> float:
+    """10 x the data bounding-box diagonal, or 10 when all points coincide."""
     span = data.coords.max(axis=0) - data.coords.min(axis=0)
     diag = float(np.sqrt(np.sum(span**2)))
     return 10.0 * diag if diag > 0 else 10.0
-
-
-def grad_vertices(
-    model: StrataModel, v, pi, a, data: PointCloud, clip_norm: float | None = None
-) -> np.ndarray:
-    """Exact gradient of the cost function with respect to every vertex
-    coordinate, holding A and Pi fixed.
-
-    Each vertex accumulates its own Gaussian stratum plus every incident edge
-    stratum. Rows are clipped to `clip_norm` (default: 10 x the data
-    bounding-box diagonal); pass numpy.inf to disable.
-    """
-    return _gradient(model, _evaluate(model, v, data), a, data, _clip_limit(data, clip_norm))
 
 
 def m_step(
@@ -416,7 +373,7 @@ def m_step(
     np.add.at(mass, model.ends.ravel(), np.repeat(a[:, model.n0 :].sum(axis=0), 2))
     scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
     step = config.step_init
-    limit = _clip_limit(data, None)
+    limit = _clip_limit(data)
 
     for _ in range(M_STEP_ITERS):
         g = _gradient(model, evaluation, state.a, data, limit)
@@ -510,23 +467,22 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     # trial: at most the current and the trial evaluation are alive.
     held = [_evaluate(model, state.v, data, state.pi, np.asarray(state.a).T > 0)]
     held[0], logits = _exact_logits(model, held[0], data, state.pi)
-    per_point = logsumexp(logits, axis=1)
+    a, per_point = _normalize_rows(logits)
     trace = [float(np.mean(per_point))]
     streak = 0
     converged = False
     n_done = 0
 
     for n_done in range(1, config.max_iters + 1):
-        a = _normalize_rows(logits)
         pi = update_mixing(a)
         held.append(m_step(model, EmState(v=state.v, pi=pi, a=a), data, config, held.pop()))
         held[0], logits = _exact_logits(model, held[0], data, pi)
-        per_point = logsumexp(logits, axis=1)
+        state = EmState(v=held[0].v, pi=pi, a=a)
+        a, per_point = _normalize_rows(logits)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
             bad = np.flatnonzero(~np.isfinite(per_point)).tolist()
             raise NumericalError(f"non-finite log-likelihood at points {bad[:20]}")
-        state = EmState(v=held[0].v, pi=pi, a=a)
         trace.append(ll)
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
             streak += 1

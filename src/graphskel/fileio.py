@@ -163,6 +163,14 @@ def _is_objects(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(item, dict) for item in value)
 
 
+def _is_ints(value: Any) -> bool:
+    return isinstance(value, list) and all(type(item) is int for item in value)
+
+
+def _is_pair(value: Any) -> bool:
+    return _is_ints(value) and len(value) == 2
+
+
 def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
     _check_object(doc)
     if doc.get("kind") != "graphskel.graph":
@@ -174,21 +182,21 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
         raise ValueError("graph document dimension does not match the cloud")
     vertices = _field(doc, "vertices", _is_objects, "a list of objects")
     edges = _field(doc, "edges", _is_objects, "a list of objects")
-    vertex_clusters = [np.asarray(_get(v, "members"), dtype=int) for v in vertices]
-    edge_clusters = [np.asarray(_get(e, "members"), dtype=int) for e in edges]
-    boundary = [(int(_get(e, "boundary", 0)), int(_get(e, "boundary", 1))) for e in edges]
+    ints = "a list of integers"
+    vertex_clusters = [np.asarray(_field(v, "members", _is_ints, ints), dtype=int) for v in vertices]
+    edge_clusters = [np.asarray(_field(e, "members", _is_ints, ints), dtype=int) for e in edges]
+    boundary = [tuple(_field(e, "boundary", _is_pair, "a pair of integers")) for e in edges]
     centroids = (
         np.asarray([_get(v, "centroid") for v in vertices], dtype=float)
         if vertices
         else np.empty((0, cloud.dim))
     )
     graph = AbstractGraph(vertex_clusters, edge_clusters, boundary, centroids, cloud)
-    refined = RefinedPartition(
-        p0_tilde=np.asarray(_get(doc, "labels", "p0_tilde"), dtype=int),
-        p1_tilde=np.asarray(_get(doc, "labels", "p1_tilde"), dtype=int),
-        moved=np.asarray(_get(doc, "labels", "moved"), dtype=int),
+    labels = _field(doc, "labels", lambda value: isinstance(value, dict), "an object")
+    p0, p1, moved = (
+        np.asarray(_field(labels, key, _is_ints, ints), dtype=int) for key in ("p0_tilde", "p1_tilde", "moved")
     )
-    return graph, refined
+    return graph, RefinedPartition(p0_tilde=p0, p1_tilde=p1, moved=moved)
 
 
 def graph_spec_to_dict(spec: EmbeddedGraphSpec) -> dict[str, Any]:

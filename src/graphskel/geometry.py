@@ -1,11 +1,10 @@
-"""Euclidean primitives, range/shell queries, and threshold-graph components.
+"""Euclidean primitives, range queries, and threshold-graph components.
 
 Everything in this module is a pure function over immutable inputs.
-`ball_query` and `shell_query` are exact linear scans and serve as reference
-oracles. The shipped neighbour searches (`ball_members`, `pairs_within`,
+The neighbour searches (`ball_members`, `pairs_within`,
 `threshold_components`) query a k-d tree at a slightly padded radius and then
-decide every candidate with the same `sqrt(sum(d**2))` distance and the same
-comparison as the linear scans, so ties at the threshold resolve identically.
+decide every candidate with the `sqrt(sum(d**2))` distance and the comparison
+an exact linear scan uses, so ties at the threshold resolve as it would.
 A `PointCloud` keeps its own k-d tree and its contact pairs, so every stage
 that needs the 3*eps contact graph of a cloud reads the same one.
 """
@@ -26,8 +25,6 @@ __all__ = [
     "angle_cosine",
     "point_segment_distance",
     "segment_segment_distance",
-    "ball_query",
-    "shell_query",
     "threshold_components",
     "contact_components",
     "component_centroid",
@@ -205,31 +202,8 @@ def segment_segment_distance(p0, p1, q0, q1) -> float:
     return float(np.sqrt(np.sum(diff**2)))
 
 
-def _query_distances(cloud: PointCloud, center) -> np.ndarray:
-    center = np.asarray(center, dtype=float)
-    if center.shape != (cloud.dim,):
-        raise ValueError(f"dimension mismatch: center {center.shape} vs cloud dim {cloud.dim}")
-    return np.sqrt(np.sum((cloud.coords - center) ** 2, axis=1))
-
-
-def ball_query(cloud: PointCloud, center, r: float) -> np.ndarray:
-    """Indices i with ||p_i - center|| <= r (closed ball)."""
-    if r < 0:
-        raise ValueError("ball radius must be nonnegative")
-    d = _query_distances(cloud, center)
-    return np.flatnonzero(d <= r)
-
-
-def shell_query(cloud: PointCloud, center, r_in: float, r_out: float) -> np.ndarray:
-    """Indices i with r_in < ||p_i - center|| <= r_out (half-open shell)."""
-    if r_in < 0 or r_in > r_out:
-        raise ValueError(f"invalid shell radii: ({r_in}, {r_out}]")
-    d = _query_distances(cloud, center)
-    return np.flatnonzero((d > r_in) & (d <= r_out))
-
-
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distances ||a_i - b_i||, computed as the linear scans do."""
+    """Row-wise Euclidean distances ||a_i - b_i||, computed as an exact linear scan does."""
     return np.sqrt(np.sum((a - b) ** 2, axis=1))
 
 
@@ -247,7 +221,7 @@ def _flatten(hits) -> tuple[np.ndarray, np.ndarray]:
 def ball_members(
     tree: cKDTree, coords: np.ndarray, centres: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-ball members of several centres at once, as `ball_query` decides them.
+    """Closed-ball members of several centres at once, as an exact linear scan decides them.
 
     Returns (owner, member, d): the position of the centre in `centres`, the
     member index and its distance, sorted by (owner, member).

@@ -19,14 +19,11 @@ from .geometry import (
     PointCloud,
     angle_cosine,
     ball_members,
-    ball_query,
     component_centroid,
     component_labels,
     distance,
     point_segment_distance,
     segment_segment_distance,
-    shell_query,
-    threshold_components,
 )
 
 if TYPE_CHECKING:
@@ -41,7 +38,6 @@ __all__ = [
     "psi",
     "phi",
     "inner_product_threshold",
-    "classify_point",
     "classify_all",
     "partition",
     "partition_from_labels",
@@ -189,38 +185,14 @@ def inner_product_threshold(config: ReconstructionConfig) -> float:
     return -R * R + 2 * R * eps + 7 * eps * eps
 
 
-def classify_point(cloud: PointCloud, p_index: int, config: ReconstructionConfig) -> LocalLabel:
-    """Classify one sample by its (R, eps)-local structure.
-
-    A direct transcription of the definition, one ball and one shell query
-    per call; `classify_all` is the batched path and must agree with it.
-    The sample itself takes part in the ball graph but is removed from the
-    shell (its self-distance 0 is <= R - eps). An empty shell counts as 0
-    components, which classifies vertex-like and covers degree-0 vertices.
-    """
-    p = cloud[p_index]
-    ball = ball_query(cloud, p, config.ball_radius)
-    ball_cc = threshold_components(cloud, ball, config.contact_scale)
-    ball_connected = ball_cc.num_components <= 1
-
-    shell = shell_query(cloud, p, config.shell_inner, config.shell_outer)
-    shell_cc = threshold_components(cloud, shell, config.contact_scale)
-    n_shell = shell_cc.num_components
-
-    if not ball_connected:
-        return LocalLabel(EDGE_LIKE, False, n_shell)
-    if n_shell != 2:
-        return LocalLabel(VERTEX_LIKE, True, n_shell)
-
-    q1 = component_centroid(cloud, shell_cc.members(0))
-    q2 = component_centroid(cloud, shell_cc.members(1))
-    ip = float(np.dot(q1 - p, q2 - p))
-    tag = VERTEX_LIKE if ip > config.ip_threshold else EDGE_LIKE
-    return LocalLabel(tag, True, 2, ip)
-
-
 def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> list[LocalLabel]:
-    """Classify every sample; same labels as `classify_point` at each index.
+    """Classify every sample by its (R, eps)-local structure.
+
+    Each label is what the definition gives from one exact ball and one exact
+    shell scan about the sample, each split by `threshold_components`. The
+    sample itself takes part in the ball graph but not in the shell (its
+    self-distance 0 is <= R - eps). An empty shell counts as 0 components,
+    which classifies vertex-like and covers degree-0 vertices.
 
     The cloud's own k-d tree serves all centres. The ball graphs of a chunk
     of centres form one graph whose nodes are (centre, ball member) pairs and

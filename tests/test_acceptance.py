@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import graphskel as gs
-from graphskel.densities import edge_density_quadrature, edge_log_density
-from graphskel.em import StrataModel, em_fit, grad_vertices, initialize, log_likelihood
-from graphskel.geometry import PointCloud, ball_query, shell_query, threshold_components
+from graphskel.densities import edge_log_density
+from graphskel.em import StrataModel, em_fit, initialize
+from graphskel.geometry import PointCloud, threshold_components
 from graphskel.local_structure import phi, psi
+from oracles import ball_query, edge_density_quadrature, grad_vertices, log_likelihood, shell_query
 
 SEEDS = list(range(10))
 RATIOS = (6.0, 8.0, 10.0, 12.0)

@@ -229,6 +229,7 @@ class TestFit:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["sigma"] == 0.05  # defaulted from the graph config eps/2
+        assert "seed" not in doc["config"]  # EM draws nothing at random
         trace = doc["loglik_trace"]
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
         fitted = np.array(doc["vertices"])
@@ -270,8 +271,16 @@ class TestFit:
             (lambda doc: {**doc, "n_points": None}, "n_points"),
             (lambda doc: {**doc, "vertices": 5}, "vertices"),
             (lambda doc: {**doc, "dim": None}, "dim"),
+            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "members": None}, *doc["vertices"][1:]]}, "members"),
+            (lambda doc: {**doc, "edges": [{**doc["edges"][0], "boundary": [None, 1]}, *doc["edges"][1:]]}, "boundary"),
+            (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": None}}, "p0_tilde"),
+            (lambda doc: {**doc, "config": [1]}, "config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "eps": [1]}}, "config.eps"),
         ],
-        ids=["no-labels", "one-element-boundary", "top-level-list", "n_points-null", "vertices-not-list", "dim-null"],
+        ids=[
+            "no-labels", "one-element-boundary", "top-level-list", "n_points-null", "vertices-not-list", "dim-null",
+            "members-null", "boundary-null-id", "p0_tilde-null", "config-not-object", "eps-not-number",
+        ],
     )
     def test_malformed_graph_document_is_usage_error(
         self, cloud_file, graph_file, tmp_path, capsys, damage, field

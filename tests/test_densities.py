@@ -9,13 +9,12 @@ import pytest
 from scipy.integrate import simpson
 
 from graphskel.densities import (
-    edge_density_quadrature,
     edge_log_density,
-    edge_log_density_grad,
     edge_log_density_grad_batch,
     log_erf_diff,
     vertex_log_density,
 )
+from oracles import edge_density_quadrature, edge_log_density_grad
 
 mp.mp.dps = 40
 

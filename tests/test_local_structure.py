@@ -18,12 +18,12 @@ from graphskel.local_structure import (
     ReconstructionConfig,
     check_assumptions,
     classify_all,
-    classify_point,
     inner_product_threshold,
     partition,
     phi,
     psi,
 )
+from oracles import classify_point
 
 mp.mp.dps = 40
 

@@ -27,12 +27,7 @@ from graphskel import geometry
 from graphskel.abstract_graph import RefinedPartition, build_graph, cluster_p0, cluster_p1, refine
 from graphskel.cli import main
 from graphskel.fileio import write_cloud
-from graphskel.geometry import (
-    PointCloud,
-    ball_query,
-    shell_query,
-    threshold_components,
-)
+from graphskel.geometry import PointCloud, threshold_components
 from graphskel.local_structure import (
     EDGE_LIKE,
     VERTEX_LIKE,
@@ -40,8 +35,8 @@ from graphskel.local_structure import (
     Partition,
     ReconstructionConfig,
     classify_all,
-    classify_point,
 )
+from oracles import ball_query, classify_point, shell_query
 
 EPS = 0.1
 CFG = ReconstructionConfig(R=12 * EPS, eps=EPS)
