@@ -40,7 +40,7 @@ from .errors import CloudParseError, GenerationError, NumericalError, StructureE
 from .geometry import (
     ComponentLabeling,
     PointCloud,
-    component_centroid,
+    component_centroids,
     distance,
     point_segment_distance,
     segment_segment_distance,
@@ -48,7 +48,7 @@ from .geometry import (
 )
 from .local_structure import (
     AssumptionReport,
-    LocalLabel,
+    LocalLabels,
     Partition,
     ReconstructionConfig,
     check_assumptions,

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StructureError
-from .geometry import ComponentLabeling, PointCloud, component_centroid, contact_components, threshold_components
+from .geometry import ComponentLabeling, PointCloud, component_centroids, contact_components, threshold_components
 from .local_structure import Partition, ReconstructionConfig, partition as _partition
 
 if TYPE_CHECKING:
@@ -62,12 +62,6 @@ class AbstractGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_clusters)
-
-    def degree(self, vertex_id: int) -> int:
-        return sum(1 for pair in self.boundary if vertex_id in pair)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((self.degree(v) for v in range(self.n_vertices)), reverse=True))
 
 
 def cluster_p0(cloud: PointCloud, part: Partition, config: ReconstructionConfig) -> ComponentLabeling:
@@ -159,11 +153,7 @@ def build_graph(cloud: PointCloud, refined: RefinedPartition, config: Reconstruc
             )
         boundary.append((touching[0], touching[1]))
 
-    centroids = (
-        np.vstack([component_centroid(cloud, m) for m in vertex_clusters])
-        if vertex_clusters
-        else np.empty((0, cloud.dim))
-    )
+    centroids = component_centroids(cloud.coords[v_cc.indices], v_cc.labels, v_cc.num_components)
     return AbstractGraph(vertex_clusters, edge_clusters, boundary, centroids, cloud)
 
 

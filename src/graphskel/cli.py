@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -91,12 +92,11 @@ def cmd_partition(args) -> int:
         "# config: " + json.dumps(cfg, sort_keys=True),
         "# columns: index,label,ball_connected,shell_components,inner_product",
     ]
-    for i, lab in enumerate(labels):
-        ip = repr(lab.inner_product) if lab.inner_product is not None else ""
-        lines.append(f"{i},{0 if lab.is_vertex_like else 1},{int(lab.ball_connected)},{lab.shell_component_count},{ip}")
+    for i, (vertex_like, connected, n_shell, ip) in enumerate(zip(*(column.tolist() for column in labels))):
+        lines.append(f"{i},{0 if vertex_like else 1},{int(connected)},{n_shell},{'' if math.isnan(ip) else repr(ip)}")
     write_text_atomic(args.output, "\n".join(lines) + "\n")
-    n0 = sum(lab.is_vertex_like for lab in labels)
-    print(f"partitioned {len(labels)} points: {n0} vertex-like, {len(labels) - n0} edge-like")
+    m, n0 = len(cloud), int(labels.vertex_like.sum())
+    print(f"partitioned {m} points: {n0} vertex-like, {m - n0} edge-like")
     return EXIT_OK
 
 
@@ -184,8 +184,7 @@ def cmd_pipeline(args) -> int:
     cloud = read_cloud(args.input, skip_header=args.skip_header)
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
 
-    in_regime = [r for r in ratios if r >= 12]
-    reference_ratio = in_regime[0] if in_regime else ratios[0]
+    reference_ratio = ratios[0]
     ref_config = ReconstructionConfig(R=reference_ratio * eps, eps=eps)
     ref_graph, ref_refined, _ = recover_graph(cloud, ref_config)
     reference = _ReferenceStructure(
@@ -223,7 +222,7 @@ def cmd_pipeline(args) -> int:
         "kind": "graphskel.pipeline",
         "config": _config_dict("pipeline", args, sigma=sigma, ratios=ratios),
         "reference_ratio": reference_ratio,
-        "reference_in_guarantee_regime": bool(in_regime),
+        "reference_in_guarantee_regime": reference_ratio >= 12,
         "rows": rows,
         "selected_ratio": best[0] if best else None,
         "selected_loglik": best[1] if best else None,

@@ -57,8 +57,9 @@ def log_erf_diff(a, b):
     """log(erf(a) - erf(b)) for a >= b, stable for large same-sign arguments.
 
     Mixed-sign arguments have no cancellation and use erf directly; same-sign
-    arguments route through erfcx. A difference that underflows to zero yields
-    -inf rather than NaN.
+    arguments route through erfcx, non-positive ones by way of
+    erf(a) - erf(b) = erf(-b) - erf(-a). A difference that underflows to zero
+    yields -inf rather than NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -66,21 +67,14 @@ def log_erf_diff(a, b):
     out = np.full(a.shape, -np.inf)
 
     with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
-        both_nonneg = b >= 0
-        if np.any(both_nonneg):
-            ab, bb = a[both_nonneg], b[both_nonneg]
-            inner = erfcx(bb) - erfcx(ab) * np.exp(bb * bb - ab * ab)
-            vals = np.where(inner > 0, np.log(np.maximum(inner, 1e-300)) - bb * bb, -np.inf)
-            out[both_nonneg] = vals
+        hi, lo = np.where(a <= 0, -b, a), np.where(a <= 0, -a, b)
+        same_sign = lo >= 0
+        if np.any(same_sign):
+            ah, bl = hi[same_sign], lo[same_sign]
+            inner = erfcx(bl) - erfcx(ah) * np.exp(bl * bl - ah * ah)
+            out[same_sign] = np.where(inner > 0, np.log(np.maximum(inner, 1e-300)) - bl * bl, -np.inf)
 
-        both_nonpos = a <= 0
-        if np.any(both_nonpos):
-            ap, bp = a[both_nonpos], b[both_nonpos]
-            inner = erfcx(-ap) - erfcx(-bp) * np.exp(ap * ap - bp * bp)
-            vals = np.where(inner > 0, np.log(np.maximum(inner, 1e-300)) - ap * ap, -np.inf)
-            out[both_nonpos] = vals
-
-        mixed = ~(both_nonneg | both_nonpos)
+        mixed = ~same_sign
         if np.any(mixed):
             out[mixed] = np.log(erf(a[mixed]) - erf(b[mixed]))
 

@@ -33,6 +33,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+_INT64 = range(-(1 << 63), 1 << 63)
+
 
 def read_cloud(path: str, skip_header: bool = False) -> PointCloud:
     """Parse a delimited cloud file; raises CloudParseError with line numbers."""
@@ -164,11 +166,19 @@ def _is_objects(value: Any) -> bool:
 
 
 def _is_ints(value: Any) -> bool:
-    return isinstance(value, list) and all(type(item) is int for item in value)
+    return isinstance(value, list) and all(type(item) is int and item in _INT64 for item in value)
 
 
 def _is_pair(value: Any) -> bool:
     return _is_ints(value) and len(value) == 2
+
+
+def _is_point(value: Any, dim: int) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == dim
+        and all(type(x) is float and math.isfinite(x) or type(x) is int and x in _INT64 for x in value)
+    )
 
 
 def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
@@ -182,15 +192,14 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
         raise ValueError("graph document dimension does not match the cloud")
     vertices = _field(doc, "vertices", _is_objects, "a list of objects")
     edges = _field(doc, "edges", _is_objects, "a list of objects")
-    ints = "a list of integers"
+    ints = "a list of 64-bit integers"
     vertex_clusters = [np.asarray(_field(v, "members", _is_ints, ints), dtype=int) for v in vertices]
     edge_clusters = [np.asarray(_field(e, "members", _is_ints, ints), dtype=int) for e in edges]
     boundary = [tuple(_field(e, "boundary", _is_pair, "a pair of integers")) for e in edges]
-    centroids = (
-        np.asarray([_get(v, "centroid") for v in vertices], dtype=float)
-        if vertices
-        else np.empty((0, cloud.dim))
-    )
+    point = f"a list of {cloud.dim} finite numbers"
+    centroids = np.array(
+        [_field(v, "centroid", lambda value: _is_point(value, cloud.dim), point) for v in vertices], dtype=float
+    ).reshape(len(vertices), cloud.dim)
     graph = AbstractGraph(vertex_clusters, edge_clusters, boundary, centroids, cloud)
     labels = _field(doc, "labels", lambda value: isinstance(value, dict), "an object")
     p0, p1, moved = (

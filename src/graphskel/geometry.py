@@ -27,7 +27,7 @@ __all__ = [
     "segment_segment_distance",
     "threshold_components",
     "contact_components",
-    "component_centroid",
+    "component_centroids",
     "ball_members",
     "pairs_within",
     "component_labels",
@@ -303,9 +303,16 @@ def _checked_subset(cloud: PointCloud, subset) -> np.ndarray:
     return subset
 
 
-def component_centroid(cloud: PointCloud, members) -> np.ndarray:
-    """Coordinate-wise mean of the member points."""
-    members = np.asarray(members, dtype=int)
-    if members.size == 0:
-        raise ValueError("cannot take the centroid of an empty member set")
-    return cloud.coords[members].mean(axis=0)
+def component_centroids(points, labels, count: int) -> np.ndarray:
+    """(count, n) means of the rows of `points` per label in 0..count-1.
+
+    Each label's members are summed in array order, one `np.bincount` per
+    coordinate. A label with no members is an error.
+    """
+    points = np.asarray(points, dtype=float)
+    labels = np.asarray(labels, dtype=np.intp)
+    sizes = np.bincount(labels, minlength=count)
+    if sizes.size != count or not np.all(sizes):
+        raise ValueError(f"cannot take centroids: each of the {count} labels needs a member, and no other may occur")
+    sums = [np.bincount(labels, weights=points[:, d], minlength=count) for d in range(points.shape[1])]
+    return np.stack(sums, axis=1) / sizes[:, None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .geometry import (
     PointCloud,
     angle_cosine,
     ball_members,
-    component_centroid,
+    component_centroids,
     component_labels,
     distance,
     point_segment_distance,
@@ -31,23 +31,17 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ReconstructionConfig",
-    "LocalLabel",
+    "LocalLabels",
     "Partition",
-    "VERTEX_LIKE",
-    "EDGE_LIKE",
     "psi",
     "phi",
     "inner_product_threshold",
     "classify_all",
     "partition",
-    "partition_from_labels",
     "AssumptionReport",
     "ConditionCheck",
     "check_assumptions",
 ]
-
-VERTEX_LIKE = "vertex"
-EDGE_LIKE = "edge"
 
 _ASIN_CLAMP = 1e-12  # tolerate only rounding-level excursions outside [-1, 1]
 
@@ -110,18 +104,13 @@ class ReconstructionConfig:
         return inner_product_threshold(self)
 
 
-@dataclass(frozen=True)
-class LocalLabel:
-    """Classification of one sample plus the evidence that produced it."""
+class LocalLabels(NamedTuple):
+    """Classification of every sample plus the evidence that produced it, one (m,) column each."""
 
-    tag: str  # VERTEX_LIKE or EDGE_LIKE
-    ball_connected: bool
-    shell_component_count: int
-    inner_product: float | None = None
-
-    @property
-    def is_vertex_like(self) -> bool:
-        return self.tag == VERTEX_LIKE
+    vertex_like: np.ndarray  # bool
+    ball_connected: np.ndarray  # bool
+    shell_components: np.ndarray  # int
+    inner_product: np.ndarray  # float; NaN where no inner product is taken
 
 
 @dataclass(frozen=True)
@@ -185,24 +174,27 @@ def inner_product_threshold(config: ReconstructionConfig) -> float:
     return -R * R + 2 * R * eps + 7 * eps * eps
 
 
-def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> list[LocalLabel]:
+def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> LocalLabels:
     """Classify every sample by its (R, eps)-local structure.
 
     Each label is what the definition gives from one exact ball and one exact
     shell scan about the sample, each split by `threshold_components`. The
     sample itself takes part in the ball graph but not in the shell (its
     self-distance 0 is <= R - eps). An empty shell counts as 0 components,
-    which classifies vertex-like and covers degree-0 vertices.
+    which classifies vertex-like and covers degree-0 vertices. The inner
+    product of the two shell centroids (about the sample) is taken only for
+    a connected ball with exactly two shell components.
 
     The cloud's own k-d tree serves all centres. The ball graphs of a chunk
     of centres form one graph whose nodes are (centre, ball member) pairs and
     whose edges are the cloud's contact pairs inside the same ball; the shell
-    graph is that graph restricted to members farther than R - eps.
-    Components of both come from one connected-components pass per chunk.
+    graph is that graph restricted to members farther than R - eps. Each
+    chunk takes two connected-components passes, one over each graph.
     """
     m = len(cloud)
+    labels = LocalLabels(np.zeros(m, bool), np.zeros(m, bool), np.zeros(m, np.intp), np.full(m, np.nan))
     if m == 0:
-        return []
+        return labels
     coords = cloud.coords
     tree = cloud.tree
     ci, cj, _ = cloud.contact_pairs(config.contact_scale)
@@ -212,19 +204,19 @@ def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> list[LocalL
 
     counts = tree.query_ball_point(coords, config.ball_radius, return_length=True)
     ends = np.cumsum(counts)
-    labels: list[LocalLabel] = []
     start = 0
     while start < m:
         base = ends[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + _NODE_BUDGET, side="right")))
-        labels.extend(_classify_chunk(cloud, tree, np.arange(start, stop), contact_ptr, cj, config))
+        chunk = _classify_chunk(coords, tree, np.arange(start, stop), contact_ptr, cj, config)
+        for column, values in zip(labels, chunk):
+            column[start:stop] = values
         start = stop
     return labels
 
 
-def _classify_chunk(cloud, tree, centres, contact_ptr, contact_nbr, config) -> list[LocalLabel]:
-    coords = cloud.coords
-    m, k = len(cloud), centres.size
+def _classify_chunk(coords, tree, centres, contact_ptr, contact_nbr, config) -> LocalLabels:
+    m, k = len(coords), centres.size
     owner, member, d = ball_members(tree, coords, centres, config.ball_radius)
     n_nodes = member.size
     # node keys are strictly increasing: ball members come sorted per centre
@@ -242,7 +234,7 @@ def _classify_chunk(cloud, tree, centres, contact_ptr, contact_nbr, config) -> l
     src, dst = src[hit], dst[hit]
 
     ball_lab, n_ball = component_labels(n_nodes, src, dst)
-    ball_count = _per_owner_count(ball_lab, n_ball, owner, k)
+    connected = _per_owner_count(ball_lab, n_ball, owner, k) <= 1
 
     in_shell = d > config.shell_inner
     shell_id = np.cumsum(in_shell) - 1
@@ -250,27 +242,21 @@ def _classify_chunk(cloud, tree, centres, contact_ptr, contact_nbr, config) -> l
     shell_lab, n_shell = component_labels(int(in_shell.sum()), shell_id[src[both]], shell_id[dst[both]])
     shell_owner, shell_member = owner[in_shell], member[in_shell]
     shell_count = _per_owner_count(shell_lab, n_shell, shell_owner, k)
-    shell_bounds = np.searchsorted(shell_owner, np.arange(k + 1))
 
-    out = []
-    for c in range(k):
-        n_sh = int(shell_count[c])
-        if ball_count[c] > 1:
-            out.append(LocalLabel(EDGE_LIKE, False, n_sh))
-            continue
-        if n_sh != 2:
-            out.append(LocalLabel(VERTEX_LIKE, True, n_sh))
-            continue
-        # components ordered by smallest member index, as threshold_components does
-        lo, hi = shell_bounds[c], shell_bounds[c + 1]
-        lab = shell_lab[lo:hi]
-        first = lab == lab[0]
-        p = cloud[centres[c]]
-        q1 = component_centroid(cloud, shell_member[lo:hi][first])
-        q2 = component_centroid(cloud, shell_member[lo:hi][~first])
-        ip = float(np.dot(q1 - p, q2 - p))
-        out.append(LocalLabel(VERTEX_LIKE if ip > config.ip_threshold else EDGE_LIKE, True, 2, ip))
-    return out
+    # Shell nodes are sorted by (centre, member) and components are ranked by
+    # smallest node, so each candidate centre owns two consecutive labels, the
+    # first one holding its first shell node, and labels grow with the centre.
+    cand = connected & (shell_count == 2)
+    sel = cand[shell_owner]
+    _, comp = np.unique(shell_lab[sel], return_inverse=True)
+    n_cand = int(cand.sum())
+    centroids = component_centroids(coords[shell_member[sel]], comp, 2 * n_cand).reshape(n_cand, 2, coords.shape[1])
+    p = coords[centres[cand]]
+    a, b = centroids[:, 0] - p, centroids[:, 1] - p
+    ip = np.full(k, np.nan)
+    ip[cand] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    vertex_like = connected & ((shell_count != 2) | (ip > config.ip_threshold))
+    return LocalLabels(vertex_like, connected, shell_count, ip)
 
 
 def _per_owner_count(labels: np.ndarray, n_labels: int, owner: np.ndarray, k: int) -> np.ndarray:
@@ -280,14 +266,10 @@ def _per_owner_count(labels: np.ndarray, n_labels: int, owner: np.ndarray, k: in
     return np.bincount(comp_owner, minlength=k)
 
 
-def partition_from_labels(labels: list[LocalLabel]) -> Partition:
-    tags = np.array([lab.is_vertex_like for lab in labels], dtype=bool)
-    return Partition(p0=np.flatnonzero(tags), p1=np.flatnonzero(~tags))
-
-
 def partition(cloud: PointCloud, config: ReconstructionConfig) -> Partition:
     """Split the cloud into P0 (vertex-like) and P1 (edge-like)."""
-    return partition_from_labels(classify_all(cloud, config))
+    vertex_like = classify_all(cloud, config).vertex_like
+    return Partition(p0=np.flatnonzero(vertex_like), p1=np.flatnonzero(~vertex_like))
 
 
 @dataclass(frozen=True)
@@ -305,9 +287,6 @@ class AssumptionReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.conditions)
-
-    def failed(self) -> list[ConditionCheck]:
-        return [c for c in self.conditions if not c.passed]
 
 
 def _vertex_angles(graph: "EmbeddedGraphSpec") -> list[tuple[int, int, int, float]]:

@@ -110,9 +110,6 @@ class EmbeddedGraphSpec:
         used = {v for e in self.edges for v in e}
         return [v for v in range(self.n_vertices) if v not in used]
 
-    def total_edge_length(self) -> float:
-        return sum(distance(self.vertices[a], self.vertices[b]) for (a, b) in self.edges)
-
 
 @dataclass(frozen=True)
 class SampleSpec:

@@ -4,6 +4,7 @@ must agree with.
 * `ball_query` and `shell_query` are linear scans over the whole cloud.
 * `classify_point` transcribes the local-structure definition for one sample:
   one ball scan, one shell scan, one `threshold_components` call each.
+  `label_rows` turns `classify_all`'s columns into the same per-sample rows.
 * `edge_density_quadrature` integrates the segment-convolved Gaussian
   numerically, independently of the closed form.
 * `edge_log_density_grad` reads one segment's per-point gradients off the
@@ -25,8 +26,8 @@ from scipy.integrate import quad
 
 from graphskel.densities import EdgeCoefficients, edge_log_density_grad_batch, vertex_log_density
 from graphskel.em import EmState, StrataModel, _check_vertices, _clip_limit, _gradient, _objective
-from graphskel.geometry import PointCloud, component_centroid, threshold_components
-from graphskel.local_structure import EDGE_LIKE, VERTEX_LIKE, LocalLabel, ReconstructionConfig
+from graphskel.geometry import PointCloud, component_centroids, threshold_components
+from graphskel.local_structure import LocalLabels, ReconstructionConfig
 
 
 # -- geometry ---------------------------------------------------------------
@@ -54,7 +55,24 @@ def shell_query(cloud: PointCloud, center, r_in: float, r_out: float) -> np.ndar
 
 
 # -- local structure --------------------------------------------------------
-def classify_point(cloud: PointCloud, p_index: int, config: ReconstructionConfig) -> LocalLabel:
+class Label(NamedTuple):
+    """One sample's classification; `inner_product` is None where none is taken."""
+
+    vertex_like: bool
+    ball_connected: bool
+    shell_components: int
+    inner_product: float | None = None
+
+
+def label_rows(labels: LocalLabels) -> list[Label]:
+    """`classify_all`'s columns as one `Label` per sample, NaN read as no inner product."""
+    return [
+        Label(vertex_like, connected, n_shell, None if math.isnan(ip) else ip)
+        for vertex_like, connected, n_shell, ip in zip(*(column.tolist() for column in labels))
+    ]
+
+
+def classify_point(cloud: PointCloud, p_index: int, config: ReconstructionConfig) -> Label:
     """Classify one sample by its (R, eps)-local structure.
 
     A direct transcription of the definition, one ball and one shell query
@@ -73,15 +91,13 @@ def classify_point(cloud: PointCloud, p_index: int, config: ReconstructionConfig
     n_shell = shell_cc.num_components
 
     if not ball_connected:
-        return LocalLabel(EDGE_LIKE, False, n_shell)
+        return Label(False, False, n_shell)
     if n_shell != 2:
-        return LocalLabel(VERTEX_LIKE, True, n_shell)
+        return Label(True, True, n_shell)
 
-    q1 = component_centroid(cloud, shell_cc.members(0))
-    q2 = component_centroid(cloud, shell_cc.members(1))
+    q1, q2 = component_centroids(cloud.coords[shell_cc.indices], shell_cc.labels, 2)
     ip = float(np.dot(q1 - p, q2 - p))
-    tag = VERTEX_LIKE if ip > config.ip_threshold else EDGE_LIKE
-    return LocalLabel(tag, True, 2, ip)
+    return Label(ip > config.ip_threshold, True, 2, ip)
 
 
 # -- densities --------------------------------------------------------------

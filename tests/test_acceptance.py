@@ -148,10 +148,10 @@ def test_criterion_04_classification_guarantees():
             must_edge = bool(np.all(dists > far_zone))
             if must_vertex:
                 checked += 1
-                mis += int(not labels[idx].is_vertex_like)
+                mis += int(not labels.vertex_like[idx])
             elif must_edge:
                 checked += 1
-                mis += int(labels[idx].is_vertex_like)
+                mis += int(labels.vertex_like[idx])
     ok = mis == 0 and checked > 1000
     _report(4, ok, f"{mis} misclassifications in {checked} guaranteed-zone points over 20 graphs")
 

@@ -276,10 +276,16 @@ class TestFit:
             (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": None}}, "p0_tilde"),
             (lambda doc: {**doc, "config": [1]}, "config"),
             (lambda doc: {**doc, "config": {**doc["config"], "eps": [1]}}, "config.eps"),
+            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "members": [0, 10**30]}, *doc["vertices"][1:]]}, "members"),
+            (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": [10**30]}}, "p0_tilde"),
+            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "centroid": None}, *doc["vertices"][1:]]}, "centroid"),
+            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "centroid": [0.0]}, *doc["vertices"][1:]]}, "centroid"),
+            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "centroid": [None] * doc["dim"]}, *doc["vertices"][1:]]}, "centroid"),
         ],
         ids=[
             "no-labels", "one-element-boundary", "top-level-list", "n_points-null", "vertices-not-list", "dim-null",
             "members-null", "boundary-null-id", "p0_tilde-null", "config-not-object", "eps-not-number",
+            "members-huge", "p0_tilde-huge", "centroid-null", "centroid-short", "centroid-null-coordinate",
         ],
     )
     def test_malformed_graph_document_is_usage_error(

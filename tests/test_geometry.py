@@ -7,7 +7,7 @@ import pytest
 
 from graphskel.geometry import (
     PointCloud,
-    component_centroid,
+    component_centroids,
     distance,
     point_segment_distance,
     segment_segment_distance,
@@ -238,27 +238,33 @@ class TestThresholdComponents:
 
 class TestCentroid:
     def test_singleton(self):
-        cloud = PointCloud([[3.0, 4.0]])
-        assert component_centroid(cloud, [0]).tolist() == [3.0, 4.0]
+        assert component_centroids([[3.0, 4.0]], [0], 1).tolist() == [[3.0, 4.0]]
 
     def test_midpoint(self):
-        cloud = PointCloud([[0.0, 0.0], [2.0, 0.0]])
-        assert component_centroid(cloud, [0, 1]).tolist() == [1.0, 0.0]
+        assert component_centroids([[0.0, 0.0], [2.0, 0.0]], [0, 0], 1).tolist() == [[1.0, 0.0]]
 
     def test_empty_errors(self):
-        cloud = PointCloud([[0.0, 0.0]])
         with pytest.raises(ValueError):
-            component_centroid(cloud, [])
+            component_centroids(np.empty((0, 2)), [], 1)
+
+    def test_one_mean_per_label(self):
+        pts = [[0.0, 0.0], [10.0, 0.0], [2.0, 0.0], [10.0, 2.0]]
+        assert component_centroids(pts, [0, 1, 0, 1], 2).tolist() == [[1.0, 0.0], [10.0, 1.0]]
+        assert component_centroids(np.empty((0, 3)), [], 0).shape == (0, 3)
+        with pytest.raises(ValueError):
+            component_centroids(pts, [0, 0, 2, 2], 3)  # label 1 has no member
+        with pytest.raises(ValueError):
+            component_centroids(pts, [0, 0, 1, 2], 2)  # label 2 is out of range
 
     def test_matches_extended_precision(self):
         import mpmath as mp
 
         mp.mp.dps = 40
         rng = np.random.default_rng(11)
-        cloud = PointCloud(rng.normal(size=(50, 4)))
-        got = component_centroid(cloud, np.arange(50))
+        pts = rng.normal(size=(50, 4))
+        (got,) = component_centroids(pts, np.zeros(50, dtype=int), 1)
         for d in range(4):
-            want = float(mp.fsum(mp.mpf(x) for x in cloud.coords[:, d]) / 50)
+            want = float(mp.fsum(mp.mpf(x) for x in pts[:, d]) / 50)
             assert got[d] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_centroid_in_convex_hull_2d(self):
@@ -267,8 +273,7 @@ class TestCentroid:
         rng = np.random.default_rng(12)
         for _ in range(10):
             pts = rng.normal(size=(25, 2))
-            cloud = PointCloud(pts)
-            c = component_centroid(cloud, np.arange(25))
+            (c,) = component_centroids(pts, np.zeros(25, dtype=int), 1)
             hull = Delaunay(pts[ConvexHull(pts).vertices])
             assert hull.find_simplex(c) >= 0
 

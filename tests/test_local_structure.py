@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 import graphskel as gs
 from graphskel.geometry import PointCloud
 from graphskel.local_structure import (
-    EDGE_LIKE,
-    VERTEX_LIKE,
     ReconstructionConfig,
     check_assumptions,
     classify_all,
@@ -23,7 +21,7 @@ from graphskel.local_structure import (
     phi,
     psi,
 )
-from oracles import classify_point
+from oracles import classify_point, label_rows
 
 mp.mp.dps = 40
 
@@ -136,9 +134,9 @@ class TestClassifyPoint:
         cloud = line_cloud(eps, half_extent=4.0)
         center = int(np.argmin(np.linalg.norm(cloud.coords, axis=1)))
         label = classify_point(cloud, center, cfg)
-        assert label.tag == EDGE_LIKE
+        assert not label.vertex_like
         assert label.ball_connected
-        assert label.shell_component_count == 2
+        assert label.shell_components == 2
         # two shell centroids sit on opposite sides: inner product near -R^2
         assert label.inner_product == pytest.approx(-cfg.R**2, rel=0.1)
         assert label.inner_product <= inner_product_threshold(cfg)
@@ -153,16 +151,16 @@ class TestClassifyPoint:
             rows.append(steps[:, None] * d[None, :])
         cloud = PointCloud(np.vstack(rows))
         label = classify_point(cloud, 0, cfg)
-        assert label.tag == VERTEX_LIKE
-        assert label.shell_component_count == 3
+        assert label.vertex_like
+        assert label.shell_components == 3
 
     def test_isolated_point(self):
         cfg = ReconstructionConfig(R=1.2, eps=0.1)
         cloud = PointCloud([[0.0, 0.0], [100.0, 100.0]])
         label = classify_point(cloud, 0, cfg)
-        assert label.tag == VERTEX_LIKE
+        assert label.vertex_like
         assert label.ball_connected
-        assert label.shell_component_count == 0
+        assert label.shell_components == 0
 
     def test_locality(self):
         # adding a point beyond R + eps of p never changes p's label
@@ -234,7 +232,7 @@ class TestClassifyAll:
     @given(cloud=clouds(), ratio=st.sampled_from([3.0, 8.0, 12.0]))
     def test_matches_classify_point(self, cloud, ratio):
         cfg = ReconstructionConfig(R=ratio * 0.1, eps=0.1)
-        assert classify_all(cloud, cfg) == [classify_point(cloud, i, cfg) for i in range(len(cloud))]
+        assert label_rows(classify_all(cloud, cfg)) == [classify_point(cloud, i, cfg) for i in range(len(cloud))]
 
 
 class TestCheckAssumptions:

@@ -28,15 +28,8 @@ from graphskel.abstract_graph import RefinedPartition, build_graph, cluster_p0, 
 from graphskel.cli import main
 from graphskel.fileio import write_cloud
 from graphskel.geometry import PointCloud, threshold_components
-from graphskel.local_structure import (
-    EDGE_LIKE,
-    VERTEX_LIKE,
-    LocalLabel,
-    Partition,
-    ReconstructionConfig,
-    classify_all,
-)
-from oracles import ball_query, classify_point, shell_query
+from graphskel.local_structure import Partition, ReconstructionConfig, classify_all
+from oracles import Label, ball_query, classify_point, label_rows, shell_query
 
 EPS = 0.1
 CFG = ReconstructionConfig(R=12 * EPS, eps=EPS)
@@ -58,7 +51,7 @@ def scan_components(cloud: PointCloud, subset, r: float) -> list[np.ndarray]:
     return sorted(groups, key=lambda g: g[0])
 
 
-def scan_label(cloud: PointCloud, p_index: int, config: ReconstructionConfig) -> LocalLabel:
+def scan_label(cloud: PointCloud, p_index: int, config: ReconstructionConfig) -> Label:
     """`classify_point` with the component step done by `scan_components`."""
     p = cloud[p_index]
     ball = scan_components(cloud, ball_query(cloud, p, config.ball_radius), config.contact_scale)
@@ -66,12 +59,12 @@ def scan_label(cloud: PointCloud, p_index: int, config: ReconstructionConfig) ->
         cloud, shell_query(cloud, p, config.shell_inner, config.shell_outer), config.contact_scale
     )
     if len(ball) > 1:
-        return LocalLabel(EDGE_LIKE, False, len(shell))
+        return Label(False, False, len(shell))
     if len(shell) != 2:
-        return LocalLabel(VERTEX_LIKE, True, len(shell))
+        return Label(True, True, len(shell))
     q1, q2 = (cloud.coords[g].mean(axis=0) for g in shell)
     ip = float(np.dot(q1 - p, q2 - p))
-    return LocalLabel(VERTEX_LIKE if ip > config.ip_threshold else EDGE_LIKE, True, 2, ip)
+    return Label(ip > config.ip_threshold, True, 2, ip)
 
 
 def scan_linkage(cloud: PointCloud, a, b) -> float:
@@ -120,8 +113,8 @@ class TestRoundingTies:
     def test_rounding_ties_match_scans(self):
         cloud = rounding_tie_cloud()
         got = classify_all(cloud, CFG)
-        assert got == [scan_label(cloud, i, CFG) for i in range(len(cloud))]
-        assert got[0].shell_component_count == 1  # the R+eps point, not the R-eps one
+        assert label_rows(got) == [scan_label(cloud, i, CFG) for i in range(len(cloud))]
+        assert got.shell_components[0] == 1  # the R+eps point, not the R-eps one
         assert threshold_components(cloud, [0, 3], CFG.contact_scale).num_components == 1
         i, j, d = cloud.contact_pairs(CFG.contact_scale)
         assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [3], [CFG.contact_scale])
@@ -141,7 +134,7 @@ class TestAxisTies:
 
     def test_classify_all_matches_scans(self):
         cloud = axis_tie_cloud()
-        got = classify_all(cloud, CFG)
+        got = label_rows(classify_all(cloud, CFG))
         assert got == [classify_point(cloud, i, CFG) for i in range(len(cloud))]
         assert got == [scan_label(cloud, i, CFG) for i in range(len(cloud))]
 
