@@ -47,21 +47,31 @@ class RefinedPartition:
 
 @dataclass(frozen=True)
 class AbstractGraph:
-    """The recovered combinatorial structure plus its supporting clusters."""
+    """The recovered combinatorial structure: one stratum id per point.
 
-    vertex_clusters: list[np.ndarray]
-    edge_clusters: list[np.ndarray]
-    boundary: list[tuple[int, int]]  # per edge cluster, sorted vertex-cluster ids
-    vertex_centroids: np.ndarray  # (n_vertices, dim)
-    cloud: PointCloud  # the sample the clusters index into
+    Strata are numbered as the EM numbers them: vertex clusters 0..n0-1, then
+    edge clusters n0..n0+n1-1.
+    """
+
+    stratum: np.ndarray  # (m,) stratum id of every point of `cloud`
+    boundary: np.ndarray  # (n1, 2) vertex-cluster ids per edge cluster, sorted by build_graph
+    vertex_centroids: np.ndarray  # (n0, dim)
+    cloud: PointCloud  # the sample the stratum column labels
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertex_clusters)
+        return len(self.vertex_centroids)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_clusters)
+        return len(self.boundary)
+
+    def members(self) -> list[np.ndarray]:
+        """The sorted point ids of each stratum, vertex clusters first; points
+        of stratum -1 (in no cluster) sort first and are left out."""
+        order = np.argsort(self.stratum, kind="stable")
+        sizes = np.bincount(self.stratum + 1, minlength=self.n_vertices + self.n_edges + 1)
+        return np.split(order, np.cumsum(sizes))[1:-1]
 
 
 def cluster_p0(cloud: PointCloud, part: Partition, config: ReconstructionConfig) -> ComponentLabeling:
@@ -76,9 +86,9 @@ def cluster_p1(cloud: PointCloud, part: Partition, config: ReconstructionConfig)
 
 def _touching(
     cloud: PointCloud, edges: ComponentLabeling, vertices: ComponentLabeling, r: float, strict: bool
-) -> list[list[int]]:
-    """Per edge cluster, the sorted ids of vertex clusters within single-linkage
-    distance r of it (distance < r when `strict`, else <= r)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (edge cluster id, vertex cluster id) pairs within
+    single-linkage distance r (distance < r when `strict`, else <= r), sorted."""
     i, j, d = cloud.contact_pairs(r)
     if strict:
         keep = d < r
@@ -90,11 +100,7 @@ def _touching(
     v = np.concatenate([ids[1, j], ids[1, i]])
     hit = (e >= 0) & (v >= 0)
     nv = max(vertices.num_components, 1)
-    links = np.unique(e[hit] * nv + v[hit])
-    out: list[list[int]] = [[] for _ in range(edges.num_components)]
-    for eid, vid in zip(*np.divmod(links, nv)):
-        out[eid].append(int(vid))
-    return out
+    return np.divmod(np.unique(e[hit] * nv + v[hit]), nv)
 
 
 def refine(
@@ -108,27 +114,19 @@ def refine(
     Adjacency is strict single-linkage distance < 3*eps. A cluster adjacent to
     no vertex cluster cannot occur at a valid scale and raises StructureError.
     """
-    touching = _touching(cloud, q1, q0, config.contact_scale, strict=True)
-    moved: list[np.ndarray] = []
-    kept: list[np.ndarray] = []
-    for cid, members in enumerate(q1.sets()):
-        adjacent = len(touching[cid])
-        if adjacent == 0:
-            raise StructureError(
-                f"orphan edge cluster (id {cid}, {members.size} points): no vertex cluster "
-                f"within {config.contact_scale:.6g}; the scale pair (R, eps) is likely invalid"
-            )
-        if adjacent == 1:
-            moved.append(members)
-        else:
-            kept.append(members)
-
-    moved_idx = np.sort(np.concatenate(moved)) if moved else np.empty(0, dtype=int)
-    p0_tilde = np.sort(np.concatenate([q0.indices, moved_idx]))
-    p1_tilde = (
-        np.sort(np.concatenate(kept)) if kept else np.empty(0, dtype=int)
-    )
-    return RefinedPartition(p0_tilde=p0_tilde, p1_tilde=p1_tilde, moved=moved_idx)
+    edge, _ = _touching(cloud, q1, q0, config.contact_scale, strict=True)
+    adjacent = np.bincount(edge, minlength=q1.num_components)
+    orphans = np.flatnonzero(adjacent == 0)
+    if orphans.size:
+        cid = orphans[0]
+        raise StructureError(
+            f"orphan edge cluster (id {cid}, {np.count_nonzero(q1.labels == cid)} points): no vertex cluster "
+            f"within {config.contact_scale:.6g}; the scale pair (R, eps) is likely invalid"
+        )
+    moving = (adjacent == 1)[q1.labels]
+    moved = q1.indices[moving]
+    p0_tilde = np.sort(np.concatenate([q0.indices, moved]))
+    return RefinedPartition(p0_tilde=p0_tilde, p1_tilde=q1.indices[~moving], moved=moved)
 
 
 def build_graph(cloud: PointCloud, refined: RefinedPartition, config: ReconstructionConfig) -> AbstractGraph:
@@ -136,33 +134,31 @@ def build_graph(cloud: PointCloud, refined: RefinedPartition, config: Reconstruc
 
     Every edge cluster must sit within 3*eps (single linkage) of exactly two
     vertex clusters; anything else is a structural error naming the cluster.
+    A point in neither side of `refined` gets stratum -1.
     """
     v_cc = threshold_components(cloud, refined.p0_tilde, config.vertex_cluster_scale)
     e_cc = contact_components(cloud, refined.p1_tilde, config.contact_scale)
-    vertex_clusters = v_cc.sets()
-    edge_clusters = e_cc.sets()
+    edge, vertex = _touching(cloud, e_cc, v_cc, config.contact_scale, strict=False)
+    touching = np.bincount(edge, minlength=e_cc.num_components)
+    bad = np.flatnonzero(touching != 2)
+    if bad.size:
+        eid = bad[0]
+        raise StructureError(
+            f"edge cluster {eid} ({np.count_nonzero(e_cc.labels == eid)} points) touches {touching[eid]} vertex "
+            f"clusters (expected 2); the scale pair (R, eps) is likely invalid"
+        )
 
-    boundary: list[tuple[int, int]] = []
-    for eid, (emembers, touching) in enumerate(
-        zip(edge_clusters, _touching(cloud, e_cc, v_cc, config.contact_scale, strict=False))
-    ):
-        if len(touching) != 2:
-            raise StructureError(
-                f"edge cluster {eid} ({emembers.size} points) touches {len(touching)} vertex "
-                f"clusters (expected 2); the scale pair (R, eps) is likely invalid"
-            )
-        boundary.append((touching[0], touching[1]))
-
+    stratum = np.full(len(cloud), -1, dtype=np.intp)
+    stratum[v_cc.indices] = v_cc.labels
+    stratum[e_cc.indices] = v_cc.num_components + e_cc.labels
     centroids = component_centroids(cloud.coords[v_cc.indices], v_cc.labels, v_cc.num_components)
-    return AbstractGraph(vertex_clusters, edge_clusters, boundary, centroids, cloud)
+    return AbstractGraph(stratum, vertex.reshape(-1, 2), centroids, cloud)
 
 
 def boundary_matrix(graph: AbstractGraph) -> np.ndarray:
     """0/1 incidence matrix B with B[i, j] = 1 iff vertex i bounds edge j."""
     b = np.zeros((graph.n_vertices, graph.n_edges), dtype=int)
-    for j, (a, c) in enumerate(graph.boundary):
-        b[a, j] = 1
-        b[c, j] = 1
+    b[graph.boundary, np.arange(graph.n_edges)[:, None]] = 1
     return b
 
 
@@ -183,16 +179,12 @@ def match_to_ground_truth(graph: AbstractGraph, truth: "EmbeddedGraphSpec") -> M
     A non-injective matching is reported as a structure mismatch, not raised.
     """
     tv = truth.vertices
-    vertex_map = []
-    vertex_errors = []
-    for c in graph.vertex_centroids:
-        d = np.sqrt(np.sum((tv - c) ** 2, axis=1))
-        vertex_map.append(int(np.argmin(d)))
-        vertex_errors.append(float(d.min()))
+    d = np.sqrt(np.sum((tv[None, :, :] - graph.vertex_centroids[:, None, :]) ** 2, axis=2))
+    vertex_map, vertex_errors = d.argmin(axis=1).tolist(), d.min(axis=1).tolist()
 
     midpoints = np.array([0.5 * (tv[a] + tv[b]) for (a, b) in truth.edges])
     edge_map = []
-    for emembers in graph.edge_clusters:
+    for emembers in graph.members()[graph.n_vertices :]:
         if midpoints.size == 0:
             edge_map.append(-1)
             continue

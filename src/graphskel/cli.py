@@ -113,8 +113,8 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _fit(cloud, graph, refined, sigma: float, em_config: EmConfig):
-    model, state = initialize(graph, refined, cloud, sigma)
+def _fit(cloud, graph, sigma: float, em_config: EmConfig):
+    model, state = initialize(graph, cloud, sigma)
     report = em_fit(model, state, cloud, em_config)
     return model, report
 
@@ -132,7 +132,7 @@ def _wireframe_csv(graph_boundary, v: np.ndarray) -> str:
 def cmd_fit(args) -> int:
     cloud = read_cloud(args.input, skip_header=args.skip_header)
     doc = read_json(args.graph)
-    graph, refined = graph_from_dict(doc, cloud)
+    graph, _ = graph_from_dict(doc, cloud)
     graph_cfg = doc.get("config", {})
     if not isinstance(graph_cfg, dict):
         raise ValueError("malformed document: field config is not an object")
@@ -145,7 +145,7 @@ def cmd_fit(args) -> int:
             raise ValueError("malformed document: field config.eps is not a number")
         sigma = float(eps) / 2
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
-    model, report = _fit(cloud, graph, refined, sigma, em_config)
+    model, report = _fit(cloud, graph, sigma, em_config)
 
     cfg = _config_dict("fit", args, sigma=sigma)
     out = {
@@ -186,9 +186,9 @@ def cmd_pipeline(args) -> int:
 
     reference_ratio = ratios[0]
     ref_config = ReconstructionConfig(R=reference_ratio * eps, eps=eps)
-    ref_graph, ref_refined, _ = recover_graph(cloud, ref_config)
+    ref_graph, _, _ = recover_graph(cloud, ref_config)
     reference = _ReferenceStructure(
-        vertices=np.array(ref_graph.vertex_centroids), edges=tuple(ref_graph.boundary)
+        vertices=np.array(ref_graph.vertex_centroids), edges=tuple(map(tuple, ref_graph.boundary.tolist()))
     )
 
     rows = []
@@ -198,17 +198,14 @@ def cmd_pipeline(args) -> int:
         row = {"ratio": ratio, "R": config.R, "structure_match": False, "loglik": None,
                "n_vertices": None, "n_edges": None, "vertices": None, "error": None}
         try:
-            if ratio == reference_ratio:
-                graph, refined = ref_graph, ref_refined
-            else:
-                graph, refined, _ = recover_graph(cloud, config)
+            graph = ref_graph if ratio == reference_ratio else recover_graph(cloud, config)[0]
             row["n_vertices"], row["n_edges"] = graph.n_vertices, graph.n_edges
             match = match_to_ground_truth(graph, reference)
             row["structure_match"] = match.is_isomorphic
             if not match.is_isomorphic:
                 row["error"] = match.reason
             else:
-                _, report = _fit(cloud, graph, refined, sigma, em_config)
+                _, report = _fit(cloud, graph, sigma, em_config)
                 row["loglik"] = float(report.loglik_trace[-1])
                 row["vertices"] = [[float(c) for c in r] for r in report.state.v]
                 if best is None or row["loglik"] > best[1]:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from .abstract_graph import AbstractGraph, RefinedPartition
+from .abstract_graph import AbstractGraph
 from .densities import (
     EdgeCoefficients,
     edge_log_density_grad_batch,
@@ -413,41 +413,26 @@ def m_step(
     return evaluation
 
 
-def initialize(
-    graph: AbstractGraph,
-    refined: RefinedPartition,
-    data: PointCloud,
-    sigma: float,
-) -> tuple[StrataModel, EmState]:
-    """Strata and state from the recovered structure: centroids for V, hard
-    one-hot cluster assignments for A, counting weights for Pi."""
+def initialize(graph: AbstractGraph, data: PointCloud, sigma: float) -> tuple[StrataModel, EmState]:
+    """Strata and state from the recovered structure: centroids for V, each
+    point's stratum one-hot for A, counting weights for Pi."""
     n0, n1 = graph.n_vertices, graph.n_edges
-    if n0 == 0:
-        raise ValueError("cannot initialize: the graph has no vertex clusters")
-    clusters = list(graph.vertex_clusters) + list(graph.edge_clusters)
-    for cid, members in enumerate(clusters):
-        if np.asarray(members).size == 0:
-            raise ValueError(f"cannot initialize: cluster {cid} is empty")
-
-    covered = np.sort(np.concatenate([np.asarray(c, dtype=int) for c in clusters]))
-    if not np.array_equal(covered, np.arange(len(data))):
-        raise ValueError("clusters do not partition the cloud indices")
-    if not np.array_equal(
-        np.sort(np.concatenate([np.asarray(c, dtype=int) for c in graph.vertex_clusters])),
-        refined.p0_tilde,
-    ):
-        raise ValueError("refined partition does not match the graph's vertex clusters")
+    stratum = np.asarray(graph.stratum)
+    if stratum.shape != (len(data),) or np.any((stratum < 0) | (stratum >= n0 + n1)):
+        raise ValueError(f"cannot initialize: each of the {len(data)} points needs a stratum id in 0..{n0 + n1 - 1}")
+    empty = np.flatnonzero(np.bincount(stratum, minlength=n0 + n1) == 0)
+    if empty.size:
+        raise ValueError(f"cannot initialize: cluster {empty[0]} is empty")
 
     model = StrataModel(
         n0=n0,
         n1=n1,
-        edge_endpoints=tuple(graph.boundary),
+        edge_endpoints=tuple(map(tuple, np.asarray(graph.boundary).tolist())),
         sigma=np.full(n0 + n1, float(sigma)),
         dim=data.dim,
     )
     a = np.zeros((len(data), n0 + n1))
-    for i, members in enumerate(clusters):
-        a[np.asarray(members, dtype=int), i] = 1.0
+    a[np.arange(len(data)), stratum] = 1.0
     pi = update_mixing(a)
     v0 = np.array(graph.vertex_centroids, dtype=float)
     return model, EmState(v=v0, pi=pi, a=a)

@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .abstract_graph import AbstractGraph, RefinedPartition, boundary_matrix
+from .em import _clip_limit
 from .errors import CloudParseError
 from .geometry import PointCloud
 from .synthetic import EmbeddedGraphSpec
@@ -107,6 +108,7 @@ def _float_list(arr) -> list[float]:
 
 
 def graph_to_dict(graph: AbstractGraph, refined: RefinedPartition, config: dict[str, Any]) -> dict[str, Any]:
+    members = graph.members()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "graphskel.graph",
@@ -114,20 +116,12 @@ def graph_to_dict(graph: AbstractGraph, refined: RefinedPartition, config: dict[
         "dim": graph.cloud.dim,
         "n_points": len(graph.cloud),
         "vertices": [
-            {
-                "id": i,
-                "centroid": _float_list(graph.vertex_centroids[i]),
-                "members": _int_list(members),
-            }
-            for i, members in enumerate(graph.vertex_clusters)
+            {"id": i, "centroid": _float_list(centroid), "members": _int_list(members[i])}
+            for i, centroid in enumerate(graph.vertex_centroids)
         ],
         "edges": [
-            {
-                "id": j,
-                "boundary": sorted(graph.boundary[j]),
-                "members": _int_list(members),
-            }
-            for j, members in enumerate(graph.edge_clusters)
+            {"id": j, "boundary": _int_list(pair), "members": _int_list(members[graph.n_vertices + j])}
+            for j, pair in enumerate(graph.boundary)
         ],
         "boundary_matrix": boundary_matrix(graph).tolist(),
         "labels": {
@@ -181,7 +175,23 @@ def _is_point(value: Any, dim: int) -> bool:
     )
 
 
+def _stratum_column(clusters: list[list[int]], m: int) -> np.ndarray:
+    """Each point's stratum, from per-stratum member lists that must partition 0..m-1."""
+    point = np.asarray([i for members in clusters for i in members], dtype=np.int64)
+    outside = point[(point < 0) | (point >= m)]
+    if outside.size:
+        raise ValueError(f"malformed document: members hold point {outside[0]}, outside 0..{m - 1}")
+    count = np.bincount(point, minlength=m)
+    for fault, which in (("repeat", count > 1), ("miss", count == 0)):
+        if which.any():
+            raise ValueError(f"malformed document: members {fault} point {np.flatnonzero(which)[0]}")
+    stratum = np.empty(m, dtype=np.intp)
+    stratum[point] = np.repeat(np.arange(len(clusters)), [len(members) for members in clusters])
+    return stratum
+
+
 def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
+    """The graph a `graph_to_dict` document describes; a fault is a ValueError naming its field."""
     _check_object(doc)
     if doc.get("kind") != "graphskel.graph":
         raise ValueError(f"not a graphskel graph document (kind={doc.get('kind')!r})")
@@ -193,18 +203,36 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
     vertices = _field(doc, "vertices", _is_objects, "a list of objects")
     edges = _field(doc, "edges", _is_objects, "a list of objects")
     ints = "a list of 64-bit integers"
-    vertex_clusters = [np.asarray(_field(v, "members", _is_ints, ints), dtype=int) for v in vertices]
-    edge_clusters = [np.asarray(_field(e, "members", _is_ints, ints), dtype=int) for e in edges]
-    boundary = [tuple(_field(e, "boundary", _is_pair, "a pair of integers")) for e in edges]
+    clusters = [_field(c, "members", _is_ints, ints) for c in vertices + edges]
+    pairs = [_field(e, "boundary", _is_pair, "a pair of integers") for e in edges]
+    boundary = np.array(pairs, dtype=int).reshape(-1, 2)
     point = f"a list of {cloud.dim} finite numbers"
     centroids = np.array(
         [_field(v, "centroid", lambda value: _is_point(value, cloud.dim), point) for v in vertices], dtype=float
     ).reshape(len(vertices), cloud.dim)
-    graph = AbstractGraph(vertex_clusters, edge_clusters, boundary, centroids, cloud)
     labels = _field(doc, "labels", lambda value: isinstance(value, dict), "an object")
     p0, p1, moved = (
         np.asarray(_field(labels, key, _is_ints, ints), dtype=int) for key in ("p0_tilde", "p1_tilde", "moved")
     )
+    stratum = _stratum_column(clusters, len(cloud))
+    n0 = len(vertices)
+    if not np.array_equal(p0, np.flatnonzero(stratum < n0)):
+        raise ValueError("malformed document: labels.p0_tilde is not the set of points in vertex clusters")
+    for fault, which in (
+        (f"names a vertex outside 0..{n0 - 1}", np.any((boundary < 0) | (boundary >= n0), axis=1)),
+        ("joins a vertex to itself", boundary[:, 0] == boundary[:, 1]),
+    ):
+        if which.any():
+            j = np.flatnonzero(which)[0]
+            raise ValueError(f"malformed document: edge {j} boundary {boundary[j].tolist()} {fault}")
+    # no coordinate beyond the M-step's clip limit outside the cloud's range on
+    # its axis, compared per coordinate so that the test itself cannot overflow
+    limit = _clip_limit(cloud)
+    far = np.argwhere((centroids < cloud.coords.min(axis=0) - limit) | (centroids > cloud.coords.max(axis=0) + limit))
+    if far.size:
+        i, k = far[0]
+        raise ValueError(f"malformed document: vertex {i} centroid is over {limit:.6g} outside the cloud on axis {k}")
+    graph = AbstractGraph(stratum, boundary, centroids, cloud)
     return graph, RefinedPartition(p0_tilde=p0, p1_tilde=p1, moved=moved)
 
 

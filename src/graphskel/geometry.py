@@ -124,12 +124,6 @@ class ComponentLabeling:
     labels: np.ndarray  # component id per entry of `indices`
     num_components: int
 
-    def members(self, component_id: int) -> np.ndarray:
-        return self.indices[self.labels == component_id]
-
-    def sets(self) -> list[np.ndarray]:
-        return [self.members(c) for c in range(self.num_components)]
-
 
 def _check_same_dim(p: np.ndarray, q: np.ndarray) -> None:
     if p.shape != q.shape:

@@ -26,6 +26,8 @@ __all__ = [
     "random_compliant_graph",
 ]
 
+MARGIN = 0.05  # relative slack random_compliant_graph keeps beyond every bound
+
 
 @dataclass(frozen=True)
 class EmbeddedGraphSpec:
@@ -246,7 +248,6 @@ class GraphGenConfig:
     eps: float
     n_edges: int | None = None  # None: random in [n_vertices-1, n_vertices+1]
     max_attempts: int = 300
-    margin: float = 0.05  # relative slack kept beyond every bound
 
     @property
     def reconstruction(self) -> ReconstructionConfig:
@@ -261,7 +262,7 @@ def _edge_candidate_ok(
     phi_bound: float,
 ) -> bool:
     a, b = new_edge
-    margin = 1.0 + cfg.margin
+    margin = 1.0 + MARGIN
     # vertex clearance from the new edge
     for v in range(verts.shape[0]):
         if v in (a, b):
@@ -299,7 +300,7 @@ def random_compliant_graph(
     from .local_structure import phi  # local import: keep module load light
 
     rcfg = config.reconstruction
-    sep = (4.5 * config.R + 6 * config.eps) * (1.0 + config.margin)
+    sep = (4.5 * config.R + 6 * config.eps) * (1.0 + MARGIN)
     side = sep * (1.0 + 1.4 * n_vertices ** (1.0 / dim))
     phi_bound = phi(config.R, config.eps)
 

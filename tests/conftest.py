@@ -27,5 +27,15 @@ def ratio8_recovery(fixture_cloud, ratio8_config):
     return gs.recover_graph(fixture_cloud, ratio8_config)
 
 
+@pytest.fixture(scope="session")
+def twelve_vertex_5d_recovery():
+    """(graph, refined, cloud): a 12-vertex compliant graph in R^5 sampled at
+    spacing eps (m = 2290) and recovered at ratio 12."""
+    spec = gs.random_compliant_graph(5, 12, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
+    cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, spacing=0.1, seed=0))
+    graph, refined, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
+    return graph, refined, cloud
+
+
 def random_cloud(rng: np.random.Generator, n: int, dim: int, scale: float = 1.0) -> gs.PointCloud:
     return gs.PointCloud(rng.normal(size=(n, dim)) * scale)

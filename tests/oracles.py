@@ -2,6 +2,8 @@
 must agree with.
 
 * `ball_query` and `shell_query` are linear scans over the whole cloud.
+* `component_sets` lists a `ComponentLabeling`'s members one component at a
+  time.
 * `classify_point` transcribes the local-structure definition for one sample:
   one ball scan, one shell scan, one `threshold_components` call each.
   `label_rows` turns `classify_all`'s columns into the same per-sample rows.
@@ -26,7 +28,7 @@ from scipy.integrate import quad
 
 from graphskel.densities import EdgeCoefficients, edge_log_density_grad_batch, vertex_log_density
 from graphskel.em import EmState, StrataModel, _check_vertices, _clip_limit, _gradient, _objective
-from graphskel.geometry import PointCloud, component_centroids, threshold_components
+from graphskel.geometry import ComponentLabeling, PointCloud, component_centroids, threshold_components
 from graphskel.local_structure import LocalLabels, ReconstructionConfig
 
 
@@ -52,6 +54,11 @@ def shell_query(cloud: PointCloud, center, r_in: float, r_out: float) -> np.ndar
         raise ValueError(f"invalid shell radii: ({r_in}, {r_out}]")
     d = _query_distances(cloud, center)
     return np.flatnonzero((d > r_in) & (d <= r_out))
+
+
+def component_sets(cc: ComponentLabeling) -> list[np.ndarray]:
+    """The sorted cloud indices of each component, in id order."""
+    return [cc.indices[cc.labels == c] for c in range(cc.num_components)]
 
 
 # -- local structure --------------------------------------------------------

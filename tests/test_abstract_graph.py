@@ -15,6 +15,7 @@ from graphskel.abstract_graph import (
     recover_graph,
     refine,
 )
+from graphskel.fileio import graph_from_dict, graph_to_dict
 from graphskel.geometry import PointCloud
 
 
@@ -170,6 +171,18 @@ class TestBuildGraph:
         assert sorted(b.sum(axis=1).tolist()) == [1, 1, 2]
 
 
+    def test_point_in_no_cluster(self, fixture_cloud, ratio8_config, ratio8_recovery):
+        graph, refined, _ = ratio8_recovery
+        left_out = refined.p1_tilde[-1]
+        partial = gs.RefinedPartition(refined.p0_tilde, refined.p1_tilde[:-1], refined.moved)
+        g = build_graph(fixture_cloud, partial, ratio8_config)
+        assert g.stratum[left_out] == -1
+        want = [m[m != left_out].tolist() for m in graph.members()]
+        assert [m.tolist() for m in g.members()] == want
+        with pytest.raises(ValueError, match="stratum id"):
+            gs.initialize(g, fixture_cloud, sigma=0.05)
+
+
 class TestMatchToGroundTruth:
     def test_self_match(self, ratio8_recovery):
         graph, _, _ = ratio8_recovery
@@ -213,9 +226,8 @@ class TestPipelineDeterminism:
     def test_identical_inputs_identical_graphs(self, fixture_cloud, ratio8_config):
         g1, r1, _ = recover_graph(fixture_cloud, ratio8_config)
         g2, r2, _ = recover_graph(fixture_cloud, ratio8_config)
-        assert [m.tolist() for m in g1.vertex_clusters] == [m.tolist() for m in g2.vertex_clusters]
-        assert [m.tolist() for m in g1.edge_clusters] == [m.tolist() for m in g2.edge_clusters]
-        assert g1.boundary == g2.boundary
+        assert np.array_equal(g1.stratum, g2.stratum)
+        assert np.array_equal(g1.boundary, g2.boundary)
         assert np.array_equal(g1.vertex_centroids, g2.vertex_centroids)
 
 
@@ -240,13 +252,14 @@ class TestTheoremRoundTrip:
                 )
                 b = boundary_matrix(graph)
                 assert np.all(b.sum(axis=0) == 2)
+                strata = graph.members()
                 # every vertex cluster lies within (3R + eps)/2 of its vertex
-                for cid, members in enumerate(graph.vertex_clusters):
+                for cid, members in enumerate(strata[: graph.n_vertices]):
                     tv = spec.vertices[match.vertex_map[cid]]
                     d = np.linalg.norm(cloud.coords[members] - tv, axis=1)
                     assert d.max() <= far_zone + 1e-9
                 # every edge cluster holds a point within eps of its midpoint
-                for eid, members in enumerate(graph.edge_clusters):
+                for eid, members in enumerate(strata[graph.n_vertices :]):
                     a, b_ = spec.edges[match.edge_map[eid]]
                     mid = 0.5 * (spec.vertices[a] + spec.vertices[b_])
                     d = np.linalg.norm(cloud.coords[members] - mid, axis=1)
@@ -268,10 +281,11 @@ class TestRecoverGraphInvariance:
         def structure(g, index):
             """Vertex clusters as point sets, and each edge cluster's point set
             mapped to the point sets of its two boundary vertex clusters."""
-            vertices = [frozenset(index[c].tolist()) for c in g.vertex_clusters]
+            strata = g.members()
+            vertices = [frozenset(index[c].tolist()) for c in strata[: g.n_vertices]]
             edges = {
                 frozenset(index[c].tolist()): frozenset((vertices[i], vertices[j]))
-                for c, (i, j) in zip(g.edge_clusters, g.boundary)
+                for c, (i, j) in zip(strata[g.n_vertices :], g.boundary.tolist())
             }
             return sorted(vertices, key=min), edges
 
@@ -291,3 +305,15 @@ class TestRecoverGraphInvariance:
         moved = gs.EmbeddedGraphSpec(fixture_spec.vertices @ q.T + shift, fixture_spec.edges)
         match = match_to_ground_truth(graph, moved)
         assert match.is_isomorphic, match.reason
+
+
+class TestGraphDocument:
+    @pytest.mark.parametrize("recovery", ["ratio8_recovery", "twelve_vertex_5d_recovery"])
+    def test_round_trip(self, request, recovery):
+        graph, refined, _ = request.getfixturevalue(recovery)
+        back, back_refined = graph_from_dict(graph_to_dict(graph, refined, {}), graph.cloud)
+        assert np.array_equal(back.stratum, graph.stratum)
+        assert np.array_equal(back.boundary, graph.boundary)
+        assert np.array_equal(back.vertex_centroids, graph.vertex_centroids)
+        for name in ("p0_tilde", "p1_tilde", "moved"):
+            assert np.array_equal(getattr(back_refined, name), getattr(refined, name))

@@ -18,7 +18,7 @@ from graphskel.densities import edge_log_density
 from graphskel.em import StrataModel, em_fit, initialize
 from graphskel.geometry import PointCloud, threshold_components
 from graphskel.local_structure import phi, psi
-from oracles import ball_query, edge_density_quadrature, grad_vertices, log_likelihood, shell_query
+from oracles import ball_query, component_sets, edge_density_quadrature, grad_vertices, log_likelihood, shell_query
 
 SEEDS = list(range(10))
 RATIOS = (6.0, 8.0, 10.0, 12.0)
@@ -44,11 +44,11 @@ def fixture_runs():
             config = gs.ReconstructionConfig(R=ratio * EPS, eps=EPS)
             entry = {"iso": False, "max_err": math.inf, "trace": None, "final_ll": None}
             try:
-                graph, refined, _ = gs.recover_graph(cloud, config)
+                graph, _, _ = gs.recover_graph(cloud, config)
                 match = gs.match_to_ground_truth(graph, spec)
                 entry["iso"] = match.is_isomorphic
                 if match.is_isomorphic:
-                    model, state = initialize(graph, refined, cloud, SIGMA)
+                    model, state = initialize(graph, cloud, SIGMA)
                     report = em_fit(model, state, cloud)
                     entry["trace"] = report.loglik_trace
                     entry["final_ll"] = float(report.loglik_trace[-1])
@@ -279,7 +279,7 @@ def test_criterion_08_geometry_oracles():
                     seen[j] = True
                     stack.append(int(j))
             oracle_sets.append(sorted(subset[comp].tolist()))
-        got_sets = sorted(sorted(cc.members(c).tolist()) for c in range(cc.num_components))
+        got_sets = sorted(members.tolist() for members in component_sets(cc))
         if got_sets != sorted(oracle_sets):
             comp_bad += 1
     ok = query_bad == 0 and comp_bad == 0

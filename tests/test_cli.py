@@ -11,6 +11,11 @@ from graphskel.errors import CloudParseError
 from graphskel.fileio import read_cloud, write_cloud
 
 
+def first(doc: dict, key: str, **fields) -> dict:
+    """`doc` with `fields` replaced in the first entry of its `key` list."""
+    return {**doc, key: [{**doc[key][0], **fields}, *doc[key][1:]]}
+
+
 @pytest.fixture()
 def cloud_file(tmp_path):
     path = tmp_path / "cloud.txt"
@@ -266,26 +271,35 @@ class TestFit:
         "damage, field",
         [
             (lambda doc: {k: v for k, v in doc.items() if k != "labels"}, "labels"),
-            (lambda doc: {**doc, "edges": [{**doc["edges"][0], "boundary": [0]}, *doc["edges"][1:]]}, "boundary"),
+            (lambda doc: first(doc, "edges", boundary=[0]), "boundary"),
             (lambda doc: [doc], "JSON object"),
             (lambda doc: {**doc, "n_points": None}, "n_points"),
             (lambda doc: {**doc, "vertices": 5}, "vertices"),
             (lambda doc: {**doc, "dim": None}, "dim"),
-            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "members": None}, *doc["vertices"][1:]]}, "members"),
-            (lambda doc: {**doc, "edges": [{**doc["edges"][0], "boundary": [None, 1]}, *doc["edges"][1:]]}, "boundary"),
+            (lambda doc: first(doc, "vertices", members=None), "members"),
+            (lambda doc: first(doc, "edges", boundary=[None, 1]), "boundary"),
             (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": None}}, "p0_tilde"),
             (lambda doc: {**doc, "config": [1]}, "config"),
             (lambda doc: {**doc, "config": {**doc["config"], "eps": [1]}}, "config.eps"),
-            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "members": [0, 10**30]}, *doc["vertices"][1:]]}, "members"),
+            (lambda doc: first(doc, "vertices", members=[0, 10**30]), "members"),
             (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": [10**30]}}, "p0_tilde"),
-            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "centroid": None}, *doc["vertices"][1:]]}, "centroid"),
-            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "centroid": [0.0]}, *doc["vertices"][1:]]}, "centroid"),
-            (lambda doc: {**doc, "vertices": [{**doc["vertices"][0], "centroid": [None] * doc["dim"]}, *doc["vertices"][1:]]}, "centroid"),
+            (lambda doc: first(doc, "vertices", centroid=None), "centroid"),
+            (lambda doc: first(doc, "vertices", centroid=[0.0]), "centroid"),
+            (lambda doc: first(doc, "vertices", centroid=[None] * doc["dim"]), "centroid"),
+            (lambda doc: first(doc, "vertices", centroid=[1e308] * doc["dim"]), "centroid"),
+            (lambda doc: first(doc, "vertices", members=doc["vertices"][0]["members"] + [doc["n_points"]]), "members"),
+            (lambda doc: first(doc, "edges", members=doc["edges"][0]["members"] + [doc["labels"]["p0_tilde"][0]]), "members"),
+            (lambda doc: first(doc, "vertices", members=doc["vertices"][0]["members"][1:]), "members"),
+            (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": doc["labels"]["p0_tilde"][:-1]}}, "labels.p0_tilde"),
+            (lambda doc: first(doc, "edges", boundary=[0, len(doc["vertices"])]), "boundary"),
+            (lambda doc: first(doc, "edges", boundary=[1, 1]), "boundary"),
         ],
         ids=[
             "no-labels", "one-element-boundary", "top-level-list", "n_points-null", "vertices-not-list", "dim-null",
             "members-null", "boundary-null-id", "p0_tilde-null", "config-not-object", "eps-not-number",
             "members-huge", "p0_tilde-huge", "centroid-null", "centroid-short", "centroid-null-coordinate",
+            "centroid-absurd", "members-out-of-range", "members-repeated", "members-missing", "p0_tilde-mismatch",
+            "boundary-out-of-range", "boundary-loop",
         ],
     )
     def test_malformed_graph_document_is_usage_error(

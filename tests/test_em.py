@@ -30,6 +30,7 @@ from graphskel.em import (
 )
 from graphskel.em import _evaluate, _exact_logits, _logits, _normalize_rows
 from graphskel.errors import NumericalError
+from graphskel.fileio import graph_from_dict, graph_to_dict
 from graphskel.geometry import PointCloud
 from oracles import dense_evaluation, grad_vertices, log_likelihood, marginal_log_likelihood, responsibilities
 
@@ -356,46 +357,57 @@ class TestMStep:
 
 class TestInitialize:
     def test_fixture_ratio8(self, fixture_cloud, ratio8_recovery):
-        graph, refined, _ = ratio8_recovery
-        model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
+        graph, _, _ = ratio8_recovery
+        model, state = initialize(graph, fixture_cloud, sigma=0.05)
         assert model.n0 == 5 and model.n1 == 5
         assert state.a.shape == (len(fixture_cloud), 10)
         assert np.allclose(state.a.sum(axis=1), 1.0)
         assert set(np.unique(state.a)) <= {0.0, 1.0}
         assert state.pi.sum() == pytest.approx(1.0, abs=1e-12)
         # initial vertices inside the bounding box of their clusters
-        for i, members in enumerate(graph.vertex_clusters):
+        for i, members in enumerate(graph.members()[: graph.n_vertices]):
             pts = fixture_cloud.coords[members]
             assert np.all(state.v[i] >= pts.min(axis=0) - 1e-12)
             assert np.all(state.v[i] <= pts.max(axis=0) + 1e-12)
 
     def test_rejects_empty_cluster(self, fixture_cloud, ratio8_recovery):
-        graph, refined, _ = ratio8_recovery
+        graph, _, _ = ratio8_recovery
+        # a sixth vertex cluster with no members: edge ids shift up by one
         broken = gs.AbstractGraph(
-            vertex_clusters=list(graph.vertex_clusters) + [np.empty(0, dtype=int)],
-            edge_clusters=list(graph.edge_clusters),
-            boundary=list(graph.boundary),
+            stratum=np.where(graph.stratum < graph.n_vertices, graph.stratum, graph.stratum + 1),
+            boundary=graph.boundary,
             vertex_centroids=np.vstack([graph.vertex_centroids, np.zeros(3)]),
             cloud=graph.cloud,
         )
-        with pytest.raises(ValueError, match="empty"):
-            initialize(broken, refined, fixture_cloud, sigma=0.05)
+        with pytest.raises(ValueError, match="cluster 5 is empty"):
+            initialize(broken, fixture_cloud, sigma=0.05)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda s: s[:-1], lambda s: np.where(s == 0, -1, s), lambda s: np.where(s == 9, 10, s)],
+        ids=["short", "negative", "past-last"],
+    )
+    def test_rejects_bad_stratum(self, fixture_cloud, ratio8_recovery, damage):
+        graph, _, _ = ratio8_recovery
+        with pytest.raises(ValueError, match="stratum id in 0..9"):
+            initialize(replace(graph, stratum=damage(graph.stratum)), fixture_cloud, sigma=0.05)
 
     def test_rejects_inconsistent_refined(self, fixture_cloud, ratio8_recovery):
+        # the check sits where a graph enters from outside: the document reader
         graph, refined, _ = ratio8_recovery
         bad = gs.RefinedPartition(
             p0_tilde=refined.p0_tilde[:-1],
             p1_tilde=refined.p1_tilde,
             moved=refined.moved,
         )
-        with pytest.raises(ValueError):
-            initialize(graph, bad, fixture_cloud, sigma=0.05)
+        with pytest.raises(ValueError, match="labels.p0_tilde"):
+            graph_from_dict(graph_to_dict(graph, bad, {}), fixture_cloud)
 
 
 class TestEmFit:
     def test_fixture_fit_accuracy(self, fixture_spec, fixture_cloud, ratio8_recovery):
-        graph, refined, _ = ratio8_recovery
-        model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
+        graph, _, _ = ratio8_recovery
+        model, state = initialize(graph, fixture_cloud, sigma=0.05)
         report = em_fit(model, state, fixture_cloud)
         match = gs.match_to_ground_truth(graph, fixture_spec)
         assert match.is_isomorphic
@@ -422,8 +434,8 @@ class TestEmFit:
             assert np.linalg.norm(report.state.v[i] - means[i]) < 1e-3
 
     def test_zero_iterations_echo_initialization(self, fixture_cloud, ratio8_recovery):
-        graph, refined, _ = ratio8_recovery
-        model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
+        graph, _, _ = ratio8_recovery
+        model, state = initialize(graph, fixture_cloud, sigma=0.05)
         report = em_fit(model, state, fixture_cloud, EmConfig(max_iters=0))
         assert report.n_iterations == 0
         assert report.state is state
@@ -432,8 +444,8 @@ class TestEmFit:
         assert np.all(report.vertex_displacement == 0.0)
 
     def test_simplex_preserved_every_iteration(self, fixture_cloud, ratio8_recovery):
-        graph, refined, _ = ratio8_recovery
-        model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
+        graph, _, _ = ratio8_recovery
+        model, state = initialize(graph, fixture_cloud, sigma=0.05)
         for _ in range(5):
             a = responsibilities(model, state, fixture_cloud)
             pi = update_mixing(a)
@@ -501,8 +513,8 @@ class TestEmFit:
             em_fit(model, state, data)
 
     def test_marginal_loglik_consistency(self, fixture_cloud, ratio8_recovery):
-        graph, refined, _ = ratio8_recovery
-        model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
+        graph, _, _ = ratio8_recovery
+        model, state = initialize(graph, fixture_cloud, sigma=0.05)
         report = em_fit(model, state, fixture_cloud, EmConfig(max_iters=3))
         recomputed = marginal_log_likelihood(
             model, report.state.v, report.state.pi, fixture_cloud
@@ -573,14 +585,11 @@ def reference_em_fit(model, state, data, config):
 
 
 @pytest.fixture(scope="module")
-def twelve_vertex_5d():
-    """(model, state, cloud): a 12-vertex compliant graph in R^5 sampled at
-    spacing eps (m = 2290), where most (point, stratum) pairs underflow."""
-    config = gs.GraphGenConfig(R=1.2, eps=0.1)
-    spec = gs.random_compliant_graph(5, 12, config, seed=0)
-    cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, spacing=0.1, seed=0))
-    graph, refined, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
-    model, state = initialize(graph, refined, cloud, sigma=0.05)
+def twelve_vertex_5d(twelve_vertex_5d_recovery):
+    """(model, state, cloud) on the 12-vertex 5-D graph, where most (point,
+    stratum) pairs underflow."""
+    graph, _, cloud = twelve_vertex_5d_recovery
+    model, state = initialize(graph, cloud, sigma=0.05)
     return model, state, cloud
 
 
@@ -590,15 +599,15 @@ def em_case(request, fixture_cloud, ratio8_recovery):
     compliant graph whose large initial step forces line-search backtracks,
     and a 12-vertex 5-D graph where most pairs are never priced."""
     if request.param == "fixture-ratio8":
-        graph, refined, _ = ratio8_recovery
-        model, state = initialize(graph, refined, fixture_cloud, sigma=0.05)
+        graph, _, _ = ratio8_recovery
+        model, state = initialize(graph, fixture_cloud, sigma=0.05)
         return model, state, fixture_cloud, EmConfig(max_iters=10)
     if request.param == "random-5d-12-vertex":
         return *request.getfixturevalue("twelve_vertex_5d"), EmConfig(max_iters=4)
     spec = gs.random_compliant_graph(5, 3, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
     cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, seed=0))
-    graph, refined, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
-    model, state = initialize(graph, refined, cloud, sigma=0.05)
+    graph, _, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
+    model, state = initialize(graph, cloud, sigma=0.05)
     return model, state, cloud, EmConfig(max_iters=10, step_init=64.0)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -62,3 +63,59 @@ def test_import_leaves_quadrature_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# What the benchmark's tracer (perfbench/tracing.py) reads off each traced
+# call, keyed by (module, public function). The tracer wraps a function only
+# while it is a module-level function listed in its module's __all__, and it
+# replaces every binding of it, under any name, in every graphskel module.
+TRACED_READS = {
+    ("geometry", "threshold_components"): lambda args, result: (args[0].dim, result.indices.size),
+    ("local_structure", "partition"): lambda args, result: (result.size, result.p0.size),
+    ("abstract_graph", "refine"): lambda args, result: result.moved.size,
+    ("em", "em_fit"): lambda args, result: (result.n_iterations, bool(result.converged)),
+}
+# Span names the tracer's per-layer metrics are summed from.
+SPAN_NAMES = {
+    "abstract_graph": ("cluster_p0", "cluster_p1", "refine", "build_graph", "recover_graph"),
+    "em": ("em_fit", "m_step"),
+    "fileio": ("read_cloud", "write_cloud", "write_text_atomic", "write_json_atomic"),
+    "densities": ("edge_log_density_grad_batch",),
+}
+
+
+def test_tracer_contract(monkeypatch, tmp_path, fixture_cloud):
+    from graphskel.cli import main
+    from graphskel.fileio import graph_from_dict, read_json, write_cloud
+
+    for module_name, names in [*SPAN_NAMES.items(), *((m, (n,)) for m, n in TRACED_READS)]:
+        module = importlib.import_module(f"graphskel.{module_name}")
+        for name in names:
+            fn = getattr(module, name)
+            assert name in module.__all__ and inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+    seen = {}
+    for (module_name, name), read in TRACED_READS.items():
+        real = getattr(importlib.import_module(f"graphskel.{module_name}"), name)
+
+        def traced(*args, _real=real, _read=read, _name=name, **kwargs):
+            result = _real(*args, **kwargs)
+            seen.setdefault(_name, []).append(_read(args, result))
+            return result
+
+        for loaded, module in list(sys.modules.items()):
+            if loaded.split(".")[0] == "graphskel":
+                for attr in [attr for attr, value in vars(module).items() if value is real]:
+                    monkeypatch.setattr(module, attr, traced)
+
+    cloud, graph, fit = (str(tmp_path / name) for name in ("cloud.txt", "graph.json", "fit.json"))
+    write_cloud(cloud, fixture_cloud)
+    assert main(["graph", "--input", cloud, "--ratio", "8", "--eps", "0.1", "--output", graph]) == 0
+    assert main(["fit", "--input", cloud, "--graph", graph, "--output", fit, "--max-iters", "3"]) == 0
+    assert sorted(seen) == sorted(name for _, name in TRACED_READS)
+    assert seen["threshold_components"][0][0] == fixture_cloud.dim
+
+    # the benchmark's output checker unpacks a pair and matches the graph to the truth
+    recovered, _ = graph_from_dict(read_json(graph), fixture_cloud)
+    match = graphskel.match_to_ground_truth(recovered, graphskel.builtin_fixture())
+    assert match.is_isomorphic and len(match.vertex_errors) == len(match.vertex_map) == 5

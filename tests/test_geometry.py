@@ -13,7 +13,7 @@ from graphskel.geometry import (
     segment_segment_distance,
     threshold_components,
 )
-from oracles import ball_query, shell_query
+from oracles import ball_query, component_sets, shell_query
 
 
 def brute_ball(cloud, center, r):
@@ -186,7 +186,7 @@ class TestThresholdComponents:
         cloud = PointCloud([[0.0, 0.0], [5.0, 5.0]])
         cc = threshold_components(cloud, [1], 1.0)
         assert cc.num_components == 1
-        assert cc.members(0).tolist() == [1]
+        assert component_sets(cc)[0].tolist() == [1]
 
     def test_inclusive_threshold(self):
         cloud = PointCloud([[0.0, 0.0], [1.0, 0.0]])
@@ -217,7 +217,7 @@ class TestThresholdComponents:
             r = float(rng.uniform(0.05, 1.0))
             cc = threshold_components(cloud, subset, r)
             want = bfs_components(cloud.coords[subset], r)
-            got = [set(np.searchsorted(subset, cc.members(c))) for c in range(cc.num_components)]
+            got = [set(np.searchsorted(subset, members)) for members in component_sets(cc)]
             assert sorted(map(sorted, got)) == sorted(map(sorted, want))
 
     def test_monotone_in_radius(self):

@@ -29,7 +29,7 @@ from graphskel.cli import main
 from graphskel.fileio import write_cloud
 from graphskel.geometry import PointCloud, threshold_components
 from graphskel.local_structure import Partition, ReconstructionConfig, classify_all
-from oracles import Label, ball_query, classify_point, label_rows, shell_query
+from oracles import Label, ball_query, classify_point, component_sets, label_rows, shell_query
 
 EPS = 0.1
 CFG = ReconstructionConfig(R=12 * EPS, eps=EPS)
@@ -144,7 +144,7 @@ class TestAxisTies:
         for subset in (np.arange(len(cloud)), np.arange(0, len(cloud), 2)):
             cc = threshold_components(cloud, subset, r)
             want = scan_components(cloud, subset, r)
-            assert [m.tolist() for m in cc.sets()] == [m.tolist() for m in want]
+            assert [m.tolist() for m in component_sets(cc)] == [m.tolist() for m in want]
 
     def chain(self, tail_gap: float) -> tuple[PointCloud, np.ndarray, np.ndarray, np.ndarray]:
         """Vertex A at the origin (doubled), an edge chain on the x-axis starting
@@ -167,7 +167,8 @@ class TestAxisTies:
         q0 = threshold_components(cloud, np.concatenate([a_idx, b_idx]), 0.0)
         q1 = threshold_components(cloud, e_idx, CFG.contact_scale)
         adjacent = [
-            sum(scan_linkage(cloud, vp, ep) < CFG.contact_scale for vp in q0.sets()) for ep in q1.sets()
+            sum(scan_linkage(cloud, vp, ep) < CFG.contact_scale for vp in component_sets(q0))
+            for ep in component_sets(q1)
         ]
         assert adjacent == [1]
         refined = refine(cloud, q0, q1, CFG)
@@ -182,8 +183,8 @@ class TestAxisTies:
             p0_tilde=np.concatenate([a_idx, b_idx]), p1_tilde=e_idx, moved=np.empty(0, dtype=int)
         )
         graph = build_graph(cloud, refined, CFG)
-        assert [m.tolist() for m in graph.vertex_clusters] == [a_idx.tolist(), b_idx.tolist()]
-        assert graph.boundary == [(0, 1)]
+        assert [m.tolist() for m in graph.members()] == [a_idx.tolist(), b_idx.tolist(), e_idx.tolist()]
+        assert graph.boundary.tolist() == [[0, 1]]
         # under refine's strict test the same chain touches neither vertex
         q0 = threshold_components(cloud, refined.p0_tilde, CFG.vertex_cluster_scale)
         q1 = threshold_components(cloud, e_idx, CFG.contact_scale)
@@ -265,9 +266,9 @@ class TestStageTwoMatchesScans:
 
         q0, q1 = cluster_p0(cloud, part, cfg), cluster_p1(cloud, part, cfg)
         want_q1 = scan_components(cloud, part.p1, cfg.contact_scale)
-        assert [m.tolist() for m in q1.sets()] == [m.tolist() for m in want_q1]
+        assert [m.tolist() for m in component_sets(q1)] == [m.tolist() for m in want_q1]
 
-        want = scan_refine(cloud, cfg, q0.sets(), q1.sets())
+        want = scan_refine(cloud, cfg, component_sets(q0), component_sets(q1))
         if want is None:
             with pytest.raises(gs.StructureError, match="orphan"):
                 refine(cloud, q0, q1, cfg)
@@ -285,9 +286,9 @@ class TestStageTwoMatchesScans:
                     build_graph(cloud, refined, cfg)
                 continue
             graph = build_graph(cloud, refined, cfg)
-            got = ([v.tolist() for v in graph.vertex_clusters], [e.tolist() for e in graph.edge_clusters])
-            assert got == want_graph[:2]
-            assert graph.boundary == want_graph[2]
+            members = [m.tolist() for m in graph.members()]
+            assert (members[: graph.n_vertices], members[graph.n_vertices :]) == want_graph[:2]
+            assert [tuple(pair) for pair in graph.boundary.tolist()] == want_graph[2]
 
 
 def count_contact_work(monkeypatch):
