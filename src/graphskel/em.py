@@ -7,9 +7,15 @@ hill-climbs along per-vertex-scaled gradients with a backtracking line search
 that never accepts a decrease, so the marginal log-likelihood trace is
 non-decreasing across full iterations. The densities are priced once per
 distinct vertex matrix: the objective, the gradient and the posterior logits
-are reductions of that one evaluation. An evaluation prices only the (point,
-stratum) pairs that can carry responsibility; every pair it skips is one
-whose responsibility an all-pairs evaluation would give as exactly 0.0, so
+are reductions of that one evaluation.
+
+An evaluation prices only a selection of (point, stratum) pairs: supp(A) and
+every pair whose distance bound comes within UNDERFLOW_GAP + SELECT_MARGIN of
+its row's largest logit. The M-step prices every trial on the selection of its
+start evaluation. Each E-step runs one bounds pass and checks the skipped pairs
+against their rows' priced maxima; only if one comes within UNDERFLOW_GAP is
+the union of the priced pairs and a fresh selection priced. Every pair left
+unpriced gets responsibility exactly 0.0 from an all-pairs evaluation too, so
 the fit is the one that evaluation would give.
 """
 from __future__ import annotations
@@ -53,6 +59,10 @@ STEP_FLOOR = 1e-12
 # responsibility 0.0 and adds 0.0 to its row's sum; the extra 0.87 nat covers the
 # rounding in the computed logits and bounds.
 UNDERFLOW_GAP = 746.0
+# A selection also prices the pairs up to this many nats beyond UNDERFLOW_GAP,
+# which covers the logits' rise as the M-step moves the vertices: without it
+# the accepted vertex matrix would now and then have to be priced twice.
+SELECT_MARGIN = 100.0
 
 
 @dataclass(frozen=True)
@@ -144,14 +154,12 @@ class _Evaluation(NamedTuple):
     v: np.ndarray  # (n0, dim) vertex coordinates
     logdens: np.ndarray  # (|P|, N) log densities of every point under every stratum
     edge: EdgeCoefficients | None  # endpoint-gradient coefficients; None without edges
-    skip: np.ndarray  # (N, |P|) pairs left unpriced
-    reach: np.ndarray  # (|P|,) bound on each point's largest skipped logit
-    logpi: np.ndarray  # (N,) the log mixing weights the skip was chosen for
+    skip: np.ndarray  # (N, |P|) pairs left unpriced: the selection it was priced on
 
 
-def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, logpi) -> tuple[np.ndarray, np.ndarray]:
-    """A lower bound (|P|,) on each point's largest logit and upper bounds
-    (N, |P|) on every log density, from distances alone.
+def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np.ndarray, np.ndarray]:
+    """A lower bound (|P|,) on each point's largest logit under `pi` and
+    upper bounds (N, |P|) on every logit, from distances alone.
 
     At distance d from its centre a Gaussian stratum has log density h - d^2
     / (2 sigma^2), h = -n/2 log(2 pi sigma^2): exactly a vertex density. An
@@ -170,7 +178,8 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, logpi) -> tuple
     inv = (0.5 / model.sigma**2)[:, None]
     tol = 16.0 * (n + 16) * np.finfo(float).eps * (xx.max() + vv.max()) * inv
     out = np.empty((model.n_strata, len(data)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logpi = np.log(np.asarray(pi, dtype=float))[:, None]
         sq = np.matmul(-2.0 * vc, xc.T, out=out[:n0])  # squared distances to the vertices
         sq += vv
         sq += xx
@@ -192,67 +201,79 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, logpi) -> tuple
             del along
         out *= inv
         np.subtract(-0.5 * n * np.log(math.pi / inv) + tol, out, out=out)
-        top = np.max(out[:n0] + logpi[:n0, None], axis=0)
+        out += logpi
+        top = np.max(out[:n0], axis=0)
         if model.n1:
             l_over_s = np.sqrt(ll) / model.sigma[n0:, None]
             keep = np.log(math.sqrt(math.pi / 2) / l_over_s * erf(l_over_s / math.sqrt(2)))
-            np.add(out[n0:], keep + logpi[n0:, None], out=t)
+            np.add(out[n0:], keep, out=t)
             t[~inside] = -np.inf
             np.maximum(top, np.max(t, axis=0), out=top)
         top -= 2.0 * tol.max()
     return top, out
 
 
-def _evaluate(model: StrataModel, v, data: PointCloud, pi, support) -> _Evaluation:
-    """The densities at v of the pairs that matter under `pi`.
+def _select(top: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The pairs a selection skips: bounds over UNDERFLOW_GAP + SELECT_MARGIN below the row's top."""
+    return upper < top - (UNDERFLOW_GAP + SELECT_MARGIN)
 
-    Those are the pairs in `support` (a boolean (N, |P|) array: supp(A)
-    transposed, all that the objective and the gradient read) and every pair
-    whose upper bound comes within UNDERFLOW_GAP of a lower bound on its
-    row's largest logit, which holds every pair the E-step can weigh.
+
+def _pricer(model: StrataModel, data: PointCloud, skip: np.ndarray):
+    """A function giving the evaluation at any vertex matrix of the pairs
+    outside `skip`.
+
+    The gather indices of the priced vertex pairs and the edge kernel's mask
+    are worked out here, once for every vertex matrix priced on `skip`.
     """
-    v = _check_vertices(model, v).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpi = np.log(np.asarray(pi, dtype=float))
-        top, upper = _bounds(model, v, data, logpi)
-        upper += logpi[:, None]
-        skip = upper < top - UNDERFLOW_GAP
-    skip &= ~support
-    upper[~skip] = -np.inf
-    reach = np.max(upper, axis=0)
-    del upper, top
-
-    x = data.coords
-    n0 = model.n0
-    logrho, edge = None, None
-    if model.n1:  # before allocating logdens, so the kernel's peak does not overlap it
-        i1, i2 = model.ends.T
-        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], ~skip[n0:])
-    logdens = np.full((len(data), model.n_strata), -np.inf)
+    x, n0 = data.coords, model.n0
+    i1, i2 = model.ends.T
+    mask = ~skip[n0:]
     # gathered (point, vertex) differences, never an (|P|, n0, n) block
     cols, rows = np.nonzero(~skip[:n0])
-    logdens[rows, cols] = vertex_log_density(x[rows], v[cols], model.sigma[cols])
-    if model.n1:
-        logdens[:, n0:] = logrho.T
-    return _Evaluation(v, logdens, edge, skip, reach, logpi)
+    x_rows, sigma_cols = x[rows], model.sigma[cols]
+
+    def price(v) -> _Evaluation:
+        v = _check_vertices(model, v).copy()
+        logrho, edge = None, None
+        if model.n1:  # before allocating logdens, so the kernel's peak does not overlap it
+            logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], mask)
+        logdens = np.full((len(data), model.n_strata), -np.inf)
+        logdens[rows, cols] = vertex_log_density(x_rows, v[cols], sigma_cols)
+        if model.n1:
+            logdens[:, n0:] = logrho.T
+        return _Evaluation(v, logdens, edge, skip)
+
+    return price
+
+
+def _evaluate(model: StrataModel, v, data: PointCloud, pi, support) -> _Evaluation:
+    """The densities at v of a selection made there under `pi`.
+
+    It holds the pairs in `support` (a boolean (N, |P|) array: supp(A)
+    transposed, all that the objective and the gradient read) and every pair
+    whose upper bound comes within UNDERFLOW_GAP + SELECT_MARGIN of a lower
+    bound on its row's largest logit, which holds every pair the E-step can
+    weigh.
+    """
+    v = _check_vertices(model, v)
+    return _pricer(model, data, _select(*_bounds(model, v, data, pi)) & ~support)(v)
 
 
 def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> tuple[_Evaluation, np.ndarray]:
     """`ev` and the E-step logits under `pi`, equal to the all-pairs logits
     wherever exp(logit - row maximum) is not exactly 0.0.
 
-    An evaluation kept from an earlier iteration was selected for older
-    weights; it is priced again, keeping its priced pairs, when a skipped
-    pair might come within UNDERFLOW_GAP of its row's maximum under `pi`.
+    `ev` may be priced on a selection made at other vertices or weights. One
+    bounds pass at ev.v under `pi` compares every skipped pair's upper bound
+    with its row's priced maximum. Only when one comes within UNDERFLOW_GAP
+    is ev.v priced again, on the union of ev's pairs and a fresh selection.
     """
     logits = _logits(ev, pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpi = np.log(np.asarray(pi, dtype=float))
-        rise = np.fmax.reduce(logpi - ev.logpi)  # strata at pi = 0 both times are NaN here
-        top = np.max(logits, axis=1)
-        doubt = (ev.reach > -np.inf) & ~(ev.reach + rise < top - UNDERFLOW_GAP)
+    top, upper = _bounds(model, ev.v, data, pi)
+    # a pair bounded at -inf has logit -inf wherever it is priced
+    doubt = ev.skip & ~(upper < np.max(logits, axis=1) - UNDERFLOW_GAP) & (upper != -np.inf)
     if doubt.any():
-        ev = _evaluate(model, ev.v, data, pi, ~ev.skip)
+        ev = _pricer(model, data, ev.skip & _select(top, upper))(ev.v)
         logits = _logits(ev, pi)
     return ev, logits
 
@@ -353,16 +374,18 @@ def m_step(
     Stops after M_STEP_ITERS or once the gradient norm drops below GRAD_TOL.
 
     `evaluation` is the density evaluation at `state.v` (as returned by the
-    previous call); without it one is made here. It must price every pair in
-    supp(state.a), as one does whose logits gave state.a. Returns the
-    evaluation at the accepted vertices, whose `v` is the new vertex matrix:
-    each distinct vertex matrix is priced once, on the pairs that supp(A)
-    and the E-step under state.pi can weigh, and the objective and gradient
-    are reductions of its evaluation.
+    previous call); without it one is made here, selected under state.pi. It
+    must price every pair in supp(state.a), as one does whose logits gave
+    state.a. Every line-search trial is priced on its selection: A is fixed
+    here and the objective and gradient read only supp(A), so no trial runs
+    a bounds pass, and the gather indices and edge mask are worked out once.
+    Returns the evaluation at the accepted vertices, whose `v` is the new
+    vertex matrix: each distinct vertex matrix is priced once, and the
+    objective and gradient are reductions of its evaluation.
     """
-    support = np.asarray(state.a).T > 0
     if evaluation is None:
-        evaluation = _evaluate(model, state.v, data, state.pi, support)
+        evaluation = _evaluate(model, state.v, data, state.pi, np.asarray(state.a).T > 0)
+    price = _pricer(model, data, evaluation.skip)
     f = _objective(evaluation, state.pi, state.a)
     if not np.isfinite(f):
         raise NumericalError("M-step objective is non-finite at the current vertices")
@@ -387,7 +410,7 @@ def m_step(
         while alpha >= STEP_FLOOR:
             trial = None  # release a rejected trial before pricing the next
             try:
-                trial = _evaluate(model, evaluation.v + alpha * direction, data, state.pi, support)
+                trial = price(evaluation.v + alpha * direction)
             except ValueError:  # a trial step collapsed an edge
                 ft = -np.inf
             else:
@@ -451,7 +474,7 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     # without keeping a reference here, so m_step frees it once it accepts a
     # trial: at most the current and the trial evaluation are alive.
     held = [_evaluate(model, state.v, data, state.pi, np.asarray(state.a).T > 0)]
-    held[0], logits = _exact_logits(model, held[0], data, state.pi)
+    logits = _logits(held[0], state.pi)  # selected here under state.pi, so exact as priced
     a, per_point = _normalize_rows(logits)
     trace = [float(np.mean(per_point))]
     streak = 0

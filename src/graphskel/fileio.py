@@ -216,8 +216,14 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
     )
     stratum = _stratum_column(clusters, len(cloud))
     n0 = len(vertices)
-    if not np.array_equal(p0, np.flatnonzero(stratum < n0)):
-        raise ValueError("malformed document: labels.p0_tilde is not the set of points in vertex clusters")
+    in_vertex = stratum < n0
+    for fault, ok in (
+        ("p0_tilde is not the set of points in vertex clusters", np.array_equal(p0, np.flatnonzero(in_vertex))),
+        ("p1_tilde is not the set of points in edge clusters", np.array_equal(p1, np.flatnonzero(~in_vertex))),
+        ("moved is not a sorted, distinct subset of p0_tilde", np.all(np.diff(moved) > 0) and np.isin(moved, p0).all()),
+    ):
+        if not ok:
+            raise ValueError(f"malformed document: labels.{fault}")
     for fault, which in (
         (f"names a vertex outside 0..{n0 - 1}", np.any((boundary < 0) | (boundary >= n0), axis=1)),
         ("joins a vertex to itself", boundary[:, 0] == boundary[:, 1]),

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import graphskel as gs
+
+# One profile for the whole suite: every run draws the same examples, keeps no
+# example database and puts no deadline on an example.
+settings.register_profile("graphskel", derandomize=True, database=None, deadline=None)
+settings.load_profile("graphskel")
 
 
 @pytest.fixture(scope="session")

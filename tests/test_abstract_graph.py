@@ -306,6 +306,24 @@ class TestRecoverGraphInvariance:
         match = match_to_ground_truth(graph, moved)
         assert match.is_isomorphic, match.reason
 
+    @settings(max_examples=25)
+    @given(k=st.integers(-3, 3))
+    def test_uniform_scaling(self, fixture_cloud, ratio8_config, ratio8_recovery, k):
+        """Scaling (cloud, R, eps) by 2^k is exact in floats, so every label
+        and the recovered structure stay the same; inner products scale by 4^k."""
+        base, _, _ = ratio8_recovery
+        scale = 2.0**k
+        cloud = PointCloud(fixture_cloud.coords * scale)
+        config = gs.ReconstructionConfig(R=ratio8_config.R * scale, eps=ratio8_config.eps * scale)
+        want = gs.classify_all(fixture_cloud, ratio8_config)
+        got = gs.classify_all(cloud, config)
+        for name in ("vertex_like", "ball_connected", "shell_components"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got.inner_product, want.inner_product * scale**2, equal_nan=True)
+        graph, _, _ = recover_graph(cloud, config)
+        assert np.array_equal(graph.stratum, base.stratum)
+        assert np.array_equal(graph.boundary, base.boundary)
+
 
 class TestGraphDocument:
     @pytest.mark.parametrize("recovery", ["ratio8_recovery", "twelve_vertex_5d_recovery"])

@@ -293,13 +293,16 @@ class TestFit:
             (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": doc["labels"]["p0_tilde"][:-1]}}, "labels.p0_tilde"),
             (lambda doc: first(doc, "edges", boundary=[0, len(doc["vertices"])]), "boundary"),
             (lambda doc: first(doc, "edges", boundary=[1, 1]), "boundary"),
+            (lambda doc: {**doc, "labels": {**doc["labels"], "p1_tilde": [0, 0, 1000000]}}, "labels.p1_tilde"),
+            (lambda doc: {**doc, "labels": {**doc["labels"], "moved": [-5]}}, "labels.moved"),
+            (lambda doc: {**doc, "labels": {**doc["labels"], "moved": doc["labels"]["p0_tilde"][:1] * 2}}, "labels.moved"),
         ],
         ids=[
             "no-labels", "one-element-boundary", "top-level-list", "n_points-null", "vertices-not-list", "dim-null",
             "members-null", "boundary-null-id", "p0_tilde-null", "config-not-object", "eps-not-number",
             "members-huge", "p0_tilde-huge", "centroid-null", "centroid-short", "centroid-null-coordinate",
             "centroid-absurd", "members-out-of-range", "members-repeated", "members-missing", "p0_tilde-mismatch",
-            "boundary-out-of-range", "boundary-loop",
+            "boundary-out-of-range", "boundary-loop", "p1_tilde-mismatch", "moved-outside-p0_tilde", "moved-repeated",
         ],
     )
     def test_malformed_graph_document_is_usage_error(

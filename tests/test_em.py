@@ -28,7 +28,7 @@ from graphskel.em import (
     m_step,
     update_mixing,
 )
-from graphskel.em import _evaluate, _exact_logits, _logits, _normalize_rows
+from graphskel.em import _evaluate, _exact_logits, _logits, _normalize_rows, _pricer
 from graphskel.errors import NumericalError
 from graphskel.fileio import graph_from_dict, graph_to_dict
 from graphskel.geometry import PointCloud
@@ -727,3 +727,51 @@ class TestSparsePricing:
             if remote:  # every stratum underflows at the remote point
                 assert any("zero density" in str(w.message) for w in seen)
                 assert np.all(got[-1] == 1.0 / n_strata)
+
+
+class TestSelectionOncePerIteration:
+    def test_bounds_run_once_per_e_step(self, twelve_vertex_5d, monkeypatch):
+        model, state, cloud = twelve_vertex_5d
+        bounds, kernel, step = gs.em._bounds, gs.em.edge_log_density_grad_batch, gs.em.m_step
+        calls = {"bounds": 0, "bounds in m_step": 0, "kernel in m_step": 0}
+        in_m_step = [False]
+
+        def counted_bounds(*args):
+            calls["bounds"] += 1
+            calls["bounds in m_step"] += in_m_step[0]
+            return bounds(*args)
+
+        def counted_kernel(*args):
+            calls["kernel in m_step"] += in_m_step[0]
+            return kernel(*args)
+
+        def flagged_m_step(*args):
+            in_m_step[0] = True
+            try:
+                return step(*args)
+            finally:
+                in_m_step[0] = False
+
+        monkeypatch.setattr(gs.em, "_bounds", counted_bounds)
+        monkeypatch.setattr(gs.em, "edge_log_density_grad_batch", counted_kernel)
+        monkeypatch.setattr(gs.em, "m_step", flagged_m_step)
+        report = em_fit(model, state, cloud, EmConfig(max_iters=6))
+        assert report.n_iterations == 6
+        # the start evaluation, then one pass per E-step; no line-search trial runs one
+        assert calls["bounds"] == report.n_iterations + 1
+        assert calls["bounds in m_step"] == 0
+        assert calls["kernel in m_step"] >= report.n_iterations
+
+    def test_stale_selection_is_priced_again(self, twelve_vertex_5d):
+        model, state, cloud = twelve_vertex_5d
+        start = _evaluate(model, state.v, cloud, state.pi, np.asarray(state.a).T > 0)
+        v = state.v.copy()
+        v[0] += 8 * model.sigma[0] * np.ones(model.dim) / math.sqrt(model.dim)  # several sigma
+        stale = _pricer(model, cloud, start.skip)(v)  # priced on the start vertices' selection
+        ev, logits = _exact_logits(model, stale, cloud, state.pi)
+        want = _normalize_rows(_logits(dense_evaluation(model, v, cloud), state.pi))
+        assert ev is not stale and np.array_equal(ev.v, v)
+        assert not np.any(ev.skip & ~stale.skip)  # the union keeps every pair priced before
+        for got_part, want_part in zip(_normalize_rows(logits), want):  # responsibilities, log normalizers
+            assert np.array_equal(got_part, want_part)
+        assert not np.array_equal(_normalize_rows(_logits(stale, state.pi))[0], want[0])
