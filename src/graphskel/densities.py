@@ -5,7 +5,7 @@ isotropic Gaussian. It has a closed form built from a difference of error
 functions; that difference is evaluated through the scaled complementary error
 function whenever both arguments share a sign, because the naive difference
 cancels to zero a few sigma away from the segment. One batch kernel prices
-every segment at every point it is asked for, together with the coefficients
+every (segment, point) pair it is asked for, together with the coefficients
 of the endpoint gradients.
 """
 from __future__ import annotations
@@ -90,8 +90,8 @@ def edge_log_density(x, v1, v2, sigma: float):
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    logrho, _ = edge_log_density_grad_batch(x[None, :] if single else x, [v1], [v2], [sigma])
-    out = logrho[0]
+    x = np.atleast_2d(x)
+    out, _ = edge_log_density_grad_batch(x, [v1], [v2], [sigma], np.zeros(len(x), dtype=np.intp), np.arange(len(x)))
     if np.any(np.isneginf(out)):
         warnings.warn(
             "edge_log_density underflowed to -inf for some points (erf difference below "
@@ -103,38 +103,47 @@ def edge_log_density(x, v1, v2, sigma: float):
 
 
 class EdgeCoefficients(NamedTuple):
-    """Everything the weighted endpoint gradients of K segments need.
+    """Everything the weighted endpoint gradients need, one entry per pair.
 
-    d log rho_k(x_m) / d v1_k = alpha1[k, m] * s_km + beta1[k, m] * w_k (v2_k
-    likewise with alpha2, beta2), where s_km = u_k - 2 xc_m, xc is x about
-    its mean and w_k = v1_k - v2_k. None of it depends on the weights.
-    Underflowed points get zero coefficients; their responsibilities vanish
-    in the same regime. So do the pairs a masked call leaves unpriced.
+    Pair p is segment k = seg[p] at a point x. d log rho_k(x) / d v1_k =
+    alpha1[p] * s[:, p] + beta1[p] * w_k (v2_k likewise with alpha2, beta2),
+    where s[:, p] = v1_k + v2_k - 2 x and w_k = v1_k - v2_k. None of it
+    depends on the weights. Underflowed pairs get zero coefficients; their
+    responsibilities vanish in the same regime.
     """
 
-    alpha1: np.ndarray  # (K, m)
-    beta1: np.ndarray  # (K, m)
-    alpha2: np.ndarray  # (K, m)
-    beta2: np.ndarray  # (K, m)
-    xc: np.ndarray  # (m, n)
-    u: np.ndarray  # (K, n)
+    alpha1: np.ndarray  # (P,)
+    beta1: np.ndarray  # (P,)
+    alpha2: np.ndarray  # (P,)
+    beta2: np.ndarray  # (P,)
+    seg: np.ndarray  # (P,) segment of each pair
+    s: np.ndarray  # (n, P), one row per coordinate
     w: np.ndarray  # (K, n)
 
 
-def edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask=None):
-    """Log densities (K, m) of K segments at m points, plus their gradient
-    coefficients.
+def _pair_indices(seg, point, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """seg and point as index arrays, checked: a negative index would wrap."""
+    seg, point = (np.asarray(i).astype(np.intp, casting="same_kind", copy=False) for i in (seg, point))
+    if seg.ndim != 1 or seg.shape != point.shape:
+        raise ValueError(f"seg and point must be 1-D and of equal length, got shapes {seg.shape} and {point.shape}")
+    bad = (seg < 0) | (seg >= k) | (point < 0) | (point >= m)
+    if np.any(bad):
+        p = int(np.argmax(bad))
+        raise ValueError(f"pair {p} (segment {seg[p]}, point {point[p]}) is outside {k} segments at {m} points")
+    return seg, point
 
-    With s_km = v1_k + v2_k - 2 x_m and w_k = v1_k - v2_k, a point enters the
-    density only through g_km = s_km . w_k and |s_km|^2. Both are expanded
-    about the mean of x into (K, n) @ (n, m) products, so no (K, m, n) array
-    is formed. One evaluation serves every weighting: `endpoint_gradients`
-    turns the returned `EdgeCoefficients` into weighted gradient sums.
 
-    `mask` is an optional boolean (K, m) array of the pairs to price (None:
-    all of them). Every formula after the products runs on the masked pairs
-    alone, which gives each priced pair the same value as an unmasked call;
-    the other pairs get log density -inf and zero coefficients.
+def edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point):
+    """Log densities (P,) of segment seg[p] at point x[point[p]], plus their
+    gradient coefficients.
+
+    With s = v1_k + v2_k - 2 x and w_k = v1_k - v2_k, a point enters the
+    density only through g = s . w_k and |s|^2; s is formed about the mean of
+    x, which keeps far-from-origin clouds accurate. Every formula runs on
+    each pair alone, so a pair gets the same value, bit for bit, in any list
+    that holds it; the full grid of K segments at m points prices them all.
+    One evaluation serves every weighting: `endpoint_gradients` turns the
+    returned `EdgeCoefficients` into weighted gradient sums.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     v1s = np.atleast_2d(np.asarray(v1s, dtype=float))
@@ -147,32 +156,23 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask=None):
     if np.any(ll == 0.0):
         dead = np.flatnonzero(ll == 0.0).tolist()
         raise ValueError(f"degenerate segment: edge endpoints coincide (strata {dead})")
+    seg, point = _pair_indices(seg, point, w.shape[0], x.shape[0])
 
     origin = x.mean(axis=0)
-    xc = x - origin
-    u = v1s + v2s - 2.0 * origin  # s_km = u_k - 2 xc_m
-    k, m = w.shape[0], x.shape[0]
-    # the priced pairs by flat index into (K, m): stratum kk[p] at point mm[p]
-    if mask is not None and np.shape(mask) != (k, m):
-        raise ValueError(f"mask must have shape {(k, m)}, got {np.shape(mask)}")
-    flat = np.arange(k * m) if mask is None else np.flatnonzero(mask)
-    kk, mm = np.divmod(flat, m)
-
-    wx, ux = np.split(np.vstack([w, u]) @ xc.T, [k])
-    g = np.einsum("kn,kn->k", u, w)[kk] - 2.0 * wx.take(flat)
-    ss = (
-        np.einsum("kn,kn->k", u, u)[kk]
-        - 4.0 * ux.take(flat)
-        + 4.0 * np.einsum("mn,mn->m", xc, xc)[mm]
-    )
-    del wx, ux
+    s = np.empty((x.shape[1], len(seg)))
+    g = ss = 0.0
+    # one coordinate at a time, so each pair's sums run in the same order in any list
+    for sd, ud, xd, wd in zip(s, (v1s + v2s - 2.0 * origin).T, (x - origin).T, w.T):
+        np.subtract(ud[seg], 2.0 * xd[point], out=sd)
+        g = g + sd * wd[seg]
+        ss = ss + sd * sd
     length = np.sqrt(ll)
-    denom = (2.0 * math.sqrt(2.0) * length * sigmas)[kk]
+    denom = (2.0 * math.sqrt(2.0) * length * sigmas)[seg]
     sig2 = sigmas * sigmas
-    llp = ll[kk]
+    llp = ll[seg]
     t_plus = (g + llp) / denom
     t_minus = (g - llp) / denom
-    q = (g * g - llp * ss) / (8.0 * ll * sigmas * sigmas)[kk]
+    q = (g * g - llp * ss) / (8.0 * ll * sig2)[seg]
     del ss
     n = x.shape[1]
     const = (
@@ -183,8 +183,7 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask=None):
     )  # (K,)
 
     logdiff = log_erf_diff(t_plus, t_minus)
-    logrho = np.full((k, m), -np.inf)
-    logrho.put(flat, logdiff + q + const[kk])
+    logrho = logdiff + q + const[seg]
     del q
 
     finite = np.isfinite(logdiff)
@@ -193,10 +192,10 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask=None):
         r_minus = np.where(finite, _TWO_OVER_SQRT_PI * np.exp(-t_minus * t_minus - logdiff), 0.0)
     del logdiff
 
-    g_over = g / (4.0 * ll * sig2)[kk]
-    g2_over = g * g / (4.0 * ll * ll * sig2)[kk]
+    g_over = g / (4.0 * ll * sig2)[seg]
+    g2_over = g * g / (4.0 * ll * ll * sig2)[seg]
     del g
-    quarter = (1.0 / (4.0 * sig2))[kk]
+    quarter = (1.0 / (4.0 * sig2))[seg]
 
     beta1 = (
         r_plus * (3.0 / denom - t_plus / llp)
@@ -215,24 +214,24 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask=None):
     alpha2 = -r_diff - g_over - quarter
     del r_diff, g_over
 
-    coeffs = np.zeros((4, k, m))
-    for full, c in zip(coeffs, (alpha1, beta1, alpha2, beta2)):
-        full.put(flat, np.where(finite, c, 0.0))
-    return logrho, EdgeCoefficients(*coeffs, xc, u, w)
+    coeffs = (np.where(finite, c, 0.0) for c in (alpha1, beta1, alpha2, beta2))
+    return logrho, EdgeCoefficients(*coeffs, seg, s, w)
 
 
 def endpoint_gradients(coeffs: EdgeCoefficients, weights):
     """Weighted endpoint gradients G1, G2, each (K, n).
 
-    G1_k = sum_m weights[m, k] * d log rho_k(x_m) / d v1_k (G2 likewise for
-    v2_k). Each gradient is alpha * s + beta * w, so the sum over points is
-    one (K, m) @ (m, n) product plus row sums.
+    G1_k = sum over the pairs p of segment k of weights[p] * d log rho_k /
+    d v1_k (G2 likewise for v2_k). Each sum is an np.bincount, which adds in
+    pair order, so pairs of weight 0 change no bit of it.
     """
-    alpha1, beta1, alpha2, beta2, xc, u, w = coeffs
-    wt = np.asarray(weights, dtype=float).T  # (K, m)
-    a1, a2 = wt * alpha1, wt * alpha2
-    k = w.shape[0]
-    a1x, a2x = np.split(np.vstack([a1, a2]) @ xc, [k])
-    grad1 = u * a1.sum(axis=1)[:, None] - 2.0 * a1x + w * (wt * beta1).sum(axis=1)[:, None]
-    grad2 = u * a2.sum(axis=1)[:, None] - 2.0 * a2x + w * (wt * beta2).sum(axis=1)[:, None]
-    return grad1, grad2
+    alpha1, beta1, alpha2, beta2, seg, s, w = coeffs
+    wt = np.asarray(weights, dtype=float)
+    k, n = w.shape
+    bins = (seg + k * np.arange(n)[:, None]).ravel()  # the (coordinate, segment) of each entry of s
+
+    def total(alpha, beta):
+        pull = np.bincount(bins, (wt * alpha * s).ravel(), minlength=n * k).reshape(n, k).T
+        return pull + w * np.bincount(seg, wt * beta, minlength=k)[:, None]
+
+    return total(alpha1, beta1), total(alpha2, beta2)

@@ -14,9 +14,10 @@ every pair whose distance bound comes within UNDERFLOW_GAP + SELECT_MARGIN of
 its row's largest logit. The M-step prices every trial on the selection of its
 start evaluation. Each E-step runs one bounds pass and checks the skipped pairs
 against their rows' priced maxima; only if one comes within UNDERFLOW_GAP is
-the union of the priced pairs and a fresh selection priced. Every pair left
-unpriced gets responsibility exactly 0.0 from an all-pairs evaluation too, so
-the fit is the one that evaluation would give.
+the union of the priced pairs and a fresh selection priced. A selection is a
+point-major pair list, the CSR layout of A. Every pair left unpriced gets
+responsibility exactly 0.0 from an all-pairs evaluation too, and sums over
+pairs add in pair order (np.bincount), so the fit is the one it would give.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erf
 
 from .abstract_graph import AbstractGraph
@@ -54,6 +56,7 @@ M_STEP_ITERS = 5
 GRAD_TOL = 1e-8
 M_STEP_IMPROVE_TOL = 1e-12  # stop ascending once gains drop below this
 STEP_FLOOR = 1e-12
+STEP_INIT = 1.0  # the direction already carries the sigma^2 |P| / mass scale
 # exp(z) is exactly 0.0 in double precision once z < -745.1332 (the log of half
 # the smallest subnormal). A logit this far below its row's maximum gets
 # responsibility 0.0 and adds 0.0 to its row's sum; the extra 0.87 nat covers the
@@ -111,14 +114,13 @@ class EmState:
 
     v: np.ndarray  # (n0, dim) vertex coordinates
     pi: np.ndarray  # (N,) mixing weights
-    a: np.ndarray  # (|P|, N) responsibilities
+    a: np.ndarray | sparse.csr_array  # (|P|, N) responsibilities; em_fit keeps a csr_array
 
 
 @dataclass(frozen=True)
 class EmConfig:
     max_iters: int = 200
     tol_ll: float = 1e-8
-    step_init: float = 1.0  # the direction already carries the sigma^2 |P| / mass scale
 
 
 @dataclass(frozen=True)
@@ -142,19 +144,26 @@ def _check_vertices(model: StrataModel, v: np.ndarray) -> np.ndarray:
     return v
 
 
+class _Pairs(NamedTuple):
+    """A point-major pair list, the CSR layout of A: point j holds pairs start[j]:start[j + 1]."""
+
+    point: np.ndarray  # (P,)
+    stratum: np.ndarray  # (P,)
+    start: np.ndarray  # (|P| + 1,) row offsets
+
+
 class _Evaluation(NamedTuple):
-    """The densities at one vertex matrix, priced once.
+    """The densities of one selection's pairs at one vertex matrix, priced once.
 
     The objective for any (Pi, A), the posterior logits for any Pi and the
     gradient for any A are reductions of these arrays; none of them depends
-    on A or Pi. Skipped pairs have log density -inf and zero edge
-    coefficients.
+    on A or Pi.
     """
 
     v: np.ndarray  # (n0, dim) vertex coordinates
-    logdens: np.ndarray  # (|P|, N) log densities of every point under every stratum
-    edge: EdgeCoefficients | None  # endpoint-gradient coefficients; None without edges
-    skip: np.ndarray  # (N, |P|) pairs left unpriced: the selection it was priced on
+    pairs: _Pairs  # the selection it was priced on
+    logdens: np.ndarray  # (P,) log density of each pair's point under its stratum
+    edge: EdgeCoefficients  # over the edge pairs, in pair order
 
 
 def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np.ndarray, np.ndarray]:
@@ -183,80 +192,75 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np
         sq = np.matmul(-2.0 * vc, xc.T, out=out[:n0])  # squared distances to the vertices
         sq += vv
         sq += xx
-        if model.n1:
-            i1, i2 = model.ends.T
-            ll = np.sum((v[i1] - v[i2]) ** 2, axis=1)[:, None]
-            seg = np.take(sq, i2, axis=0, out=out[n0:])  # to v2 for now
-            t = np.take(sq, i1, axis=0)
-            along = seg + ll
-            along -= t  # 2 (x - v2) . (v1 - v2)
-            np.divide(along, 2.0 * ll, out=t)  # x projects to v2 + t (v1 - v2)
-            inside = (t >= 0.0) & (t <= 1.0)
-            tc = np.clip(t, 0.0, 1.0, out=t)
-            along /= ll  # seg -= tc (along - tc ll), without temporaries
-            along -= tc
-            along *= ll
-            along *= tc
-            seg -= along  # squared distances to the segments
-            del along
+        i1, i2 = model.ends.T
+        ll = np.sum((v[i1] - v[i2]) ** 2, axis=1)[:, None]
+        seg = np.take(sq, i2, axis=0, out=out[n0:])  # to v2 for now
+        t = np.take(sq, i1, axis=0)
+        along = seg + ll
+        along -= t  # 2 (x - v2) . (v1 - v2)
+        np.divide(along, 2.0 * ll, out=t)  # x projects to v2 + t (v1 - v2)
+        inside = (t >= 0.0) & (t <= 1.0)
+        tc = np.clip(t, 0.0, 1.0, out=t)
+        along /= ll  # seg -= tc (along - tc ll), without temporaries
+        along -= tc
+        along *= ll
+        along *= tc
+        seg -= along  # squared distances to the segments
+        del along
         out *= inv
         np.subtract(-0.5 * n * np.log(math.pi / inv) + tol, out, out=out)
         out += logpi
         top = np.max(out[:n0], axis=0)
-        if model.n1:
-            l_over_s = np.sqrt(ll) / model.sigma[n0:, None]
-            keep = np.log(math.sqrt(math.pi / 2) / l_over_s * erf(l_over_s / math.sqrt(2)))
-            np.add(out[n0:], keep, out=t)
-            t[~inside] = -np.inf
-            np.maximum(top, np.max(t, axis=0), out=top)
+        l_over_s = np.sqrt(ll) / model.sigma[n0:, None]
+        keep = np.log(math.sqrt(math.pi / 2) / l_over_s * erf(l_over_s / math.sqrt(2)))
+        np.add(out[n0:], keep, out=t)
+        t[~inside] = -np.inf
+        np.maximum(top, np.max(t, axis=0, initial=-np.inf), out=top)
         top -= 2.0 * tol.max()
     return top, out
 
 
-def _select(top: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The pairs a selection skips: bounds over UNDERFLOW_GAP + SELECT_MARGIN below the row's top."""
-    return upper < top - (UNDERFLOW_GAP + SELECT_MARGIN)
+def _select(top: np.ndarray, upper: np.ndarray, point: np.ndarray, stratum: np.ndarray) -> _Pairs:
+    """The pairs (point, stratum) and every pair whose bound comes within
+    UNDERFLOW_GAP + SELECT_MARGIN of its row's top (its largest bound does)."""
+    priced = ~(upper < top - (UNDERFLOW_GAP + SELECT_MARGIN))
+    priced[stratum, point] = True
+    point, stratum = np.nonzero(priced.T)
+    return _Pairs(point, stratum, np.searchsorted(point, np.arange(len(top) + 1)))
 
 
-def _pricer(model: StrataModel, data: PointCloud, skip: np.ndarray):
-    """A function giving the evaluation at any vertex matrix of the pairs
-    outside `skip`.
+def _pricer(model: StrataModel, data: PointCloud, pairs: _Pairs):
+    """A function giving the evaluation of `pairs` at any vertex matrix.
 
-    The gather indices of the priced vertex pairs and the edge kernel's mask
-    are worked out here, once for every vertex matrix priced on `skip`.
+    The gathers of the vertex pairs and the edge kernel's pair indices are
+    worked out here, once for every vertex matrix priced on `pairs`.
     """
     x, n0 = data.coords, model.n0
     i1, i2 = model.ends.T
-    mask = ~skip[n0:]
-    # gathered (point, vertex) differences, never an (|P|, n0, n) block
-    cols, rows = np.nonzero(~skip[:n0])
-    x_rows, sigma_cols = x[rows], model.sigma[cols]
+    vert = pairs.stratum < n0
+    cols, seg, point = pairs.stratum[vert], pairs.stratum[~vert] - n0, pairs.point[~vert]
+    x_rows, sigma_cols = x[pairs.point[vert]], model.sigma[cols]
 
     def price(v) -> _Evaluation:
         v = _check_vertices(model, v).copy()
-        logrho, edge = None, None
-        if model.n1:  # before allocating logdens, so the kernel's peak does not overlap it
-            logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], mask)
-        logdens = np.full((len(data), model.n_strata), -np.inf)
-        logdens[rows, cols] = vertex_log_density(x_rows, v[cols], sigma_cols)
-        if model.n1:
-            logdens[:, n0:] = logrho.T
-        return _Evaluation(v, logdens, edge, skip)
+        logdens = np.empty(len(vert))
+        logdens[vert] = vertex_log_density(x_rows, v[cols], sigma_cols)
+        logdens[~vert], edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], seg, point)
+        return _Evaluation(v, pairs, logdens, edge)
 
     return price
 
 
-def _evaluate(model: StrataModel, v, data: PointCloud, pi, support) -> _Evaluation:
+def _evaluate(model: StrataModel, v, data: PointCloud, pi, a) -> _Evaluation:
     """The densities at v of a selection made there under `pi`.
 
-    It holds the pairs in `support` (a boolean (N, |P|) array: supp(A)
-    transposed, all that the objective and the gradient read) and every pair
-    whose upper bound comes within UNDERFLOW_GAP + SELECT_MARGIN of a lower
-    bound on its row's largest logit, which holds every pair the E-step can
-    weigh.
+    It holds supp(a), all that the objective and the gradient read, and every
+    pair whose upper bound comes within UNDERFLOW_GAP + SELECT_MARGIN of a
+    lower bound on its row's largest logit, which holds every pair the E-step
+    can weigh.
     """
     v = _check_vertices(model, v)
-    return _pricer(model, data, _select(*_bounds(model, v, data, pi)) & ~support)(v)
+    return _pricer(model, data, _select(*_bounds(model, v, data, pi), *(a > 0).nonzero()))(v)
 
 
 def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> tuple[_Evaluation, np.ndarray]:
@@ -271,41 +275,43 @@ def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> 
     logits = _logits(ev, pi)
     top, upper = _bounds(model, ev.v, data, pi)
     # a pair bounded at -inf has logit -inf wherever it is priced
-    doubt = ev.skip & ~(upper < np.max(logits, axis=1) - UNDERFLOW_GAP) & (upper != -np.inf)
+    doubt = ~(upper < np.maximum.reduceat(logits, ev.pairs.start[:-1]) - UNDERFLOW_GAP) & (upper != -np.inf)
+    doubt[ev.pairs.stratum, ev.pairs.point] = False
     if doubt.any():
-        ev = _pricer(model, data, ev.skip & _select(top, upper))(ev.v)
+        ev = _pricer(model, data, _select(top, upper, *ev.pairs[:2]))(ev.v)
         logits = _logits(ev, pi)
     return ev, logits
 
 
 def _logits(ev: _Evaluation, pi) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return ev.logdens + np.log(np.asarray(pi, dtype=float))[None, :]
+        return ev.logdens + np.log(np.asarray(pi, dtype=float))[ev.pairs.stratum]
 
 
-def _objective(ev: _Evaluation, pi, a) -> float:
-    pi = np.asarray(pi, dtype=float)
-    a = np.asarray(a, dtype=float)
+def _objective(ev: _Evaluation, pi, w: np.ndarray) -> float:
+    """(1/|P|) sum over supp(A) of A (log density + log pi); `w` holds A at ev's pairs."""
+    point, stratum, start = ev.pairs
+    on = w > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = ev.logdens + np.log(pi)[None, :]
-        terms *= a  # in place, which keeps the line search's peak memory low
-        terms[~(a > 0)] = 0.0
-    return float(terms.sum() / len(terms))
+        terms = w[on] * (ev.logdens[on] + np.log(np.asarray(pi, dtype=float))[stratum[on]])
+    return float(np.bincount(point[on], terms, minlength=len(start) - 1).mean())
 
 
-def _gradient(model: StrataModel, ev: _Evaluation, a, data: PointCloud, limit: float) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _gradient(model: StrataModel, ev: _Evaluation, w: np.ndarray, data: PointCloud, limit: float) -> np.ndarray:
+    """The objective's gradient in every vertex; `w` holds A at ev's pairs."""
     n0, m = model.n0, len(data)
+    point, stratum, _ = ev.pairs
+    vert = stratum < n0
+    cols, wv = stratum[vert], w[vert]
     # sum_j a_ji (x_j - v_i) for every vertex at once, with x taken about its
     # mean as in the edge kernel, which keeps far-from-origin clouds accurate
     origin, xc = data.centred
-    av = a[:, :n0]
-    pull = av.T @ xc - av.sum(axis=0)[:, None] * (ev.v - origin)
+    bins = (cols + n0 * np.arange(model.dim)[:, None]).ravel()  # (coordinate, vertex)
+    pull = np.bincount(bins, (wv * xc.T[:, point[vert]]).ravel(), minlength=model.dim * n0).reshape(-1, n0).T
+    pull -= np.bincount(cols, wv, minlength=n0)[:, None] * (ev.v - origin)
     grad = pull / ((model.sigma[:n0, None] ** 2) * m)
-
-    if model.n1:
-        g1, g2 = endpoint_gradients(ev.edge, a[:, n0:])
-        np.add.at(grad, model.ends.T.ravel(), np.vstack([g1, g2]) / m)
+    g1, g2 = endpoint_gradients(ev.edge, w[~vert])
+    np.add.at(grad, model.ends.T.ravel(), np.vstack([g1, g2]) / m)
 
     norms = np.sqrt(np.sum(grad**2, axis=1))
     over = norms > limit
@@ -314,15 +320,16 @@ def _gradient(model: StrataModel, ev: _Evaluation, a, data: PointCloud, limit: f
     return grad
 
 
-def _normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior rows (summing to 1) and each row's log normalizer, log sum
-    exp(logits), from one max shift, one exp and one sum.
+def _normalize_rows(pairs: _Pairs, logits: np.ndarray, n_strata: int) -> tuple[sparse.csr_array, np.ndarray]:
+    """Posterior rows on the pairs (summing to 1) and each row's log
+    normalizer, log sum exp(logits), from one max shift, one exp and one sum.
 
     Rows where every stratum underflows to -inf fall back to uniform, with a
     warning; their log normalizer stays -inf.
     """
-    shift = np.max(logits, axis=1, keepdims=True)
-    dead = ~np.isfinite(shift[:, 0])
+    point, stratum, start = pairs
+    shift = np.maximum.reduceat(logits, start[:-1])
+    dead = ~np.isfinite(shift)
     if np.any(dead):
         warnings.warn(
             f"{int(dead.sum())} point(s) have zero density under every stratum; "
@@ -330,26 +337,26 @@ def _normalize_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             RuntimeWarning,
             stacklevel=2,
         )
-        shift = shift.copy()
-        shift[dead, 0] = 0.0
+        shift[dead] = 0.0
     with np.errstate(under="ignore"):
-        w = np.exp(logits - shift)
-    total = w.sum(axis=1, keepdims=True)
+        w = np.exp(logits - shift[point])
+    total = np.bincount(point, w, minlength=len(shift))
     with np.errstate(divide="ignore"):
-        lognorm = np.log(total[:, 0]) + shift[:, 0]
+        lognorm = np.log(total) + shift
     if np.any(dead):
-        w[dead] = 1.0
-        total[dead] = w.shape[1]
-    return w / total, lognorm
+        w[dead[point]] = 1.0
+        total[dead] = np.diff(start)[dead]
+    return sparse.csr_array((w / total[point], stratum, start), shape=(len(shift), n_strata)), lognorm
 
 
-def update_mixing(a: np.ndarray) -> np.ndarray:
-    """Maximizing mixing weights: column mass over total mass."""
-    a = np.asarray(a, dtype=float)
-    total = a.sum()
+def update_mixing(a) -> np.ndarray:
+    """Maximizing mixing weights: column mass over total mass, of a dense or scipy sparse A."""
+    a = sparse.csr_array(a)
+    mass = np.bincount(a.indices, a.data, minlength=a.shape[1])  # in pair order
+    total = mass.sum()
     if total <= 0:
         raise ValueError("responsibility matrix has no mass")
-    return a.sum(axis=0) / total
+    return mass / total
 
 
 def _clip_limit(data: PointCloud) -> float:
@@ -359,13 +366,7 @@ def _clip_limit(data: PointCloud) -> float:
     return 10.0 * diag if diag > 0 else 10.0
 
 
-def m_step(
-    model: StrataModel,
-    state: EmState,
-    data: PointCloud,
-    config: EmConfig = EmConfig(),
-    evaluation: _Evaluation | None = None,
-) -> _Evaluation:
+def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Evaluation | None = None) -> _Evaluation:
     """Hill-climb the vertex matrix with A and Pi fixed.
 
     Ascends along the gradient scaled per vertex by sigma^2 |P| / mass (the
@@ -376,30 +377,30 @@ def m_step(
     `evaluation` is the density evaluation at `state.v` (as returned by the
     previous call); without it one is made here, selected under state.pi. It
     must price every pair in supp(state.a), as one does whose logits gave
-    state.a. Every line-search trial is priced on its selection: A is fixed
+    state.a. Every line-search trial is priced on its pair list: A is fixed
     here and the objective and gradient read only supp(A), so no trial runs
-    a bounds pass, and the gather indices and edge mask are worked out once.
+    a bounds pass, and the gather indices are worked out once.
     Returns the evaluation at the accepted vertices, whose `v` is the new
     vertex matrix: each distinct vertex matrix is priced once, and the
     objective and gradient are reductions of its evaluation.
     """
     if evaluation is None:
-        evaluation = _evaluate(model, state.v, data, state.pi, np.asarray(state.a).T > 0)
-    price = _pricer(model, data, evaluation.skip)
-    f = _objective(evaluation, state.pi, state.a)
+        evaluation = _evaluate(model, state.v, data, state.pi, state.a)
+    price = _pricer(model, data, evaluation.pairs)
+    w = np.asarray(state.a[evaluation.pairs.point, evaluation.pairs.stratum], dtype=float)  # A at its pairs
+    f = _objective(evaluation, state.pi, w)
     if not np.isfinite(f):
         raise NumericalError("M-step objective is non-finite at the current vertices")
 
     # responsibility mass pulling on each vertex: own stratum plus incident edges
-    a = np.asarray(state.a, dtype=float)
-    mass = a[:, : model.n0].sum(axis=0)
-    np.add.at(mass, model.ends.ravel(), np.repeat(a[:, model.n0 :].sum(axis=0), 2))
-    scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
-    step = config.step_init
+    mass = np.bincount(evaluation.pairs.stratum, w, minlength=model.n_strata)
+    np.add.at(mass, model.ends.ravel(), np.repeat(mass[model.n0 :], 2))
+    scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass[: model.n0], 1e-12)
+    step = STEP_INIT
     limit = _clip_limit(data)
 
     for _ in range(M_STEP_ITERS):
-        g = _gradient(model, evaluation, state.a, data, limit)
+        g = _gradient(model, evaluation, w, data, limit)
         if np.sqrt(np.sum(g**2)) < GRAD_TOL:
             break
         direction = g * scale[:, None]  # positive diagonal scaling keeps ascent
@@ -414,7 +415,7 @@ def m_step(
             except ValueError:  # a trial step collapsed an edge
                 ft = -np.inf
             else:
-                ft = _objective(trial, state.pi, state.a)
+                ft = _objective(trial, state.pi, w)
             if np.isfinite(ft):
                 saw_finite = True
                 if ft >= f:
@@ -454,8 +455,7 @@ def initialize(graph: AbstractGraph, data: PointCloud, sigma: float) -> tuple[St
         sigma=np.full(n0 + n1, float(sigma)),
         dim=data.dim,
     )
-    a = np.zeros((len(data), n0 + n1))
-    a[np.arange(len(data)), stratum] = 1.0
+    a = sparse.csr_array((np.ones(len(data)), stratum, np.arange(len(data) + 1)), shape=(len(data), n0 + n1))
     pi = update_mixing(a)
     v0 = np.array(graph.vertex_centroids, dtype=float)
     return model, EmState(v=v0, pi=pi, a=a)
@@ -473,9 +473,9 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     # E-step and the next M-step's start point. `held` hands it to m_step
     # without keeping a reference here, so m_step frees it once it accepts a
     # trial: at most the current and the trial evaluation are alive.
-    held = [_evaluate(model, state.v, data, state.pi, np.asarray(state.a).T > 0)]
+    held = [_evaluate(model, state.v, data, state.pi, state.a)]
     logits = _logits(held[0], state.pi)  # selected here under state.pi, so exact as priced
-    a, per_point = _normalize_rows(logits)
+    a, per_point = _normalize_rows(held[0].pairs, logits, model.n_strata)
     trace = [float(np.mean(per_point))]
     streak = 0
     converged = False
@@ -483,10 +483,10 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
 
     for n_done in range(1, config.max_iters + 1):
         pi = update_mixing(a)
-        held.append(m_step(model, EmState(v=state.v, pi=pi, a=a), data, config, held.pop()))
+        held.append(m_step(model, EmState(v=state.v, pi=pi, a=a), data, held.pop()))
         held[0], logits = _exact_logits(model, held[0], data, pi)
         state = EmState(v=held[0].v, pi=pi, a=a)
-        a, per_point = _normalize_rows(logits)
+        a, per_point = _normalize_rows(held[0].pairs, logits, model.n_strata)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
             bad = np.flatnonzero(~np.isfinite(per_point)).tolist()

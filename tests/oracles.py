@@ -10,12 +10,13 @@ must agree with.
 * `edge_density_quadrature` integrates the segment-convolved Gaussian
   numerically, independently of the closed form.
 * `edge_log_density_grad` reads one segment's per-point gradients off the
-  batch kernel.
+  batch kernel, priced on every point.
 * The EM helpers price every (point, stratum) pair, straight from
   `graphskel.densities`, so they share no selection code with the sparse
-  evaluation that `em_fit` runs. They reduce with the package's own objective
-  and gradient, which keeps a fit rebuilt from them bit-identical to
-  `em_fit`.
+  evaluation that `em_fit` runs. Each row sums left to right, as the package's
+  pair-order sums do; the objective and the gradient are the package's own
+  reductions over the all-pairs list. A fit rebuilt from them is therefore
+  bit-identical to `em_fit`.
 """
 from __future__ import annotations
 
@@ -26,8 +27,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from graphskel.densities import EdgeCoefficients, edge_log_density_grad_batch, vertex_log_density
-from graphskel.em import EmState, StrataModel, _check_vertices, _clip_limit, _gradient, _objective
+from graphskel.densities import edge_log_density_grad_batch, vertex_log_density
+from graphskel.em import (
+    EmState,
+    StrataModel,
+    _check_vertices,
+    _clip_limit,
+    _Evaluation,
+    _gradient,
+    _objective,
+    _Pairs,
+)
 from graphskel.geometry import ComponentLabeling, PointCloud, component_centroids, threshold_components
 from graphskel.local_structure import LocalLabels, ReconstructionConfig
 
@@ -146,46 +156,50 @@ def edge_density_quadrature(x, v1, v2, sigma: float) -> float:
 def edge_log_density_grad(x, v1, v2, sigma: float):
     """Log density and per-point gradients w.r.t. both endpoints, shapes (m,), (m, n)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    logrho, (alpha1, beta1, alpha2, beta2, *_) = edge_log_density_grad_batch(x, [v1], [v2], [sigma])
-    s = (v1 + v2) - 2.0 * x
-    w = v1 - v2
-    g1 = alpha1[0][:, None] * s + beta1[0][:, None] * w
-    g2 = alpha2[0][:, None] * s + beta2[0][:, None] * w
-    return logrho[0], g1, g2
+    m = x.shape[0]
+    logrho, (alpha1, beta1, alpha2, beta2, _, s, w) = edge_log_density_grad_batch(
+        x, [v1], [v2], [sigma], np.zeros(m, dtype=int), np.arange(m)
+    )
+    g1 = alpha1[:, None] * s.T + beta1[:, None] * w
+    g2 = alpha2[:, None] * s.T + beta2[:, None] * w
+    return logrho, g1, g2
 
 
 # -- EM ---------------------------------------------------------------------
-class DenseEvaluation(NamedTuple):
-    """Every (point, stratum) pair priced, with the fields the package's
-    objective and gradient read."""
-
-    v: np.ndarray  # (n0, dim)
-    logdens: np.ndarray  # (|P|, N)
-    edge: EdgeCoefficients | None
+def all_pairs(m: int, n_strata: int) -> _Pairs:
+    """Every (point, stratum) pair, point-major: row j of a dense (m, N) array."""
+    return _Pairs(
+        np.repeat(np.arange(m), n_strata), np.tile(np.arange(n_strata), m), np.arange(0, m * n_strata + 1, n_strata)
+    )
 
 
-def dense_evaluation(model: StrataModel, v, data: PointCloud) -> DenseEvaluation:
+def dense_evaluation(model: StrataModel, v, data: PointCloud) -> _Evaluation:
+    """Every (point, stratum) pair priced, in the layout of the package's
+    objective and gradient; logdens.reshape(m, N) is the dense matrix."""
     v = _check_vertices(model, v)
-    x, n0 = data.coords, model.n0
-    logdens = np.empty((len(data), model.n_strata))
+    x, n0, m = data.coords, model.n0, len(data)
+    logdens = np.empty((m, model.n_strata))
     logdens[:, :n0] = vertex_log_density(x[:, None, :], v, model.sigma[:n0])
-    edge = None
-    if model.n1:
-        i1, i2 = model.ends.T
-        logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], mask=None)
-        logdens[:, n0:] = logrho.T
-    return DenseEvaluation(v, logdens, edge)
+    i1, i2 = model.ends.T
+    seg, point = np.tile(np.arange(model.n1), m), np.repeat(np.arange(m), model.n1)
+    logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], seg, point)
+    logdens[:, n0:] = logrho.reshape(m, model.n1)
+    return _Evaluation(v, all_pairs(m, model.n_strata), logdens.ravel(), edge)
 
 
 def dense_logits(model: StrataModel, v, pi, data: PointCloud) -> np.ndarray:
+    """(|P|, N) logits of every pair."""
     with np.errstate(divide="ignore"):
-        return dense_evaluation(model, v, data).logdens + np.log(np.asarray(pi, dtype=float))[None, :]
+        return dense_evaluation(model, v, data).logdens.reshape(len(data), -1) + np.log(np.asarray(pi, dtype=float))
+
+
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right."""
+    return np.cumsum(w, axis=1)[:, -1]
 
 
 def responsibilities(model: StrataModel, state: EmState, data: PointCloud) -> np.ndarray:
-    """Posterior stratum probabilities, rows summing to 1.
+    """Posterior stratum probabilities (|P|, N), rows summing to 1.
 
     Max-shift normalization in log space. Rows where every stratum
     underflows to -inf fall back to uniform and a warning is recorded.
@@ -201,7 +215,7 @@ def responsibilities(model: StrataModel, state: EmState, data: PointCloud) -> np
     with np.errstate(under="ignore"):
         w = np.exp(logits - shift)
     w[dead] = 1.0
-    return w / w.sum(axis=1, keepdims=True)
+    return w / _row_sums(w)[:, None]
 
 
 def log_likelihood(model: StrataModel, v, pi, a, data: PointCloud) -> float:
@@ -210,7 +224,7 @@ def log_likelihood(model: StrataModel, v, pi, a, data: PointCloud) -> float:
     Terms with A_ij = 0 contribute exactly 0 even when log pi_i or the log
     density is -inf.
     """
-    return _objective(dense_evaluation(model, v, data), pi, a)
+    return _objective(dense_evaluation(model, v, data), pi, np.asarray(a, dtype=float).ravel())
 
 
 def marginal_log_likelihood(model: StrataModel, v, pi, data: PointCloud) -> float:
@@ -219,7 +233,7 @@ def marginal_log_likelihood(model: StrataModel, v, pi, data: PointCloud) -> floa
     logits = dense_logits(model, v, pi, data)
     shift = np.max(logits, axis=1, keepdims=True)
     with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-        per_point = np.log(np.sum(np.exp(logits - shift), axis=1)) + shift[:, 0]
+        per_point = np.log(_row_sums(np.exp(logits - shift))) + shift[:, 0]
     return float(np.mean(per_point))
 
 
@@ -231,4 +245,4 @@ def grad_vertices(model: StrataModel, v, pi, a, data: PointCloud, clip_norm: flo
     data bounding-box diagonal); pass numpy.inf to disable.
     """
     limit = _clip_limit(data) if clip_norm is None else float(clip_norm)
-    return _gradient(model, dense_evaluation(model, v, data), a, data, limit)
+    return _gradient(model, dense_evaluation(model, v, data), np.asarray(a, dtype=float).ravel(), data, limit)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from scipy.integrate import simpson
 from graphskel.densities import (
     edge_log_density,
     edge_log_density_grad_batch,
+    endpoint_gradients,
     log_erf_diff,
     vertex_log_density,
 )
@@ -236,33 +238,104 @@ class TestEdgeLogDensityGrad:
 
 
 class TestEdgeLogDensityGradBatchMask:
+    """A selection held as a (K, m) bool grid is priced through its pair list."""
+
+    def test_all_true_mask_is_no_mask(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x, v1s, v2s, sigmas = TestEdgeLogDensityGradBatchPairs.case(rng)
+            seg, point = np.nonzero(np.ones((len(v1s), len(x)), dtype=bool))
+            logrho, _ = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+            # edge_log_density prices every point of one segment
+            for k in range(len(v1s)):
+                assert np.array_equal(logrho[seg == k], edge_log_density(x, v1s[k], v2s[k], sigmas[k]))
+
+    def test_prices_only_the_masked_pairs(self):
+        rng = np.random.default_rng(12)
+        for density in (0.0, 0.1, 0.5):
+            x, v1s, v2s, sigmas = TestEdgeLogDensityGradBatchPairs.case(rng)
+            k, m = len(v1s), len(x)
+            full_seg, full_point = np.nonzero(np.ones((k, m), dtype=bool))
+            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, full_seg, full_point)
+            mask = rng.random((k, m)) < density
+            seg, point = np.nonzero(mask)
+            masked, masked_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+            flat = mask.ravel()  # full pairs are segment-major, as np.nonzero gives them
+            assert masked.shape == (mask.sum(),)
+            assert np.array_equal(masked, logrho[flat])
+            for got, want in zip(masked_coeffs[:5], coeffs[:5]):  # alpha1, beta1, alpha2, beta2, seg
+                assert np.array_equal(got, want[flat])
+            assert np.array_equal(masked_coeffs.s, coeffs.s[:, flat])
+            assert np.array_equal(masked_coeffs.w, coeffs.w)
+
+
+class TestEdgeLogDensityGradBatchPairs:
     @staticmethod
     def case(rng, k=4, m=60, n=3):
         x = rng.normal(size=(m, n)) * 2.0
         v1s, v2s = rng.normal(size=(2, k, n))
         return x, v1s, v2s, rng.uniform(0.1, 0.6, size=k)
 
-    def test_all_true_mask_is_no_mask(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            x, v1s, v2s, sigmas = self.case(rng)
-            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas)
-            all_true = np.ones(logrho.shape, dtype=bool)
-            masked, masked_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, all_true)
-            assert np.array_equal(masked, logrho)
-            for got, want in zip(masked_coeffs, coeffs):
-                assert np.array_equal(got, want)
+    @staticmethod
+    def grid(k, m):
+        """Every (segment, point) pair, point-major."""
+        return np.tile(np.arange(k), m), np.repeat(np.arange(m), k)
 
-    def test_prices_only_the_masked_pairs(self):
+    def test_subset_matches_full_grid(self):
         rng = np.random.default_rng(12)
-        for density in (0.0, 0.1, 0.5):
+        for density in (0.05, 0.3, 1.0):
             x, v1s, v2s, sigmas = self.case(rng)
-            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas)
-            mask = rng.random(logrho.shape) < density
-            masked, masked_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, mask)
-            assert np.array_equal(masked[mask], logrho[mask])
-            assert np.all(np.isneginf(masked[~mask]))
-            for got, want in zip(masked_coeffs[:4], coeffs[:4]):
-                assert np.array_equal(got[mask], want[mask]) and np.all(got[~mask] == 0.0)
-            for got, want in zip(masked_coeffs[4:], coeffs[4:]):  # xc, u, w
-                assert np.array_equal(got, want)
+            seg, point = self.grid(len(v1s), len(x))
+            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+            # a random subset of the grid, in random order
+            pick = rng.permutation(seg.size)[: int(density * seg.size)]
+            sub, sub_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg[pick], point[pick])
+            assert np.array_equal(sub, logrho[pick])
+            for got, want in zip(sub_coeffs[:5], coeffs[:5]):  # alpha1, beta1, alpha2, beta2, seg
+                assert np.array_equal(got, want[pick])
+            assert np.array_equal(sub_coeffs.s, coeffs.s[:, pick])
+            assert np.array_equal(sub_coeffs.w, coeffs.w)
+
+    def test_weighted_gradients_add_in_pair_order(self):
+        rng = np.random.default_rng(13)
+        x, v1s, v2s, sigmas = self.case(rng)
+        seg, point = self.grid(len(v1s), len(x))
+        _, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+        weights = np.where(rng.random(seg.size) < 0.2, rng.random(seg.size), 0.0)
+        on = weights > 0
+        _, sub_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg[on], point[on])
+        # pairs of weight 0 change no bit of the sums
+        for got, want in zip(endpoint_gradients(sub_coeffs, weights[on]), endpoint_gradients(coeffs, weights)):
+            assert np.array_equal(got, want)
+
+    def test_empty_pair_list(self):
+        rng = np.random.default_rng(14)
+        x, v1s, v2s, sigmas = self.case(rng)
+        none = np.array([], dtype=int)
+        logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, none, none)
+        assert logrho.shape == (0,)
+        assert all(c.shape == (0,) for c in coeffs[:5]) and coeffs.s.shape == (x.shape[1], 0)
+        for grad in endpoint_gradients(coeffs, np.array([])):
+            assert grad.shape == v1s.shape and np.all(grad == 0.0)
+
+    @pytest.mark.parametrize(
+        "seg, point, bad",
+        [
+            ([0, 1, 4, 2], [0, 1, 2, 3], "pair 2 (segment 4, point 2)"),
+            ([0, 1, 2, 3], [0, 60, 2, 61], "pair 1 (segment 1, point 60)"),
+            ([0, -1, 2, 3], [0, 1, 2, 3], "pair 1 (segment -1, point 1)"),
+            ([0, 1, 2, 3], [0, 1, 2, -3], "pair 3 (segment 3, point -3)"),
+        ],
+        ids=["segment-past-last", "point-past-last", "negative-segment", "negative-point"],
+    )
+    def test_rejects_out_of_range_pairs(self, seg, point, bad):
+        x, v1s, v2s, sigmas = self.case(np.random.default_rng(15))
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            edge_log_density_grad_batch(x, v1s, v2s, sigmas, np.array(seg), np.array(point))
+
+    def test_rejects_mismatched_pairs(self):
+        x, v1s, v2s, sigmas = self.case(np.random.default_rng(16))
+        with pytest.raises(ValueError, match="equal length"):
+            edge_log_density_grad_batch(x, v1s, v2s, sigmas, np.arange(3), np.arange(4))
+        with pytest.raises(ValueError, match="equal length"):
+            edge_log_density_grad_batch(x, v1s, v2s, sigmas, np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))

@@ -362,7 +362,7 @@ class TestInitialize:
         assert model.n0 == 5 and model.n1 == 5
         assert state.a.shape == (len(fixture_cloud), 10)
         assert np.allclose(state.a.sum(axis=1), 1.0)
-        assert set(np.unique(state.a)) <= {0.0, 1.0}
+        assert set(np.unique(state.a.toarray())) <= {0.0, 1.0}
         assert state.pi.sum() == pytest.approx(1.0, abs=1e-12)
         # initial vertices inside the bounding box of their clusters
         for i, members in enumerate(graph.members()[: graph.n_vertices]):
@@ -522,7 +522,7 @@ class TestEmFit:
         assert recomputed == pytest.approx(report.loglik_trace[-1], abs=1e-12)
 
 
-def reference_m_step(model, v, pi, a, data, config):
+def reference_m_step(model, v, pi, a, data):
     """The M-step priced afresh at every use, on every pair: the oracle
     objective and gradient.
 
@@ -535,7 +535,7 @@ def reference_m_step(model, v, pi, a, data, config):
         mass[i] += edge_mass[k]
         mass[j] += edge_mass[k]
     scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
-    step = config.step_init
+    step = gs.em.STEP_INIT
     backtracks = 0
     for _ in range(M_STEP_ITERS):
         g = grad_vertices(model, v, pi, a, data)
@@ -572,7 +572,7 @@ def reference_em_fit(model, state, data, config):
     for n_done in range(1, config.max_iters + 1):
         a = responsibilities(model, EmState(v=v, pi=pi, a=state.a), data)
         pi = update_mixing(a)
-        v, halved = reference_m_step(model, v, pi, a, data, config)
+        v, halved = reference_m_step(model, v, pi, a, data)
         backtracks += halved
         trace.append(marginal_log_likelihood(model, v, pi, data))
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
@@ -594,21 +594,30 @@ def twelve_vertex_5d(twelve_vertex_5d_recovery):
 
 
 @pytest.fixture(scope="module", params=["fixture-ratio8", "random-5d-large-step", "random-5d-12-vertex"])
-def em_case(request, fixture_cloud, ratio8_recovery):
-    """(model, state, data, config): the fixture at ratio 8, a small 5-D
-    compliant graph whose large initial step forces line-search backtracks,
-    and a 12-vertex 5-D graph where most pairs are never priced."""
+def em_inputs(request, fixture_cloud, ratio8_recovery):
+    """(model, state, data, config, initial M-step step): the fixture at ratio
+    8, a small 5-D compliant graph whose large initial step forces
+    line-search backtracks, and a 12-vertex 5-D graph where most pairs are
+    never priced."""
     if request.param == "fixture-ratio8":
         graph, _, _ = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
-        return model, state, fixture_cloud, EmConfig(max_iters=10)
+        return model, state, fixture_cloud, EmConfig(max_iters=10), gs.em.STEP_INIT
     if request.param == "random-5d-12-vertex":
-        return *request.getfixturevalue("twelve_vertex_5d"), EmConfig(max_iters=4)
+        return *request.getfixturevalue("twelve_vertex_5d"), EmConfig(max_iters=4), gs.em.STEP_INIT
     spec = gs.random_compliant_graph(5, 3, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
     cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, seed=0))
     graph, _, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
     model, state = initialize(graph, cloud, sigma=0.05)
-    return model, state, cloud, EmConfig(max_iters=10, step_init=64.0)
+    return model, state, cloud, EmConfig(max_iters=10), 64.0
+
+
+@pytest.fixture
+def em_case(em_inputs, monkeypatch):
+    """(model, state, data, config), with the case's initial M-step step in force."""
+    *case, step_init = em_inputs
+    monkeypatch.setattr(gs.em, "STEP_INIT", step_init)
+    return case
 
 
 class TestOneEvaluationPerVertexMatrix:
@@ -619,7 +628,7 @@ class TestOneEvaluationPerVertexMatrix:
         assert np.array_equal(report.state.v, v)
         assert np.array_equal(report.loglik_trace, trace)
         assert report.n_iterations == n_done
-        if config.step_init > EmConfig().step_init:
+        if gs.em.STEP_INIT > 1.0:
             assert backtracks > 0  # rejected trials are exercised
 
     def test_each_vertex_matrix_priced_once(self, em_case, monkeypatch):
@@ -644,15 +653,20 @@ class TestOneEvaluationPerVertexMatrix:
         assert len({key for _, key in seen}) == len(seen)
 
 
+def pair_keys(ev, n_strata):
+    """The position of each of ev's pairs in the flattened (|P|, N) matrix."""
+    return ev.pairs.point * n_strata + ev.pairs.stratum
+
+
 class TestSparsePricing:
     def test_most_edge_pairs_are_never_priced(self, twelve_vertex_5d, monkeypatch):
         model, state, cloud = twelve_vertex_5d
         kernel = gs.em.edge_log_density_grad_batch
         fractions = []  # share of the (edge, point) pairs each kernel call prices
 
-        def counted(x, v1s, v2s, sigmas, mask=None):
-            fractions.append(1.0 if mask is None else float(np.mean(mask)))
-            return kernel(x, v1s, v2s, sigmas, mask)
+        def counted(x, v1s, v2s, sigmas, seg, point):
+            fractions.append(len(seg) / (len(v1s) * len(x)))
+            return kernel(x, v1s, v2s, sigmas, seg, point)
 
         monkeypatch.setattr(gs.em, "edge_log_density_grad_batch", counted)
         em_fit(model, state, cloud, EmConfig(max_iters=4))
@@ -695,38 +709,47 @@ class TestSparsePricing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             dense = dense_evaluation(model, v, data)
-            masked = _evaluate(model, v, data, pi, support)
-            ev, logits = _exact_logits(model, masked, data, pi)
+            selected = _evaluate(model, v, data, pi, support.T)
+            ev, logits = _exact_logits(model, selected, data, pi)
             dense_logits = _logits(dense, pi)
-        assert ev is masked  # selected for this pi: nothing is priced twice
-        priced = ~masked.skip.T
-        assert np.all(priced[support.T])
-        assert np.array_equal(masked.logdens[priced], dense.logdens[priced], equal_nan=True)
-        assert np.all(np.isneginf(masked.logdens[~priced]))
+        assert ev is selected  # selected for this pi: nothing is priced twice
+        point, stratum, start = selected.pairs
+        keys = pair_keys(selected, n_strata)
+        assert np.all(np.diff(keys) > 0)  # point-major, each pair once
+        assert np.array_equal(start, np.searchsorted(point, np.arange(len(data) + 1)))
+        priced = np.zeros(len(dense_logits), dtype=bool)
+        priced[keys] = True
+        assert np.all(priced.reshape(len(data), n_strata)[support.T])
+        assert np.array_equal(selected.logdens, dense.logdens[keys], equal_nan=True)
         if edges:
-            on = priced[:, n0:].T
-            for got, want in zip(masked.edge[:4], dense.edge[:4]):
-                assert np.array_equal(got[on], want[on]) and np.all(got[~on] == 0.0)
-        top = np.broadcast_to(np.max(dense_logits, axis=1, keepdims=True), dense_logits.shape)
+            on = stratum >= n0
+            seg = stratum[on] - n0
+            at = point[on] * len(edges) + seg  # the same pairs in the all-pairs kernel call
+            assert np.array_equal(selected.edge.seg, seg)
+            for got, want in zip(selected.edge[:4], dense.edge[:4]):
+                assert np.array_equal(got, want[at])
+            assert np.array_equal(selected.edge.s, dense.edge.s[:, at])
+        top = np.repeat(np.maximum.reduceat(dense_logits, dense.pairs.start[:-1]), n_strata)
         assert np.all(dense_logits[~priced] <= top[~priced] - UNDERFLOW_GAP)
 
         moved = rng.dirichlet(np.ones(n_strata))  # weights that moved since the selection
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            moved_logits = _exact_logits(model, masked, data, moved)[1]
-        for got_logits, want_logits in ((logits, dense_logits), (moved_logits, _logits(dense, moved))):
+            moved_ev, moved_logits = _exact_logits(model, selected, data, moved)
+        cases = ((ev, logits, dense_logits), (moved_ev, moved_logits, _logits(dense, moved)))
+        for got_ev, got_logits, want_logits in cases:
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
-                got, got_norm = _normalize_rows(got_logits)
+                got, got_norm = _normalize_rows(got_ev.pairs, got_logits, n_strata)
             with warnings.catch_warnings(record=True) as seen_dense:
                 warnings.simplefilter("always")
-                want, want_norm = _normalize_rows(want_logits)
-            assert np.array_equal(got, want)
+                want, want_norm = _normalize_rows(dense.pairs, want_logits, n_strata)
+            assert np.array_equal(got.toarray(), want.toarray())
             assert np.array_equal(got_norm, want_norm, equal_nan=True)
             assert [str(w.message) for w in seen] == [str(w.message) for w in seen_dense]
             if remote:  # every stratum underflows at the remote point
                 assert any("zero density" in str(w.message) for w in seen)
-                assert np.all(got[-1] == 1.0 / n_strata)
+                assert np.all(got.toarray()[-1] == 1.0 / n_strata)
 
 
 class TestSelectionOncePerIteration:
@@ -764,14 +787,56 @@ class TestSelectionOncePerIteration:
 
     def test_stale_selection_is_priced_again(self, twelve_vertex_5d):
         model, state, cloud = twelve_vertex_5d
-        start = _evaluate(model, state.v, cloud, state.pi, np.asarray(state.a).T > 0)
+        n_strata = model.n_strata
+        start = _evaluate(model, state.v, cloud, state.pi, state.a)
         v = state.v.copy()
         v[0] += 8 * model.sigma[0] * np.ones(model.dim) / math.sqrt(model.dim)  # several sigma
-        stale = _pricer(model, cloud, start.skip)(v)  # priced on the start vertices' selection
+        stale = _pricer(model, cloud, start.pairs)(v)  # priced on the start vertices' selection
         ev, logits = _exact_logits(model, stale, cloud, state.pi)
-        want = _normalize_rows(_logits(dense_evaluation(model, v, cloud), state.pi))
+        dense = dense_evaluation(model, v, cloud)
+        want, want_norm = _normalize_rows(dense.pairs, _logits(dense, state.pi), n_strata)
         assert ev is not stale and np.array_equal(ev.v, v)
-        assert not np.any(ev.skip & ~stale.skip)  # the union keeps every pair priced before
-        for got_part, want_part in zip(_normalize_rows(logits), want):  # responsibilities, log normalizers
-            assert np.array_equal(got_part, want_part)
-        assert not np.array_equal(_normalize_rows(_logits(stale, state.pi))[0], want[0])
+        assert np.all(np.isin(pair_keys(stale, n_strata), pair_keys(ev, n_strata)))  # the union keeps every pair
+        got, got_norm = _normalize_rows(ev.pairs, logits, n_strata)
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(got_norm, want_norm)
+        stale_a = _normalize_rows(stale.pairs, _logits(stale, state.pi), n_strata)[0]
+        assert not np.array_equal(stale_a.toarray(), want.toarray())
+
+
+def fit_cloud(cloud, config):
+    """(initial vertex centroids, em_fit report) for the graph recovered from `cloud`."""
+    graph = gs.recover_graph(cloud, config)[0]
+    model, state = initialize(graph, cloud, sigma=0.05)
+    return state.v, em_fit(model, state, cloud)
+
+
+@pytest.fixture(scope="module")
+def permutation_cases(fixture_cloud):
+    """name -> (cloud, recovery config, fit_cloud of it): the fixture at ratio
+    8 and a 3-vertex compliant graph in R^5 at ratio 12."""
+    spec = gs.random_compliant_graph(5, 3, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
+    clouds = {
+        "fixture-ratio8": (fixture_cloud, 8),
+        "random-5d-3-vertex": (gs.sample_graph(spec, gs.SampleSpec(eps=0.1, seed=0)), 12),
+    }
+    out = {}
+    for name, (cloud, ratio) in clouds.items():
+        config = gs.ReconstructionConfig(R=ratio * 0.1, eps=0.1)
+        out[name] = (cloud, config, fit_cloud(cloud, config))
+    return out
+
+
+class TestPointPermutation:
+    @settings(max_examples=6)
+    @given(case=st.sampled_from(["fixture-ratio8", "random-5d-3-vertex"]), seed=st.integers(0, 2**32 - 1))
+    def test_em_fit_invariant(self, permutation_cases, case, seed):
+        cloud, config, (v0, base) = permutation_cases[case]
+        perm = np.random.default_rng(seed).permutation(len(cloud))
+        v0_perm, fit = fit_cloud(gs.PointCloud(cloud.coords[perm]), config)
+        assert (fit.n_iterations, fit.converged) == (base.n_iterations, base.converged)
+        # vertex ids follow cluster order, which the point order may change
+        match = np.argmin(np.linalg.norm(v0_perm[:, None, :] - v0[None, :, :], axis=2), axis=1)
+        assert sorted(match.tolist()) == list(range(len(v0)))
+        assert np.abs(fit.state.v - base.state.v[match]).max() <= 1e-9 * 0.1
+        assert np.abs(fit.loglik_trace - base.loglik_trace).max() <= 1e-10
