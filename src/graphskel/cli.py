@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .abstract_graph import match_to_ground_truth, recover_graph
+from .densities import _check_sigma
 from .em import EmConfig, em_fit, initialize
 from .errors import CloudParseError, GenerationError, NumericalError, StructureError
 from .fileio import (
@@ -141,8 +142,8 @@ def cmd_fit(args) -> int:
         eps = graph_cfg.get("eps")
         if eps is None:
             raise ValueError("--sigma not given and the graph document has no eps to default from")
-        if type(eps) not in (int, float):
-            raise ValueError("malformed document: field config.eps is not a number")
+        if type(eps) not in (int, float) or not 0 < eps < math.inf:
+            raise ValueError("malformed document: field config.eps is not a positive finite number")
         sigma = float(eps) / 2
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     model, report = _fit(cloud, graph, sigma, em_config)
@@ -155,7 +156,7 @@ def cmd_fit(args) -> int:
         "graph_config": graph_cfg,
         "n0": model.n0,
         "n1": model.n1,
-        "edge_endpoints": [[int(a), int(b)] for (a, b) in model.edge_endpoints],
+        "edge_endpoints": model.edge_endpoints.tolist(),
         "sigma": sigma,
         "vertices": [[float(c) for c in row] for row in report.state.v],
         "pi": [float(p) for p in report.state.pi],
@@ -180,12 +181,12 @@ def cmd_pipeline(args) -> int:
         raise ValueError("--ratios must list at least one ratio")
     ratios = sorted({float(r) for r in args.ratios}, reverse=True)
     eps = args.eps
-    sigma = args.sigma if args.sigma is not None else eps / 2
+    reference_ratio = ratios[0]
+    ref_config = ReconstructionConfig(R=reference_ratio * eps, eps=eps)
+    sigma = _check_sigma(args.sigma if args.sigma is not None else eps / 2)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
 
-    reference_ratio = ratios[0]
-    ref_config = ReconstructionConfig(R=reference_ratio * eps, eps=eps)
     ref_graph, _, _ = recover_graph(cloud, ref_config)
     reference = _ReferenceStructure(
         vertices=np.array(ref_graph.vertex_centroids), edges=tuple(map(tuple, ref_graph.boundary.tolist()))

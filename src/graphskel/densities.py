@@ -29,19 +29,22 @@ __all__ = [
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
-def _check_sigma(sigma) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+def _check_sigma(sigma) -> float:
+    """One positive noise scale as a float, whose square (in every density) is a finite normal double."""
+    if np.ndim(sigma) != 0:
+        raise ValueError(f"sigma must be one number, got shape {np.shape(sigma)}")
+    sigma = float(sigma)
+    if not (sigma > 0 and np.finfo(float).tiny <= sigma * sigma < math.inf):
+        raise ValueError(f"sigma must be positive with a finite normal square (about 1.5e-154 to 1.3e154), got {sigma}")
     return sigma
 
 
 def vertex_log_density(x, v, sigma):
-    """Log of the isotropic Gaussian N(v, sigma^2 I) at x.
+    """Log of the isotropic Gaussian N(v, sigma^2 I) at x, for one float sigma.
 
-    x, v and sigma broadcast, with coordinates on the last axis of x and v: a
-    point (n,) gives a scalar, a batch (m, n) gives (m,), and x[:, None, :]
-    against K vertices (K, n) with per-vertex sigma (K,) gives (m, K).
+    x and v broadcast, with coordinates on the last axis: a point (n,) gives a
+    scalar, a batch (m, n) gives (m,), and x[:, None, :] against K vertices
+    (K, n) gives (m, K).
     """
     sigma = _check_sigma(sigma)
     v = np.asarray(v, dtype=float)
@@ -91,7 +94,7 @@ def edge_log_density(x, v1, v2, sigma: float):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    out, _ = edge_log_density_grad_batch(x, [v1], [v2], [sigma], np.zeros(len(x), dtype=np.intp), np.arange(len(x)))
+    out, _ = edge_log_density_grad_batch(x, [v1], [v2], sigma, np.zeros(len(x), dtype=np.intp), np.arange(len(x)))
     if np.any(np.isneginf(out)):
         warnings.warn(
             "edge_log_density underflowed to -inf for some points (erf difference below "
@@ -133,9 +136,9 @@ def _pair_indices(seg, point, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return seg, point
 
 
-def edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point):
-    """Log densities (P,) of segment seg[p] at point x[point[p]], plus their
-    gradient coefficients.
+def edge_log_density_grad_batch(x, v1s, v2s, sigma: float, seg, point):
+    """Log densities (P,) of segment seg[p] at point x[point[p]] under noise
+    scale sigma, plus their gradient coefficients.
 
     With s = v1_k + v2_k - 2 x and w_k = v1_k - v2_k, a point enters the
     density only through g = s . w_k and |s|^2; s is formed about the mean of
@@ -148,9 +151,7 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     v1s = np.atleast_2d(np.asarray(v1s, dtype=float))
     v2s = np.atleast_2d(np.asarray(v2s, dtype=float))
-    sigmas = np.atleast_1d(_check_sigma(sigmas))
-    if sigmas.shape == (1,) and v1s.shape[0] > 1:
-        sigmas = np.full(v1s.shape[0], sigmas[0])
+    sigma = _check_sigma(sigma)
     w = v1s - v2s  # (K, n)
     ll = np.einsum("kn,kn->k", w, w)
     if np.any(ll == 0.0):
@@ -167,8 +168,8 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point):
         g = g + sd * wd[seg]
         ss = ss + sd * sd
     length = np.sqrt(ll)
-    denom = (2.0 * math.sqrt(2.0) * length * sigmas)[seg]
-    sig2 = sigmas * sigmas
+    denom = (2.0 * math.sqrt(2.0) * length * sigma)[seg]
+    sig2 = sigma * sigma
     llp = ll[seg]
     t_plus = (g + llp) / denom
     t_minus = (g - llp) / denom
@@ -178,7 +179,7 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point):
     const = (
         -0.5 * (n + 1) * math.log(2.0)
         + 0.5 * (1 - n) * math.log(math.pi)
-        + (1 - n) * np.log(sigmas)
+        + (1 - n) * np.log(sigma)
         - np.log(length)
     )  # (K,)
 
@@ -195,7 +196,7 @@ def edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point):
     g_over = g / (4.0 * ll * sig2)[seg]
     g2_over = g * g / (4.0 * ll * ll * sig2)[seg]
     del g
-    quarter = (1.0 / (4.0 * sig2))[seg]
+    quarter = 1.0 / (4.0 * sig2)
 
     beta1 = (
         r_plus * (3.0 / denom - t_plus / llp)

@@ -33,6 +33,7 @@ from scipy.special import erf
 from .abstract_graph import AbstractGraph
 from .densities import (
     EdgeCoefficients,
+    _check_sigma,
     edge_log_density_grad_batch,
     endpoint_gradients,
     vertex_log_density,
@@ -70,38 +71,33 @@ SELECT_MARGIN = 100.0
 
 @dataclass(frozen=True)
 class StrataModel:
-    """Stratum bookkeeping: counts, edge endpoints, noise scales, dimension.
+    """The strata: n0 vertices, the edges between them and one noise scale.
 
     Strata are indexed 0..n0-1 (vertices) then n0..n0+n1-1 (edges);
-    edge_endpoints[k] holds the vertex indices bounding edge stratum n0+k, and
-    `ends` holds the same pairs as an (n1, 2) index array.
+    edge_endpoints[k] holds the vertex indices bounding edge stratum n0+k.
+    Every stratum has standard deviation sigma.
     """
 
     n0: int
-    n1: int
-    edge_endpoints: tuple[tuple[int, int], ...]
-    sigma: np.ndarray  # (N,) per-stratum standard deviations
-    dim: int
+    edge_endpoints: np.ndarray  # (n1, 2) vertex indices, stored read-only
+    sigma: float
 
     def __post_init__(self):
         if self.n0 < 1:
             raise ValueError("model needs at least one vertex stratum")
-        if self.n1 != len(self.edge_endpoints):
-            raise ValueError("edge_endpoints must have one entry per edge stratum")
-        for k, (i, j) in enumerate(self.edge_endpoints):
+        ends = np.array(self.edge_endpoints, dtype=np.intp).reshape(len(self.edge_endpoints), 2)
+        for k, (i, j) in enumerate(ends.tolist()):
             if i == j:
                 raise ValueError(f"edge stratum {k} has identical endpoints {i}")
             if not (0 <= i < self.n0 and 0 <= j < self.n0):
                 raise ValueError(f"edge stratum {k} references invalid vertex index")
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim == 0:
-            sigma = np.full(self.n_strata, float(sigma))
-        if sigma.shape != (self.n_strata,):
-            raise ValueError(f"sigma must be scalar or length {self.n_strata}")
-        if not np.all(sigma > 0):
-            raise ValueError("all sigma must be positive")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "ends", np.array(self.edge_endpoints, dtype=int).reshape(-1, 2))
+        ends.flags.writeable = False
+        object.__setattr__(self, "edge_endpoints", ends)
+        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
+
+    @property
+    def n1(self) -> int:
+        return len(self.edge_endpoints)
 
     @property
     def n_strata(self) -> int:
@@ -132,11 +128,11 @@ class FitReport:
     vertex_displacement: np.ndarray  # (n0,) distance moved from initialization
 
 
-def _check_vertices(model: StrataModel, v: np.ndarray) -> np.ndarray:
+def _check_vertices(model: StrataModel, v: np.ndarray, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (model.n0, model.dim):
-        raise ValueError(f"vertex matrix must be {(model.n0, model.dim)}, got {v.shape}")
-    i1, i2 = model.ends.T
+    if v.shape != (model.n0, dim):
+        raise ValueError(f"vertex matrix must be {(model.n0, dim)}, got {v.shape}")
+    i1, i2 = model.edge_endpoints.T
     coincide = np.all(v[i1] == v[i2], axis=1)
     if np.any(coincide):
         k = int(np.argmax(coincide))
@@ -180,11 +176,11 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np
     arithmetic runs in place: fresh (N, |P|) temporaries cost more than it.
     """
     origin, xc = data.centred
-    n, n0 = model.dim, model.n0
+    n, n0 = data.dim, model.n0
     vc = v - origin
     vv = np.einsum("kn,kn->k", vc, vc)[:, None]
     xx = np.einsum("mn,mn->m", xc, xc)
-    inv = (0.5 / model.sigma**2)[:, None]
+    inv = 0.5 / (model.sigma * model.sigma)
     tol = 16.0 * (n + 16) * np.finfo(float).eps * (xx.max() + vv.max()) * inv
     out = np.empty((model.n_strata, len(data)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -192,7 +188,7 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np
         sq = np.matmul(-2.0 * vc, xc.T, out=out[:n0])  # squared distances to the vertices
         sq += vv
         sq += xx
-        i1, i2 = model.ends.T
+        i1, i2 = model.edge_endpoints.T
         ll = np.sum((v[i1] - v[i2]) ** 2, axis=1)[:, None]
         seg = np.take(sq, i2, axis=0, out=out[n0:])  # to v2 for now
         t = np.take(sq, i1, axis=0)
@@ -211,12 +207,12 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np
         np.subtract(-0.5 * n * np.log(math.pi / inv) + tol, out, out=out)
         out += logpi
         top = np.max(out[:n0], axis=0)
-        l_over_s = np.sqrt(ll) / model.sigma[n0:, None]
+        l_over_s = np.sqrt(ll) / model.sigma
         keep = np.log(math.sqrt(math.pi / 2) / l_over_s * erf(l_over_s / math.sqrt(2)))
         np.add(out[n0:], keep, out=t)
         t[~inside] = -np.inf
         np.maximum(top, np.max(t, axis=0, initial=-np.inf), out=top)
-        top -= 2.0 * tol.max()
+        top -= 2.0 * tol
     return top, out
 
 
@@ -236,16 +232,16 @@ def _pricer(model: StrataModel, data: PointCloud, pairs: _Pairs):
     worked out here, once for every vertex matrix priced on `pairs`.
     """
     x, n0 = data.coords, model.n0
-    i1, i2 = model.ends.T
+    i1, i2 = model.edge_endpoints.T
     vert = pairs.stratum < n0
     cols, seg, point = pairs.stratum[vert], pairs.stratum[~vert] - n0, pairs.point[~vert]
-    x_rows, sigma_cols = x[pairs.point[vert]], model.sigma[cols]
+    x_rows = x[pairs.point[vert]]
 
     def price(v) -> _Evaluation:
-        v = _check_vertices(model, v).copy()
+        v = _check_vertices(model, v, data.dim).copy()
         logdens = np.empty(len(vert))
-        logdens[vert] = vertex_log_density(x_rows, v[cols], sigma_cols)
-        logdens[~vert], edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], seg, point)
+        logdens[vert] = vertex_log_density(x_rows, v[cols], model.sigma)
+        logdens[~vert], edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma, seg, point)
         return _Evaluation(v, pairs, logdens, edge)
 
     return price
@@ -259,7 +255,7 @@ def _evaluate(model: StrataModel, v, data: PointCloud, pi, a) -> _Evaluation:
     lower bound on its row's largest logit, which holds every pair the E-step
     can weigh.
     """
-    v = _check_vertices(model, v)
+    v = _check_vertices(model, v, data.dim)
     return _pricer(model, data, _select(*_bounds(model, v, data, pi), *(a > 0).nonzero()))(v)
 
 
@@ -306,12 +302,12 @@ def _gradient(model: StrataModel, ev: _Evaluation, w: np.ndarray, data: PointClo
     # sum_j a_ji (x_j - v_i) for every vertex at once, with x taken about its
     # mean as in the edge kernel, which keeps far-from-origin clouds accurate
     origin, xc = data.centred
-    bins = (cols + n0 * np.arange(model.dim)[:, None]).ravel()  # (coordinate, vertex)
-    pull = np.bincount(bins, (wv * xc.T[:, point[vert]]).ravel(), minlength=model.dim * n0).reshape(-1, n0).T
+    bins = (cols + n0 * np.arange(data.dim)[:, None]).ravel()  # (coordinate, vertex)
+    pull = np.bincount(bins, (wv * xc.T[:, point[vert]]).ravel(), minlength=data.dim * n0).reshape(-1, n0).T
     pull -= np.bincount(cols, wv, minlength=n0)[:, None] * (ev.v - origin)
-    grad = pull / ((model.sigma[:n0, None] ** 2) * m)
+    grad = pull / (model.sigma * model.sigma * m)
     g1, g2 = endpoint_gradients(ev.edge, w[~vert])
-    np.add.at(grad, model.ends.T.ravel(), np.vstack([g1, g2]) / m)
+    np.add.at(grad, model.edge_endpoints.T.ravel(), np.vstack([g1, g2]) / m)
 
     norms = np.sqrt(np.sum(grad**2, axis=1))
     over = norms > limit
@@ -394,8 +390,8 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
 
     # responsibility mass pulling on each vertex: own stratum plus incident edges
     mass = np.bincount(evaluation.pairs.stratum, w, minlength=model.n_strata)
-    np.add.at(mass, model.ends.ravel(), np.repeat(mass[model.n0 :], 2))
-    scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass[: model.n0], 1e-12)
+    np.add.at(mass, model.edge_endpoints.ravel(), np.repeat(mass[model.n0 :], 2))
+    scale = model.sigma * model.sigma * len(data) / np.maximum(mass[: model.n0], 1e-12)
     step = STEP_INIT
     limit = _clip_limit(data)
 
@@ -409,7 +405,6 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
         saw_finite = False
         gain = 0.0
         while alpha >= STEP_FLOOR:
-            trial = None  # release a rejected trial before pricing the next
             try:
                 trial = price(evaluation.v + alpha * direction)
             except ValueError:  # a trial step collapsed an edge
@@ -448,13 +443,7 @@ def initialize(graph: AbstractGraph, data: PointCloud, sigma: float) -> tuple[St
     if empty.size:
         raise ValueError(f"cannot initialize: cluster {empty[0]} is empty")
 
-    model = StrataModel(
-        n0=n0,
-        n1=n1,
-        edge_endpoints=tuple(map(tuple, np.asarray(graph.boundary).tolist())),
-        sigma=np.full(n0 + n1, float(sigma)),
-        dim=data.dim,
-    )
+    model = StrataModel(n0=n0, edge_endpoints=graph.boundary, sigma=sigma)
     a = sparse.csr_array((np.ones(len(data)), stratum, np.arange(len(data) + 1)), shape=(len(data), n0 + n1))
     pi = update_mixing(a)
     v0 = np.array(graph.vertex_centroids, dtype=float)
@@ -470,12 +459,10 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     """
     v_init = np.array(state.v, dtype=float)
     # One evaluation per accepted vertex matrix feeds the trace entry, the next
-    # E-step and the next M-step's start point. `held` hands it to m_step
-    # without keeping a reference here, so m_step frees it once it accepts a
-    # trial: at most the current and the trial evaluation are alive.
-    held = [_evaluate(model, state.v, data, state.pi, state.a)]
-    logits = _logits(held[0], state.pi)  # selected here under state.pi, so exact as priced
-    a, per_point = _normalize_rows(held[0].pairs, logits, model.n_strata)
+    # E-step and the next M-step's start point.
+    ev = _evaluate(model, state.v, data, state.pi, state.a)
+    logits = _logits(ev, state.pi)  # selected here under state.pi, so exact as priced
+    a, per_point = _normalize_rows(ev.pairs, logits, model.n_strata)
     trace = [float(np.mean(per_point))]
     streak = 0
     converged = False
@@ -483,10 +470,10 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
 
     for n_done in range(1, config.max_iters + 1):
         pi = update_mixing(a)
-        held.append(m_step(model, EmState(v=state.v, pi=pi, a=a), data, held.pop()))
-        held[0], logits = _exact_logits(model, held[0], data, pi)
-        state = EmState(v=held[0].v, pi=pi, a=a)
-        a, per_point = _normalize_rows(held[0].pairs, logits, model.n_strata)
+        ev = m_step(model, EmState(v=state.v, pi=pi, a=a), data, ev)
+        ev, logits = _exact_logits(model, ev, data, pi)
+        state = EmState(v=ev.v, pi=pi, a=a)
+        a, per_point = _normalize_rows(ev.pairs, logits, model.n_strata)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
             bad = np.flatnonzero(~np.isfinite(per_point)).tolist()

@@ -63,8 +63,9 @@ class ReconstructionConfig:
     guarantee_warning: bool = field(init=False)
 
     def __post_init__(self):
-        if not (self.R > 0 and self.eps > 0):
-            raise ValueError("R and eps must be positive")
+        for name, value in (("eps", self.eps), ("R", self.R)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.R > self.eps:
             raise ValueError("R must exceed eps (the shell would be empty)")
         # rounding-tolerant: R = ratio * eps computed in floats must not flip

@@ -158,7 +158,7 @@ def edge_log_density_grad(x, v1, v2, sigma: float):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     m = x.shape[0]
     logrho, (alpha1, beta1, alpha2, beta2, _, s, w) = edge_log_density_grad_batch(
-        x, [v1], [v2], [sigma], np.zeros(m, dtype=int), np.arange(m)
+        x, [v1], [v2], sigma, np.zeros(m, dtype=int), np.arange(m)
     )
     g1 = alpha1[:, None] * s.T + beta1[:, None] * w
     g2 = alpha2[:, None] * s.T + beta2[:, None] * w
@@ -176,13 +176,13 @@ def all_pairs(m: int, n_strata: int) -> _Pairs:
 def dense_evaluation(model: StrataModel, v, data: PointCloud) -> _Evaluation:
     """Every (point, stratum) pair priced, in the layout of the package's
     objective and gradient; logdens.reshape(m, N) is the dense matrix."""
-    v = _check_vertices(model, v)
+    v = _check_vertices(model, v, data.dim)
     x, n0, m = data.coords, model.n0, len(data)
     logdens = np.empty((m, model.n_strata))
-    logdens[:, :n0] = vertex_log_density(x[:, None, :], v, model.sigma[:n0])
-    i1, i2 = model.ends.T
+    logdens[:, :n0] = vertex_log_density(x[:, None, :], v, model.sigma)
+    i1, i2 = model.edge_endpoints.T
     seg, point = np.tile(np.arange(model.n1), m), np.repeat(np.arange(m), model.n1)
-    logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma[n0:], seg, point)
+    logrho, edge = edge_log_density_grad_batch(x, v[i1], v[i2], model.sigma, seg, point)
     logdens[:, n0:] = logrho.reshape(m, model.n1)
     return _Evaluation(v, all_pairs(m, model.n_strata), logdens.ravel(), edge)
 

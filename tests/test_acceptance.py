@@ -200,9 +200,7 @@ def test_criterion_06_gradient_correctness():
         rng.shuffle(pairs)
         n1 = int(rng.integers(1, min(3, len(pairs)) + 1))
         sigma = float(rng.uniform(0.05, 0.5))
-        model = StrataModel(
-            n0=n0, n1=n1, edge_endpoints=tuple(pairs[:n1]), sigma=np.full(n0 + n1, sigma), dim=dim
-        )
+        model = StrataModel(n0=n0, edge_endpoints=tuple(pairs[:n1]), sigma=sigma)
         data = PointCloud(rng.normal(size=(10, dim)) * 1.5)
         v = rng.normal(size=(n0, dim)) * 1.5
         a = rng.random((10, n0 + n1))

@@ -281,6 +281,10 @@ class TestFit:
             (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": None}}, "p0_tilde"),
             (lambda doc: {**doc, "config": [1]}, "config"),
             (lambda doc: {**doc, "config": {**doc["config"], "eps": [1]}}, "config.eps"),
+            (lambda doc: {**doc, "config": {**doc["config"], "eps": -0.1}}, "config.eps"),
+            (lambda doc: {**doc, "config": {**doc["config"], "eps": 0}}, "config.eps"),
+            (lambda doc: {**doc, "config": {**doc["config"], "eps": float("nan")}}, "config.eps"),
+            (lambda doc: {**doc, "config": {**doc["config"], "eps": float("inf")}}, "config.eps"),
             (lambda doc: first(doc, "vertices", members=[0, 10**30]), "members"),
             (lambda doc: {**doc, "labels": {**doc["labels"], "p0_tilde": [10**30]}}, "p0_tilde"),
             (lambda doc: first(doc, "vertices", centroid=None), "centroid"),
@@ -300,6 +304,7 @@ class TestFit:
         ids=[
             "no-labels", "one-element-boundary", "top-level-list", "n_points-null", "vertices-not-list", "dim-null",
             "members-null", "boundary-null-id", "p0_tilde-null", "config-not-object", "eps-not-number",
+            "eps-negative", "eps-zero", "eps-nan", "eps-infinite",
             "members-huge", "p0_tilde-huge", "centroid-null", "centroid-short", "centroid-null-coordinate",
             "centroid-absurd", "members-out-of-range", "members-repeated", "members-missing", "p0_tilde-mismatch",
             "boundary-out-of-range", "boundary-loop", "p1_tilde-mismatch", "moved-outside-p0_tilde", "moved-repeated",
@@ -318,6 +323,18 @@ class TestFit:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "usage"
         assert field in err["message"]
+
+    @pytest.mark.parametrize("command", ["fit", "pipeline"])
+    @pytest.mark.parametrize("sigma", ["inf", "1e-300", "1e300"])
+    def test_bad_sigma_is_usage_error(self, cloud_file, graph_file, tmp_path, capsys, command, sigma):
+        out = tmp_path / "out.json"
+        source = ["--graph", str(graph_file)] if command == "fit" else ["--eps", "0.1", "--ratios", "12,8"]
+        rc = main([command, "--input", str(cloud_file), *source, "--sigma", sigma, "--output", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith("sigma ")
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -375,6 +392,24 @@ class TestPipeline:
 class TestArgumentErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--R", "inf", "--eps", "0.1"],
+            ["graph", "--ratio", "inf", "--eps", "0.1"],
+            ["partition", "--R", "inf", "--eps", "0.1"],
+            ["pipeline", "--ratios", "inf,12", "--eps", "0.1"],
+        ],
+        ids=["graph-R", "graph-ratio", "partition-R", "pipeline-ratios"],
+    )
+    def test_infinite_scale_is_usage_error(self, cloud_file, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(cloud_file), "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith("R ")
+        assert not out.exists()
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0

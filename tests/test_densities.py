@@ -32,8 +32,13 @@ class TestVertexLogDensity:
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi) - 0.5)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            vertex_log_density((0.0,), (0.0,), 0.0)
+        # both density functions check sigma as StrataModel does
+        zero = np.zeros(1, dtype=int)
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e-300, 1e300, np.array([0.5, 0.5])):
+            with pytest.raises(ValueError, match="sigma"):
+                vertex_log_density((0.0,), (0.0,), bad)
+            with pytest.raises(ValueError, match="sigma"):
+                edge_log_density_grad_batch([[0.0]], [[0.0]], [[1.0]], bad, zero, zero)
 
     def test_normalizes_on_grid(self):
         rng = np.random.default_rng(0)
@@ -53,13 +58,12 @@ class TestVertexLogDensity:
         batch = vertex_log_density(xs, v, 0.4)
         for i, x in enumerate(xs):
             assert batch[i] == pytest.approx(vertex_log_density(x, v, 0.4), rel=1e-14)
-        # every vertex of a block, each with its own sigma, in one call
+        # every vertex of a block in one call
         vs = rng.normal(size=(4, 3))
-        sigmas = rng.uniform(0.2, 0.6, size=4)
-        block = vertex_log_density(xs[:, None, :], vs, sigmas)
+        block = vertex_log_density(xs[:, None, :], vs, 0.4)
         assert block.shape == (6, 4)
         for k in range(4):
-            assert np.array_equal(block[:, k], vertex_log_density(xs, vs[k], sigmas[k]))
+            assert np.array_equal(block[:, k], vertex_log_density(xs, vs[k], 0.4))
 
 
 class TestEdgeDensityQuadrature:
@@ -243,23 +247,23 @@ class TestEdgeLogDensityGradBatchMask:
     def test_all_true_mask_is_no_mask(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            x, v1s, v2s, sigmas = TestEdgeLogDensityGradBatchPairs.case(rng)
+            x, v1s, v2s, sigma = TestEdgeLogDensityGradBatchPairs.case(rng)
             seg, point = np.nonzero(np.ones((len(v1s), len(x)), dtype=bool))
-            logrho, _ = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+            logrho, _ = edge_log_density_grad_batch(x, v1s, v2s, sigma, seg, point)
             # edge_log_density prices every point of one segment
             for k in range(len(v1s)):
-                assert np.array_equal(logrho[seg == k], edge_log_density(x, v1s[k], v2s[k], sigmas[k]))
+                assert np.array_equal(logrho[seg == k], edge_log_density(x, v1s[k], v2s[k], sigma))
 
     def test_prices_only_the_masked_pairs(self):
         rng = np.random.default_rng(12)
         for density in (0.0, 0.1, 0.5):
-            x, v1s, v2s, sigmas = TestEdgeLogDensityGradBatchPairs.case(rng)
+            x, v1s, v2s, sigma = TestEdgeLogDensityGradBatchPairs.case(rng)
             k, m = len(v1s), len(x)
             full_seg, full_point = np.nonzero(np.ones((k, m), dtype=bool))
-            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, full_seg, full_point)
+            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigma, full_seg, full_point)
             mask = rng.random((k, m)) < density
             seg, point = np.nonzero(mask)
-            masked, masked_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+            masked, masked_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigma, seg, point)
             flat = mask.ravel()  # full pairs are segment-major, as np.nonzero gives them
             assert masked.shape == (mask.sum(),)
             assert np.array_equal(masked, logrho[flat])
@@ -274,7 +278,7 @@ class TestEdgeLogDensityGradBatchPairs:
     def case(rng, k=4, m=60, n=3):
         x = rng.normal(size=(m, n)) * 2.0
         v1s, v2s = rng.normal(size=(2, k, n))
-        return x, v1s, v2s, rng.uniform(0.1, 0.6, size=k)
+        return x, v1s, v2s, rng.uniform(0.1, 0.6)
 
     @staticmethod
     def grid(k, m):
@@ -284,12 +288,12 @@ class TestEdgeLogDensityGradBatchPairs:
     def test_subset_matches_full_grid(self):
         rng = np.random.default_rng(12)
         for density in (0.05, 0.3, 1.0):
-            x, v1s, v2s, sigmas = self.case(rng)
+            x, v1s, v2s, sigma = self.case(rng)
             seg, point = self.grid(len(v1s), len(x))
-            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+            logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigma, seg, point)
             # a random subset of the grid, in random order
             pick = rng.permutation(seg.size)[: int(density * seg.size)]
-            sub, sub_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg[pick], point[pick])
+            sub, sub_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigma, seg[pick], point[pick])
             assert np.array_equal(sub, logrho[pick])
             for got, want in zip(sub_coeffs[:5], coeffs[:5]):  # alpha1, beta1, alpha2, beta2, seg
                 assert np.array_equal(got, want[pick])
@@ -298,21 +302,21 @@ class TestEdgeLogDensityGradBatchPairs:
 
     def test_weighted_gradients_add_in_pair_order(self):
         rng = np.random.default_rng(13)
-        x, v1s, v2s, sigmas = self.case(rng)
+        x, v1s, v2s, sigma = self.case(rng)
         seg, point = self.grid(len(v1s), len(x))
-        _, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg, point)
+        _, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigma, seg, point)
         weights = np.where(rng.random(seg.size) < 0.2, rng.random(seg.size), 0.0)
         on = weights > 0
-        _, sub_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, seg[on], point[on])
+        _, sub_coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigma, seg[on], point[on])
         # pairs of weight 0 change no bit of the sums
         for got, want in zip(endpoint_gradients(sub_coeffs, weights[on]), endpoint_gradients(coeffs, weights)):
             assert np.array_equal(got, want)
 
     def test_empty_pair_list(self):
         rng = np.random.default_rng(14)
-        x, v1s, v2s, sigmas = self.case(rng)
+        x, v1s, v2s, sigma = self.case(rng)
         none = np.array([], dtype=int)
-        logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigmas, none, none)
+        logrho, coeffs = edge_log_density_grad_batch(x, v1s, v2s, sigma, none, none)
         assert logrho.shape == (0,)
         assert all(c.shape == (0,) for c in coeffs[:5]) and coeffs.s.shape == (x.shape[1], 0)
         for grad in endpoint_gradients(coeffs, np.array([])):
@@ -329,13 +333,13 @@ class TestEdgeLogDensityGradBatchPairs:
         ids=["segment-past-last", "point-past-last", "negative-segment", "negative-point"],
     )
     def test_rejects_out_of_range_pairs(self, seg, point, bad):
-        x, v1s, v2s, sigmas = self.case(np.random.default_rng(15))
+        x, v1s, v2s, sigma = self.case(np.random.default_rng(15))
         with pytest.raises(ValueError, match=re.escape(bad)):
-            edge_log_density_grad_batch(x, v1s, v2s, sigmas, np.array(seg), np.array(point))
+            edge_log_density_grad_batch(x, v1s, v2s, sigma, np.array(seg), np.array(point))
 
     def test_rejects_mismatched_pairs(self):
-        x, v1s, v2s, sigmas = self.case(np.random.default_rng(16))
+        x, v1s, v2s, sigma = self.case(np.random.default_rng(16))
         with pytest.raises(ValueError, match="equal length"):
-            edge_log_density_grad_batch(x, v1s, v2s, sigmas, np.arange(3), np.arange(4))
+            edge_log_density_grad_batch(x, v1s, v2s, sigma, np.arange(3), np.arange(4))
         with pytest.raises(ValueError, match="equal length"):
-            edge_log_density_grad_batch(x, v1s, v2s, sigmas, np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))
+            edge_log_density_grad_batch(x, v1s, v2s, sigma, np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int))

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -38,8 +38,7 @@ mp.mp.dps = 50
 
 
 def small_model(rng, dim=2, n0=2, edges=((0, 1),), sigma=0.3):
-    n1 = len(edges)
-    model = StrataModel(n0=n0, n1=n1, edge_endpoints=tuple(edges), sigma=np.full(n0 + n1, sigma), dim=dim)
+    model = StrataModel(n0=n0, edge_endpoints=edges, sigma=sigma)
     v = rng.normal(size=(n0, dim))
     while any(np.linalg.norm(v[i] - v[j]) < 0.5 for (i, j) in edges):
         v = rng.normal(size=(n0, dim)) * 2
@@ -68,32 +67,45 @@ def mp_edge_density(x, v1, v2, sigma):
 
 
 class TestStrataModel:
+    def test_fields(self):
+        model = StrataModel(n0=3, edge_endpoints=[[0, 1], [2, 1]], sigma=np.float64(0.2))
+        assert [f.name for f in fields(model)] == ["n0", "edge_endpoints", "sigma"]
+        assert model.edge_endpoints.dtype == np.intp and model.edge_endpoints.tolist() == [[0, 1], [2, 1]]
+        assert not model.edge_endpoints.flags.writeable
+        assert type(model.sigma) is float and model.sigma == 0.2
+        assert (model.n1, model.n_strata) == (2, 5)
+        bare = StrataModel(n0=1, edge_endpoints=(), sigma=1.0)
+        assert bare.edge_endpoints.shape == (0, 2) and (bare.n1, bare.n_strata) == (0, 1)
+
     def test_validates_endpoints(self):
         with pytest.raises(ValueError):
-            StrataModel(n0=2, n1=1, edge_endpoints=((0, 0),), sigma=np.ones(3), dim=2)
+            StrataModel(n0=2, edge_endpoints=((0, 0),), sigma=1.0)
         with pytest.raises(ValueError):
-            StrataModel(n0=2, n1=1, edge_endpoints=((0, 5),), sigma=np.ones(3), dim=2)
+            StrataModel(n0=2, edge_endpoints=((0, 5),), sigma=1.0)
+        for shape in ((0, 1, 2), (1, 2, 0)), (0, 1, 1, 2):  # not (n1, 2)
+            with pytest.raises(ValueError):
+                StrataModel(n0=3, edge_endpoints=shape, sigma=1.0)
 
     def test_validates_sigma(self):
-        with pytest.raises(ValueError):
-            StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.zeros(1), dim=2)
-
-    def test_scalar_sigma_broadcasts(self):
-        m = StrataModel(n0=2, n1=1, edge_endpoints=((0, 1),), sigma=0.2, dim=2)
-        assert m.sigma.shape == (3,)
+        # one positive sigma whose square is a finite normal double
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e-300, 1e300, np.array([0.5, 0.5])):
+            with pytest.raises(ValueError, match="sigma"):
+                StrataModel(n0=1, edge_endpoints=(), sigma=bad)
+        for good in (1.5e-154, 1.3e154):
+            assert StrataModel(n0=1, edge_endpoints=(), sigma=good).sigma == good
 
 
 class TestResponsibilities:
     def test_single_stratum(self):
         rng = np.random.default_rng(0)
-        model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([0.5]), dim=2)
+        model = StrataModel(n0=1, edge_endpoints=(), sigma=0.5)
         data = PointCloud(rng.normal(size=(6, 2)))
         state = EmState(v=np.zeros((1, 2)), pi=np.ones(1), a=np.ones((6, 1)))
         a = responsibilities(model, state, data)
         assert np.allclose(a, 1.0)
 
     def test_symmetric_point_between_two_vertices(self):
-        model = StrataModel(n0=2, n1=0, edge_endpoints=(), sigma=np.array([0.5, 0.5]), dim=2)
+        model = StrataModel(n0=2, edge_endpoints=(), sigma=0.5)
         data = PointCloud([[0.0, 0.0]])
         v = np.array([[-1.0, 0.0], [1.0, 0.0]])
         state = EmState(v=v, pi=np.array([0.5, 0.5]), a=np.ones((1, 2)) / 2)
@@ -106,24 +118,22 @@ class TestResponsibilities:
         data = PointCloud(rng.normal(size=(10, 2)))
         pi = np.array([0.2, 0.5, 0.3])
         state = EmState(v=v, pi=pi, a=np.ones((10, 3)) / 3)
-        # one sigma for every stratum, then a distinct sigma per stratum
-        for sigma in ((0.35, 0.35, 0.35), (0.25, 0.35, 0.45)):
-            got = responsibilities(replace(model, sigma=np.array(sigma)), state, data)
-            for j in range(10):
-                x = data.coords[j]
-                dens = [
-                    mp_vertex_density(x, v[0], sigma[0]),
-                    mp_vertex_density(x, v[1], sigma[1]),
-                    mp_edge_density(x, v[0], v[1], sigma[2]),
-                ]
-                tot = mp.fsum(p * d for p, d in zip(pi, dens))
-                want = [float(p * d / tot) for p, d in zip(pi, dens)]
-                assert got[j].tolist() == pytest.approx(want, abs=1e-10)
+        got = responsibilities(model, state, data)
+        for j in range(10):
+            x = data.coords[j]
+            dens = [
+                mp_vertex_density(x, v[0], 0.35),
+                mp_vertex_density(x, v[1], 0.35),
+                mp_edge_density(x, v[0], v[1], 0.35),
+            ]
+            tot = mp.fsum(p * d for p, d in zip(pi, dens))
+            want = [float(p * d / tot) for p, d in zip(pi, dens)]
+            assert got[j].tolist() == pytest.approx(want, abs=1e-10)
 
     def test_uniform_fallback_on_total_underflow(self):
         # a point so remote that its squared distance overflows drives every
         # stratum's log density to -inf
-        model = StrataModel(n0=2, n1=0, edge_endpoints=(), sigma=np.array([1e-3, 1e-3]), dim=2)
+        model = StrataModel(n0=2, edge_endpoints=(), sigma=1e-3)
         data = PointCloud([[1e200, 1e200]])
         state = EmState(
             v=np.array([[0.0, 0.0], [1.0, 0.0]]),
@@ -188,7 +198,7 @@ class TestUpdateMixing:
 
 class TestLogLikelihood:
     def test_point_at_vertex(self):
-        model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([1.0]), dim=2)
+        model = StrataModel(n0=1, edge_endpoints=(), sigma=1.0)
         data = PointCloud([[0.3, -0.2]])
         v = np.array([[0.3, -0.2]])
         got = log_likelihood(model, v, np.array([1.0]), np.array([[1.0]]), data)
@@ -207,7 +217,7 @@ class TestLogLikelihood:
         assert l1 == pytest.approx(l2, rel=1e-12)
 
     def test_zero_responsibility_blocks_neg_inf(self):
-        model = StrataModel(n0=2, n1=0, edge_endpoints=(), sigma=np.array([1.0, 1.0]), dim=1)
+        model = StrataModel(n0=2, edge_endpoints=(), sigma=1.0)
         data = PointCloud([[0.0]])
         v = np.array([[0.0], [5.0]])
         a = np.array([[1.0, 0.0]])
@@ -239,7 +249,7 @@ class TestLogLikelihood:
 
 class TestGradVertices:
     def test_stationary_at_centroid(self):
-        model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([0.5]), dim=2)
+        model = StrataModel(n0=1, edge_endpoints=(), sigma=0.5)
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(20, 2))
         data = PointCloud(pts)
@@ -259,15 +269,15 @@ class TestGradVertices:
             n1 = int(rng.integers(1, min(3, len(pairs)) + 1))
             edges = tuple(pairs[:n1])
             sigma = float(rng.uniform(0.05, 0.5))
-            model = StrataModel(n0=n0, n1=n1, edge_endpoints=edges, sigma=np.full(n0 + n1, sigma), dim=dim)
+            model = StrataModel(n0=n0, edge_endpoints=edges, sigma=sigma)
             data = PointCloud(rng.normal(size=(10, dim)) * 1.5)
             v = rng.normal(size=(n0, dim)) * 1.5
             a = rng.random((10, n0 + n1))
             a /= a.sum(axis=1, keepdims=True)
             pi = rng.random(n0 + n1)
             pi /= pi.sum()
-            # the shared sigma, then a distinct sigma per stratum
-            for model in (model, replace(model, sigma=sigma_rng.uniform(0.05, 0.5, size=n0 + n1))):
+            # the drawn sigma, then a second one
+            for model in (model, replace(model, sigma=sigma_rng.uniform(0.05, 0.5))):
                 g = grad_vertices(model, v, pi, a, data, clip_norm=np.inf)
                 for i in range(n0):
                     for d in range(dim):
@@ -285,9 +295,7 @@ class TestGradVertices:
         shift = 1e6
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            model = StrataModel(
-                n0=4, n1=3, edge_endpoints=((0, 1), (1, 2), (2, 3)), sigma=rng.uniform(0.2, 0.5, size=7), dim=3
-            )
+            model = StrataModel(n0=4, edge_endpoints=((0, 1), (1, 2), (2, 3)), sigma=rng.uniform(0.2, 0.5))
             x = np.round(rng.normal(size=(60, 3)) * 1.5 * 2**30) / 2**30
             v = np.round(rng.normal(size=(4, 3)) * 1.5 * 2**30) / 2**30
             a = rng.random((60, 7))
@@ -298,7 +306,7 @@ class TestGradVertices:
             assert np.abs(far - near).max() <= 1e-10 * np.abs(near).max()
 
     def test_clipping_contract(self):
-        model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([0.1]), dim=2)
+        model = StrataModel(n0=1, edge_endpoints=(), sigma=0.1)
         data = PointCloud([[100.0, 0.0]])
         v = np.zeros((1, 2))
         raw = grad_vertices(model, v, np.ones(1), np.ones((1, 1)), data, clip_norm=np.inf)
@@ -308,7 +316,7 @@ class TestGradVertices:
         assert np.linalg.norm(clipped[0]) == pytest.approx(limit, rel=1e-12)
 
     def test_degenerate_edge_named(self):
-        model = StrataModel(n0=2, n1=1, edge_endpoints=((0, 1),), sigma=np.full(3, 0.1), dim=2)
+        model = StrataModel(n0=2, edge_endpoints=((0, 1),), sigma=0.1)
         v = np.zeros((2, 2))
         data = PointCloud([[0.0, 0.0]])
         with pytest.raises(ValueError, match="edge stratum 0"):
@@ -317,7 +325,7 @@ class TestGradVertices:
 
 class TestMStep:
     def test_stationary_state_unchanged(self):
-        model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([0.5]), dim=2)
+        model = StrataModel(n0=1, edge_endpoints=(), sigma=0.5)
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(20, 2))
         data = PointCloud(pts)
@@ -327,7 +335,7 @@ class TestMStep:
         assert np.allclose(out, v, atol=1e-10)
 
     def test_converges_to_centroid(self):
-        model = StrataModel(n0=1, n1=0, edge_endpoints=(), sigma=np.array([0.3]), dim=3)
+        model = StrataModel(n0=1, edge_endpoints=(), sigma=0.3)
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(50, 3))
         data = PointCloud(pts)
@@ -422,7 +430,7 @@ class TestEmFit:
         blob1 = rng.normal(size=(60, 2)) * 0.2 + np.array([0.0, 0.0])
         blob2 = rng.normal(size=(60, 2)) * 0.2 + np.array([6.0, 0.0])
         data = PointCloud(np.vstack([blob1, blob2]))
-        model = StrataModel(n0=2, n1=0, edge_endpoints=(), sigma=np.array([0.2, 0.2]), dim=2)
+        model = StrataModel(n0=2, edge_endpoints=(), sigma=0.2)
         a = np.zeros((120, 2))
         a[:60, 0] = 1.0
         a[60:, 1] = 1.0
@@ -462,7 +470,7 @@ class TestEmFit:
             np.linspace([0.2, 0.0], [3.8, 0.0], 40) + rng.normal(size=(40, 2)) * 0.05,
         ])
         data = PointCloud(pts)
-        model = StrataModel(n0=2, n1=1, edge_endpoints=((0, 1),), sigma=np.full(3, 0.1), dim=2)
+        model = StrataModel(n0=2, edge_endpoints=((0, 1),), sigma=0.1)
         a = np.zeros((100, 3))
         a[:30, 0] = 1.0
         a[30:60, 1] = 1.0
@@ -473,7 +481,7 @@ class TestEmFit:
 
         # permute: swap the two vertex strata (edge endpoints follow)
         perm = [1, 0, 2]
-        model_p = StrataModel(n0=2, n1=1, edge_endpoints=((1, 0),), sigma=np.full(3, 0.1), dim=2)
+        model_p = StrataModel(n0=2, edge_endpoints=((1, 0),), sigma=0.1)
         a_p = a[:, perm]
         state_p = EmState(v=v0[[1, 0]], pi=update_mixing(a_p), a=a_p)
         permuted = em_fit(model_p, state_p, data, EmConfig(max_iters=2))
@@ -484,7 +492,7 @@ class TestEmFit:
 
     def test_mixture_mass_normalized(self):
         # full mixture (2 vertices + 1 edge) integrates to 1 over a padded box
-        model = StrataModel(n0=2, n1=1, edge_endpoints=((0, 1),), sigma=np.full(3, 0.4), dim=2)
+        model = StrataModel(n0=2, edge_endpoints=((0, 1),), sigma=0.4)
         v = np.array([[-1.0, 0.0], [1.2, 0.5]])
         pi = np.array([0.3, 0.3, 0.4])
         sigma = 0.4
@@ -505,7 +513,7 @@ class TestEmFit:
     def test_dead_row_warns_then_aborts(self):
         # every stratum underflows at the remote point: uniform fallback with a
         # warning, then a NumericalError instead of a fit
-        model = StrataModel(n0=2, n1=0, edge_endpoints=(), sigma=np.array([1e-3, 1e-3]), dim=2)
+        model = StrataModel(n0=2, edge_endpoints=(), sigma=1e-3)
         data = PointCloud([[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]])
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         state = EmState(v=np.array([[0.0, 0.0], [1.0, 0.0]]), pi=update_mixing(a), a=a)
@@ -534,7 +542,7 @@ def reference_m_step(model, v, pi, a, data):
     for k, (i, j) in enumerate(model.edge_endpoints):
         mass[i] += edge_mass[k]
         mass[j] += edge_mass[k]
-    scale = (model.sigma[: model.n0] ** 2) * len(data) / np.maximum(mass, 1e-12)
+    scale = model.sigma * model.sigma * len(data) / np.maximum(mass, 1e-12)
     step = gs.em.STEP_INIT
     backtracks = 0
     for _ in range(M_STEP_ITERS):
@@ -664,9 +672,9 @@ class TestSparsePricing:
         kernel = gs.em.edge_log_density_grad_batch
         fractions = []  # share of the (edge, point) pairs each kernel call prices
 
-        def counted(x, v1s, v2s, sigmas, seg, point):
+        def counted(x, v1s, v2s, sigma, seg, point):
             fractions.append(len(seg) / (len(v1s) * len(x)))
-            return kernel(x, v1s, v2s, sigmas, seg, point)
+            return kernel(x, v1s, v2s, sigma, seg, point)
 
         monkeypatch.setattr(gs.em, "edge_log_density_grad_batch", counted)
         em_fit(model, state, cloud, EmConfig(max_iters=4))
@@ -685,8 +693,8 @@ class TestSparsePricing:
         pairs = [(i, j) for i in range(n0) for j in range(i + 1, n0)]
         edges = tuple(pairs[k] for k in rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)])
         n_strata = n0 + len(edges)
-        sigma = 10 ** rng.uniform(-1.5, 0.0, size=n_strata)
-        model = StrataModel(n0=n0, n1=len(edges), edge_endpoints=edges, sigma=sigma, dim=dim)
+        sigma = 10 ** rng.uniform(-1.5, 0.0)
+        model = StrataModel(n0=n0, edge_endpoints=edges, sigma=sigma)
         v = rng.normal(size=(n0, dim)) * 3.0
         # points around random strata, from on top of them to far outside
         points = []
@@ -697,7 +705,7 @@ class TestSparsePricing:
             else:
                 i, j = edges[k - n0]
                 centre = v[j] + rng.uniform(-0.2, 1.2) * (v[i] - v[j])
-            points.append(centre + rng.normal(size=dim) * sigma[k] * 10 ** rng.uniform(-1, 1.5))
+            points.append(centre + rng.normal(size=dim) * sigma * 10 ** rng.uniform(-1, 1.5))
         if remote:  # so far away that its squared distances overflow: a dead row
             points.append(np.full(dim, 1e155))
         data = PointCloud(np.array(points) + shift)
@@ -790,7 +798,7 @@ class TestSelectionOncePerIteration:
         n_strata = model.n_strata
         start = _evaluate(model, state.v, cloud, state.pi, state.a)
         v = state.v.copy()
-        v[0] += 8 * model.sigma[0] * np.ones(model.dim) / math.sqrt(model.dim)  # several sigma
+        v[0] += 8 * model.sigma * np.ones(cloud.dim) / math.sqrt(cloud.dim)  # several sigma
         stale = _pricer(model, cloud, start.pairs)(v)  # priced on the start vertices' selection
         ev, logits = _exact_logits(model, stale, cloud, state.pi)
         dense = dense_evaluation(model, v, cloud)
