@@ -131,6 +131,7 @@ def _wireframe_csv(graph_boundary, v: np.ndarray) -> str:
 
 
 def cmd_fit(args) -> int:
+    em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
     doc = read_json(args.graph)
     graph, _ = graph_from_dict(doc, cloud)
@@ -145,7 +146,6 @@ def cmd_fit(args) -> int:
         if type(eps) not in (int, float) or not 0 < eps < math.inf:
             raise ValueError("malformed document: field config.eps is not a positive finite number")
         sigma = float(eps) / 2
-    em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     model, report = _fit(cloud, graph, sigma, em_config)
 
     cfg = _config_dict("fit", args, sigma=sigma)
@@ -184,8 +184,8 @@ def cmd_pipeline(args) -> int:
     reference_ratio = ratios[0]
     ref_config = ReconstructionConfig(R=reference_ratio * eps, eps=eps)
     sigma = _check_sigma(args.sigma if args.sigma is not None else eps / 2)
-    cloud = read_cloud(args.input, skip_header=args.skip_header)
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
+    cloud = read_cloud(args.input, skip_header=args.skip_header)
 
     ref_graph, _, _ = recover_graph(cloud, ref_config)
     reference = _ReferenceStructure(

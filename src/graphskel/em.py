@@ -3,9 +3,14 @@ point Gaussians (vertex strata) and segment-convolved Gaussians (edge strata).
 
 The E-step computes responsibilities in log space with max-shift
 normalization; the same shift gives the marginal log-likelihood. The M-step
-hill-climbs along per-vertex-scaled gradients with a backtracking line search
-that never accepts a decrease, so the marginal log-likelihood trace is
-non-decreasing across full iterations. The densities are priced once per
+hill-climbs along the gradient scaled in each vertex by an n x n curvature
+block read off the model: the vertex stratum's mass, plus each incident edge's
+mass times 1/3 across the edge (a segment point at parameter t follows its end
+by t) and sigma/L along it (only the points within about sigma of the moved
+end follow it). Its backtracking line search accepts a trial only if it gains
+a quarter of its predicted first-order gain, so it never accepts a decrease
+and the marginal log-likelihood trace is non-decreasing across full
+iterations. The densities are priced once per
 distinct vertex matrix: the objective, the gradient and the posterior logits
 are reductions of that one evaluation.
 
@@ -22,6 +27,7 @@ pairs add in pair order (np.bincount), so the fit is the one it would give.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,10 +60,10 @@ __all__ = [
 
 CONSECUTIVE = 3  # how many small deltas in a row declare convergence
 M_STEP_ITERS = 5
-GRAD_TOL = 1e-8
-M_STEP_IMPROVE_TOL = 1e-12  # stop ascending once gains drop below this
 STEP_FLOOR = 1e-12
-STEP_INIT = 1.0  # the direction already carries the sigma^2 |P| / mass scale
+STEP_INIT = 1.0  # the direction already carries the sigma^2 |P| B^-1 scale
+ARMIJO = 0.25  # a trial must gain this share of its step's predicted first-order gain
+SLOPE_TOL = 1e-10  # nats: the M-step stops once a unit step's predicted gain drops below this
 # exp(z) is exactly 0.0 in double precision once z < -745.1332 (the log of half
 # the smallest subnormal). A logit this far below its row's maximum gets
 # responsibility 0.0 and adds 0.0 to its row's sum; the extra 0.87 nat covers the
@@ -115,8 +121,17 @@ class EmState:
 
 @dataclass(frozen=True)
 class EmConfig:
+    """The iteration cap (0 fits nothing and echoes the start) and the
+    |delta loglik| below which an iteration counts towards convergence."""
+
     max_iters: int = 200
     tol_ll: float = 1e-8
+
+    def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not 0 <= self.tol_ll < math.inf:
+            raise ValueError(f"tol_ll must be finite and >= 0, got {self.tol_ll!r}")
 
 
 @dataclass(frozen=True)
@@ -362,13 +377,43 @@ def _clip_limit(data: PointCloud) -> float:
     return 10.0 * diag if diag > 0 else 10.0
 
 
+def _curvature_blocks(model: StrataModel, v: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The (n0, n, n) curvature block B_i of each vertex, in units of
+    1 / (sigma^2 |P|), at vertices `v` and stratum masses `mass`.
+
+    A vertex stratum moves rigidly with its vertex: a_i I. A point at
+    parameter t on an edge moves by t delta when the edge's end moves by
+    delta across it, which adds a_e int_0^1 t^2 dt = a_e / 3. Along the edge
+    the points slide within the segment, and only the share sigma / L_e
+    within about sigma of the moved end follows it:
+    B_i = a_i I + sum_{e at i} a_e [(I - u_e u_e^T) / 3 + (sigma / L_e) u_e u_e^T],
+    with u_e the edge's unit direction and L_e its length. a_i is floored at
+    1e-12, which keeps a vertex with no mass solvable; with no edges the
+    direction is the scalar-scaled sigma^2 |P| / a_i g.
+    """
+    eye = np.eye(v.shape[1])
+    blocks = np.maximum(mass[: model.n0], 1e-12)[:, None, None] * eye
+    i1, i2 = model.edge_endpoints.T
+    d = v[i1] - v[i2]
+    length = np.sqrt(np.sum(d * d, axis=1))
+    u = d / length[:, None]
+    uu = u[:, :, None] * u[:, None, :]
+    edge = mass[model.n0 :, None, None] * ((eye - uu) / 3.0 + (model.sigma / length)[:, None, None] * uu)
+    np.add.at(blocks, model.edge_endpoints.ravel(), np.repeat(edge, 2, axis=0))
+    return blocks
+
+
 def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Evaluation | None = None) -> _Evaluation:
     """Hill-climb the vertex matrix with A and Pi fixed.
 
-    Ascends along the gradient scaled per vertex by sigma^2 |P| / mass (the
-    Newton step of the Gaussian part), with a backtracking line search that
-    halves the step until the objective does not decrease (floor STEP_FLOOR).
-    Stops after M_STEP_ITERS or once the gradient norm drops below GRAD_TOL.
+    Ascends along sigma^2 |P| B_i^-1 g_i in each vertex i, with the curvature
+    blocks B_i of `_curvature_blocks` taken at the start vertices (the Newton
+    step of the Gaussian part). A line search halves the step (floor
+    STEP_FLOOR) until a trial gains at least ARMIJO * alpha * slope, where
+    slope = g . direction is a unit step's predicted first-order gain, and
+    doubles it after a clean accept. It stops after M_STEP_ITERS steps or once
+    slope < SLOPE_TOL. Both rules decide steps well above f's rounding, so
+    the point order cannot flip them.
 
     `evaluation` is the density evaluation at `state.v` (as returned by the
     previous call); without it one is made here, selected under state.pi. It
@@ -388,22 +433,20 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
     if not np.isfinite(f):
         raise NumericalError("M-step objective is non-finite at the current vertices")
 
-    # responsibility mass pulling on each vertex: own stratum plus incident edges
-    mass = np.bincount(evaluation.pairs.stratum, w, minlength=model.n_strata)
-    np.add.at(mass, model.edge_endpoints.ravel(), np.repeat(mass[model.n0 :], 2))
-    scale = model.sigma * model.sigma * len(data) / np.maximum(mass[: model.n0], 1e-12)
+    blocks = _curvature_blocks(model, evaluation.v, np.bincount(evaluation.pairs.stratum, w, minlength=model.n_strata))
+    scale = model.sigma * model.sigma * len(data)
     step = STEP_INIT
     limit = _clip_limit(data)
 
     for _ in range(M_STEP_ITERS):
         g = _gradient(model, evaluation, w, data, limit)
-        if np.sqrt(np.sum(g**2)) < GRAD_TOL:
+        direction = scale * np.linalg.solve(blocks, g[:, :, None])[:, :, 0]  # B positive definite keeps ascent
+        slope = float(np.sum(g * direction))
+        if slope < SLOPE_TOL:
             break
-        direction = g * scale[:, None]  # positive diagonal scaling keeps ascent
         alpha = step
         accepted = False
         saw_finite = False
-        gain = 0.0
         while alpha >= STEP_FLOOR:
             try:
                 trial = price(evaluation.v + alpha * direction)
@@ -413,8 +456,7 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
                 ft = _objective(trial, state.pi, w)
             if np.isfinite(ft):
                 saw_finite = True
-                if ft >= f:
-                    gain = ft - f
+                if ft - f >= ARMIJO * alpha * slope:
                     evaluation, f = trial, ft
                     # grow only on clean accepts so the step does not oscillate
                     step = 2.0 * alpha if alpha == step else alpha
@@ -427,8 +469,6 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
                     "M-step line search: objective non-finite at every trial step"
                 )
             break  # precision floor reached; keep the current (non-decreased) V
-        if gain < M_STEP_IMPROVE_TOL:
-            break
     return evaluation
 
 

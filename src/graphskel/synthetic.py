@@ -124,16 +124,16 @@ class SampleSpec:
     noise_kind: str = "uniform"  # "uniform" or "gaussian" (truncated at `noise`)
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.eps)
         if self.noise is None:
             object.__setattr__(self, "noise", self.eps / 2)
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be nonnegative and finite, got {self.noise}")
         if self.noise > self.eps:
             raise ValueError("noise bound must not exceed eps")
         if self.spacing / 2 + self.noise > self.eps * (1 + 1e-12):
@@ -188,7 +188,10 @@ def sample_graph(spec: EmbeddedGraphSpec, sample: SampleSpec) -> PointCloud:
     for eidx, (a, b) in enumerate(spec.edges):
         va, vb = spec.vertices[a], spec.vertices[b]
         length = distance(va, vb)
-        n_seg = max(1, math.ceil(length / sample.spacing))
+        segments = length / sample.spacing
+        if not segments < np.iinfo(np.intp).max:
+            raise ValueError(f"spacing {sample.spacing:g} implies {segments:.3g} samples on edge {eidx}, more than an intp holds")
+        n_seg = max(1, math.ceil(segments))
         ts = np.linspace(0.0, 1.0, n_seg + 1)
         base = va[None, :] + ts[:, None] * (vb - va)[None, :]
         rng = np.random.default_rng([sample.seed, 0, eidx])

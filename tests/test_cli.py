@@ -83,6 +83,20 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "usage"
 
+    @pytest.mark.parametrize(
+        "option, field",
+        [(["--eps", "inf"], "eps"), (["--eps", "nan"], "eps"), (["--noise", "nan"], "noise"),
+         (["--noise", "inf"], "noise"), (["--spacing", "nan"], "spacing"), (["--spacing", "1e-300"], "spacing")],
+    )
+    def test_bad_field_is_named(self, tmp_path, capsys, option, field):
+        out = tmp_path / "c.txt"
+        rc = main(["simulate", "--builtin", "--eps", "0.1", *option, "--output", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith(field + " ")
+        assert not out.exists()
+
 
 class TestPartition:
     def test_labels_file(self, cloud_file, tmp_path):
@@ -334,6 +348,22 @@ class TestFit:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "usage"
         assert err["message"].startswith("sigma ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "pipeline"])
+    @pytest.mark.parametrize(
+        "option, field",
+        [(["--tol", "nan"], "tol_ll"), (["--tol", "inf"], "tol_ll"), (["--tol", "-1"], "tol_ll"),
+         (["--max-iters", "-3"], "max_iters")],
+    )
+    def test_bad_em_config_is_usage_error(self, cloud_file, graph_file, tmp_path, capsys, command, option, field):
+        out = tmp_path / "out.json"
+        source = ["--graph", str(graph_file)] if command == "fit" else ["--eps", "0.1", "--ratios", "12,8"]
+        rc = main([command, "--input", str(cloud_file), *source, *option, "--output", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith(field + " ")
         assert not out.exists()
 
 

@@ -14,10 +14,10 @@ from scipy.integrate import simpson
 import graphskel as gs
 from graphskel.densities import edge_log_density, vertex_log_density
 from graphskel.em import (
+    ARMIJO,
     CONSECUTIVE,
-    GRAD_TOL,
-    M_STEP_IMPROVE_TOL,
     M_STEP_ITERS,
+    SLOPE_TOL,
     STEP_FLOOR,
     UNDERFLOW_GAP,
     EmConfig,
@@ -28,7 +28,7 @@ from graphskel.em import (
     m_step,
     update_mixing,
 )
-from graphskel.em import _evaluate, _exact_logits, _logits, _normalize_rows, _pricer
+from graphskel.em import _curvature_blocks, _evaluate, _exact_logits, _logits, _normalize_rows, _pricer
 from graphskel.errors import NumericalError
 from graphskel.fileio import graph_from_dict, graph_to_dict
 from graphskel.geometry import PointCloud
@@ -93,6 +93,20 @@ class TestStrataModel:
                 StrataModel(n0=1, edge_endpoints=(), sigma=bad)
         for good in (1.5e-154, 1.3e154):
             assert StrataModel(n0=1, edge_endpoints=(), sigma=good).sigma == good
+
+
+class TestEmConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"max_iters": -3}, "max_iters"), ({"max_iters": 2.5}, "max_iters"), ({"tol_ll": math.nan}, "tol_ll"),
+         ({"tol_ll": math.inf}, "tol_ll"), ({"tol_ll": -1e-8}, "tol_ll")],
+    )
+    def test_rejects_bad_values(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EmConfig(**kwargs)
+
+    def test_accepts_bounds(self):
+        assert EmConfig(max_iters=0, tol_ll=0.0) == EmConfig(max_iters=np.int64(0), tol_ll=0)
 
 
 class TestResponsibilities:
@@ -363,6 +377,51 @@ class TestMStep:
             assert after >= before - 1e-12
 
 
+class TestCurvatureBlocks:
+    def test_no_edges_gives_scalar_direction(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        model = StrataModel(n0=3, edge_endpoints=(), sigma=0.4)
+        data = PointCloud(rng.normal(size=(40, 4)))
+        a = rng.random((40, 3))
+        a /= a.sum(axis=1, keepdims=True)
+        state = EmState(v=np.zeros((3, 4)), pi=update_mixing(a), a=a)
+        trials, grads = [], []
+        pricer, gradient = gs.em._pricer, gs.em._gradient
+
+        def recorded_pricer(*args):
+            price = pricer(*args)
+            return lambda v: trials.append(np.array(v)) or price(v)
+
+        monkeypatch.setattr(gs.em, "_pricer", recorded_pricer)
+        monkeypatch.setattr(gs.em, "_gradient", lambda *args: grads.append(gradient(*args)) or grads[-1])
+        m_step(model, state, data)
+        # trials[0] is the start evaluation; the first trial is 0 + STEP_INIT * direction
+        direction = trials[1] / gs.em.STEP_INIT
+        want = grads[0] * (model.sigma * model.sigma * len(data) / a.sum(axis=0))[:, None]
+        assert np.all(np.abs(direction - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_single_edge_eigenvalues(self, dim):
+        rng = np.random.default_rng(dim)
+        model = StrataModel(n0=3, edge_endpoints=((0, 1),), sigma=0.05)
+        v = rng.normal(size=(3, dim))
+        mass = np.array([3.0, 5.0, 7.0, 11.0])  # a_0, a_1, a_2, a_e
+        blocks = _curvature_blocks(model, v, mass)
+        d = v[0] - v[1]
+        length = np.linalg.norm(d)
+        u = d / length
+        for i in range(3):
+            assert np.array_equal(blocks[i], blocks[i].T)
+            assert np.all(np.linalg.eigvalsh(blocks[i]) > 0)
+        assert np.array_equal(blocks[2], 7.0 * np.eye(dim))  # no incident edge
+        for i in range(2):
+            along = mass[i] + mass[3] * model.sigma / length
+            across = mass[i] + mass[3] / 3.0
+            assert blocks[i] @ u == pytest.approx(along * u, rel=1e-14, abs=1e-14)
+            want = np.sort(np.r_[along, np.full(dim - 1, across)])
+            assert np.linalg.eigvalsh(blocks[i]) == pytest.approx(want, rel=1e-14)
+
+
 class TestInitialize:
     def test_fixture_ratio8(self, fixture_cloud, ratio8_recovery):
         graph, _, _ = ratio8_recovery
@@ -520,6 +579,12 @@ class TestEmFit:
         with pytest.warns(RuntimeWarning, match="zero density"), pytest.raises(NumericalError):
             em_fit(model, state, data)
 
+    def test_twelve_vertex_5d_converges_in_few_iterations(self, twelve_vertex_5d):
+        report = em_fit(*twelve_vertex_5d)
+        assert report.converged and report.n_iterations <= 40
+        assert report.loglik_trace[-1] >= 2.6062944881
+        assert np.all(np.diff(report.loglik_trace) >= 0)
+
     def test_marginal_loglik_consistency(self, fixture_cloud, ratio8_recovery):
         graph, _, _ = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
@@ -532,42 +597,46 @@ class TestEmFit:
 
 def reference_m_step(model, v, pi, a, data):
     """The M-step priced afresh at every use, on every pair: the oracle
-    objective and gradient.
+    objective and gradient, with the curvature blocks built edge by edge.
 
     Returns the accepted vertices and the number of halved (rejected) trials.
     """
     f = log_likelihood(model, v, pi, a, data)
-    mass = a[:, : model.n0].sum(axis=0)
-    edge_mass = a[:, model.n0 :].sum(axis=0)
+    mass = a.sum(axis=0)
+    eye = np.eye(data.dim)
+    blocks = np.maximum(mass[: model.n0], 1e-12)[:, None, None] * eye
     for k, (i, j) in enumerate(model.edge_endpoints):
-        mass[i] += edge_mass[k]
-        mass[j] += edge_mass[k]
-    scale = model.sigma * model.sigma * len(data) / np.maximum(mass, 1e-12)
+        d = v[i] - v[j]
+        length = np.sqrt(np.sum(d * d))
+        uu = np.outer(d / length, d / length)
+        edge = mass[model.n0 + k] * ((eye - uu) / 3.0 + model.sigma / length * uu)
+        blocks[i] += edge
+        blocks[j] += edge
+    scale = model.sigma * model.sigma * len(data)
     step = gs.em.STEP_INIT
     backtracks = 0
     for _ in range(M_STEP_ITERS):
         g = grad_vertices(model, v, pi, a, data)
-        if np.sqrt(np.sum(g**2)) < GRAD_TOL:
+        direction = scale * np.linalg.solve(blocks, g[:, :, None])[:, :, 0]
+        slope = float(np.sum(g * direction))
+        if slope < SLOPE_TOL:
             break
-        direction = g * scale[:, None]
         alpha = step
         accepted = False
-        gain = 0.0
         while alpha >= STEP_FLOOR:
             trial = v + alpha * direction
             try:
                 ft = log_likelihood(model, trial, pi, a, data)
             except ValueError:
                 ft = -np.inf
-            if np.isfinite(ft) and ft >= f:
-                gain = ft - f
+            if np.isfinite(ft) and ft - f >= ARMIJO * alpha * slope:
                 v, f = trial, ft
                 step = 2.0 * alpha if alpha == step else alpha
                 accepted = True
                 break
             alpha *= 0.5
             backtracks += 1
-        if not accepted or gain < M_STEP_IMPROVE_TOL:
+        if not accepted:
             break
     return v, backtracks
 
@@ -848,3 +917,23 @@ class TestPointPermutation:
         assert sorted(match.tolist()) == list(range(len(v0)))
         assert np.abs(fit.state.v - base.state.v[match]).max() <= 1e-9 * 0.1
         assert np.abs(fit.loglik_trace - base.loglik_trace).max() <= 1e-10
+
+
+class TestRecoverAndFit:
+    @settings(max_examples=30)
+    @given(dim=st.integers(1, 6), n_vertices=st.integers(2, 4), seed=st.integers(0, 2**16))
+    def test_random_compliant_graphs(self, dim, n_vertices, seed):
+        """Stage 2 then EM at ratio 12: the true counts, a non-decreasing
+        trace and every vertex within 2 eps. In R^1, where I - u u^T
+        vanishes, the generator places no more than one edge."""
+        eps = 0.1
+        spec = gs.random_compliant_graph(dim, 2 if dim == 1 else n_vertices, gs.GraphGenConfig(R=1.2, eps=eps), seed=seed)
+        cloud = gs.sample_graph(spec, gs.SampleSpec(eps=eps, seed=seed))
+        graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=eps))[0]
+        assert (graph.n_vertices, graph.n_edges) == (spec.n_vertices, len(spec.edges))
+        match = gs.match_to_ground_truth(graph, spec)
+        assert match.is_isomorphic, match.reason
+        report = em_fit(*initialize(graph, cloud, sigma=eps / 2), cloud)
+        assert np.diff(report.loglik_trace).min() >= -1e-12  # rounding in the trace's mean
+        truth = spec.vertices[list(match.vertex_map)]
+        assert np.linalg.norm(report.state.v - truth, axis=1).max() <= 2 * eps

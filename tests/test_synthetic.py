@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,12 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             SampleSpec(eps=0.1, spacing=0.01, noise=0.2)
 
+    @pytest.mark.parametrize("field", ["eps", "spacing", "noise"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SampleSpec(**{"eps": 0.1, field: value})
+
 
 class TestSampleGraph:
     def test_noiseless_points_on_graph(self):
@@ -85,6 +93,10 @@ class TestSampleGraph:
         cloud = sample_graph(spec, SampleSpec(eps=0.5, spacing=0.5, noise=0.0))
         assert len(cloud) == 3
         assert sorted(cloud.coords[:, 0].tolist()) == [0.0, 0.5, 1.0]
+
+    def test_spacing_past_intp_is_named(self):
+        with pytest.raises(ValueError, match="^spacing 1e-300 implies .* samples on edge 0"):
+            sample_graph(builtin_fixture(), SampleSpec(eps=0.1, spacing=1e-300))
 
     def test_isolated_vertex_sampled(self):
         verts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0]])
