@@ -308,7 +308,7 @@ def _objective(ev: _Evaluation, pi, w: np.ndarray) -> float:
     return float(np.bincount(point[on], terms, minlength=len(start) - 1).mean())
 
 
-def _gradient(model: StrataModel, ev: _Evaluation, w: np.ndarray, data: PointCloud, limit: float) -> np.ndarray:
+def _gradient(model: StrataModel, ev: _Evaluation, w: np.ndarray, data: PointCloud) -> np.ndarray:
     """The objective's gradient in every vertex; `w` holds A at ev's pairs."""
     n0, m = model.n0, len(data)
     point, stratum, _ = ev.pairs
@@ -323,11 +323,6 @@ def _gradient(model: StrataModel, ev: _Evaluation, w: np.ndarray, data: PointClo
     grad = pull / (model.sigma * model.sigma * m)
     g1, g2 = endpoint_gradients(ev.edge, w[~vert])
     np.add.at(grad, model.edge_endpoints.T.ravel(), np.vstack([g1, g2]) / m)
-
-    norms = np.sqrt(np.sum(grad**2, axis=1))
-    over = norms > limit
-    if np.any(over):
-        grad[over] *= (limit / norms[over])[:, None]
     return grad
 
 
@@ -370,13 +365,6 @@ def update_mixing(a) -> np.ndarray:
     return mass / total
 
 
-def _clip_limit(data: PointCloud) -> float:
-    """10 x the data bounding-box diagonal, or 10 when all points coincide."""
-    span = data.coords.max(axis=0) - data.coords.min(axis=0)
-    diag = float(np.sqrt(np.sum(span**2)))
-    return 10.0 * diag if diag > 0 else 10.0
-
-
 def _curvature_blocks(model: StrataModel, v: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """The (n0, n, n) curvature block B_i of each vertex, in units of
     1 / (sigma^2 |P|), at vertices `v` and stratum masses `mass`.
@@ -408,12 +396,14 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
 
     Ascends along sigma^2 |P| B_i^-1 g_i in each vertex i, with the curvature
     blocks B_i of `_curvature_blocks` taken at the start vertices (the Newton
-    step of the Gaussian part). A line search halves the step (floor
-    STEP_FLOOR) until a trial gains at least ARMIJO * alpha * slope, where
-    slope = g . direction is a unit step's predicted first-order gain, and
-    doubles it after a clean accept. It stops after M_STEP_ITERS steps or once
-    slope < SLOPE_TOL. Both rules decide steps well above f's rounding, so
-    the point order cannot flip them.
+    step of the Gaussian part). Each step is an Armijo backtracking search:
+    from alpha = STEP_INIT it halves alpha (floor STEP_FLOOR) until a trial
+    gains at least ARMIJO * alpha * slope, where slope = g . direction is a
+    unit step's predicted first-order gain. It stops after M_STEP_ITERS steps
+    or once slope < SLOPE_TOL. Both rules decide steps well above f's
+    rounding, so the point order cannot flip them. The gradient is exact and
+    the direction scales as a length, so the steps commute with a uniform
+    scaling of (cloud, vertices, sigma).
 
     `evaluation` is the density evaluation at `state.v` (as returned by the
     previous call); without it one is made here, selected under state.pi. It
@@ -435,17 +425,14 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
 
     blocks = _curvature_blocks(model, evaluation.v, np.bincount(evaluation.pairs.stratum, w, minlength=model.n_strata))
     scale = model.sigma * model.sigma * len(data)
-    step = STEP_INIT
-    limit = _clip_limit(data)
 
     for _ in range(M_STEP_ITERS):
-        g = _gradient(model, evaluation, w, data, limit)
+        g = _gradient(model, evaluation, w, data)
         direction = scale * np.linalg.solve(blocks, g[:, :, None])[:, :, 0]  # B positive definite keeps ascent
         slope = float(np.sum(g * direction))
         if slope < SLOPE_TOL:
             break
-        alpha = step
-        accepted = False
+        alpha = STEP_INIT
         saw_finite = False
         while alpha >= STEP_FLOOR:
             try:
@@ -458,17 +445,12 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
                 saw_finite = True
                 if ft - f >= ARMIJO * alpha * slope:
                     evaluation, f = trial, ft
-                    # grow only on clean accepts so the step does not oscillate
-                    step = 2.0 * alpha if alpha == step else alpha
-                    accepted = True
                     break
             alpha *= 0.5
-        if not accepted:
+        else:  # no trial accepted down to the floor
             if not saw_finite:
-                raise NumericalError(
-                    "M-step line search: objective non-finite at every trial step"
-                )
-            break  # precision floor reached; keep the current (non-decreased) V
+                raise NumericalError("M-step line search: objective non-finite at every trial step")
+            break  # keep the current (non-decreased) V
     return evaluation
 
 

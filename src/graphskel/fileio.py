@@ -15,7 +15,6 @@ from typing import Any
 import numpy as np
 
 from .abstract_graph import AbstractGraph, RefinedPartition, boundary_matrix
-from .em import _clip_limit
 from .errors import CloudParseError
 from .geometry import PointCloud
 from .synthetic import EmbeddedGraphSpec
@@ -190,6 +189,14 @@ def _stratum_column(clusters: list[list[int]], m: int) -> np.ndarray:
     return stratum
 
 
+def _centroid_margin(cloud: PointCloud) -> float:
+    """How far outside the cloud's range on any axis a vertex centroid may
+    lie: 10 x the cloud's bounding-box diagonal, or 10 when all points coincide."""
+    span = cloud.coords.max(axis=0) - cloud.coords.min(axis=0)
+    diag = float(np.sqrt(np.sum(span**2)))
+    return 10.0 * diag if diag > 0 else 10.0
+
+
 def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
     """The graph a `graph_to_dict` document describes; a fault is a ValueError naming its field."""
     _check_object(doc)
@@ -231,9 +238,8 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
         if which.any():
             j = np.flatnonzero(which)[0]
             raise ValueError(f"malformed document: edge {j} boundary {boundary[j].tolist()} {fault}")
-    # no coordinate beyond the M-step's clip limit outside the cloud's range on
-    # its axis, compared per coordinate so that the test itself cannot overflow
-    limit = _clip_limit(cloud)
+    # compared per coordinate so that the test itself cannot overflow
+    limit = _centroid_margin(cloud)
     far = np.argwhere((centroids < cloud.coords.min(axis=0) - limit) | (centroids > cloud.coords.max(axis=0) + limit))
     if far.size:
         i, k = far[0]

@@ -8,6 +8,7 @@ independent discretization-based verifier can certify it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,15 +183,22 @@ def sample_graph(spec: EmbeddedGraphSpec, sample: SampleSpec) -> PointCloud:
 
     Each edge gets points at arc-length spacing <= s including both endpoints;
     isolated vertices get one point. Every point is perturbed inside a ball of
-    radius b using a per-edge substream of the seed.
+    radius b using a per-edge substream of the seed. A spacing so fine that
+    the coordinates alone would not fit in physical memory is a ValueError
+    naming it, raised before anything is allocated.
     """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    total = 0.0  # samples so far, in floating point so no count overflows
     chunks = []
     for eidx, (a, b) in enumerate(spec.edges):
         va, vb = spec.vertices[a], spec.vertices[b]
-        length = distance(va, vb)
-        segments = length / sample.spacing
-        if not segments < np.iinfo(np.intp).max:
-            raise ValueError(f"spacing {sample.spacing:g} implies {segments:.3g} samples on edge {eidx}, more than an intp holds")
+        segments = distance(va, vb) / sample.spacing
+        total += max(1.0, segments) + 1.0
+        if not total * spec.dim * 8.0 <= memory:
+            raise ValueError(
+                f"spacing {sample.spacing:g} implies {segments:.3g} samples on edge {eidx}, "
+                f"{total:.3g} in all so far, whose coordinates exceed the {memory:.3g} bytes of physical memory"
+            )
         n_seg = max(1, math.ceil(segments))
         ts = np.linspace(0.0, 1.0, n_seg + 1)
         base = va[None, :] + ts[:, None] * (vb - va)[None, :]

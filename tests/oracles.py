@@ -32,7 +32,6 @@ from graphskel.em import (
     EmState,
     StrataModel,
     _check_vertices,
-    _clip_limit,
     _Evaluation,
     _gradient,
     _objective,
@@ -237,12 +236,7 @@ def marginal_log_likelihood(model: StrataModel, v, pi, data: PointCloud) -> floa
     return float(np.mean(per_point))
 
 
-def grad_vertices(model: StrataModel, v, pi, a, data: PointCloud, clip_norm: float | None = None) -> np.ndarray:
+def grad_vertices(model: StrataModel, v, pi, a, data: PointCloud) -> np.ndarray:
     """Exact gradient of the cost function with respect to every vertex
-    coordinate, holding A and Pi fixed.
-
-    Rows are clipped to `clip_norm` (default: the M-step's limit, 10 x the
-    data bounding-box diagonal); pass numpy.inf to disable.
-    """
-    limit = _clip_limit(data) if clip_norm is None else float(clip_norm)
-    return _gradient(model, dense_evaluation(model, v, data), np.asarray(a, dtype=float).ravel(), data, limit)
+    coordinate, holding A and Pi fixed."""
+    return _gradient(model, dense_evaluation(model, v, data), np.asarray(a, dtype=float).ravel(), data)

@@ -207,7 +207,7 @@ def test_criterion_06_gradient_correctness():
         a /= a.sum(axis=1, keepdims=True)
         pi = rng.random(n0 + n1)
         pi /= pi.sum()
-        g = grad_vertices(model, v, pi, a, data, clip_norm=np.inf)
+        g = grad_vertices(model, v, pi, a, data)
         for i in range(n0):
             for d in range(dim):
                 vp = v.copy()

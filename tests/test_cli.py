@@ -86,7 +86,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "option, field",
         [(["--eps", "inf"], "eps"), (["--eps", "nan"], "eps"), (["--noise", "nan"], "noise"),
-         (["--noise", "inf"], "noise"), (["--spacing", "nan"], "spacing"), (["--spacing", "1e-300"], "spacing")],
+         (["--noise", "inf"], "noise"), (["--spacing", "nan"], "spacing"), (["--spacing", "1e-300"], "spacing"),
+         (["--spacing", "1e-15"], "spacing")],
     )
     def test_bad_field_is_named(self, tmp_path, capsys, option, field):
         out = tmp_path / "c.txt"

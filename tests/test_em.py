@@ -292,7 +292,7 @@ class TestGradVertices:
             pi /= pi.sum()
             # the drawn sigma, then a second one
             for model in (model, replace(model, sigma=sigma_rng.uniform(0.05, 0.5))):
-                g = grad_vertices(model, v, pi, a, data, clip_norm=np.inf)
+                g = grad_vertices(model, v, pi, a, data)
                 for i in range(n0):
                     for d in range(dim):
                         vp = v.copy()
@@ -315,19 +315,9 @@ class TestGradVertices:
             a = rng.random((60, 7))
             a /= a.sum(axis=1, keepdims=True)
             pi = np.full(7, 1 / 7)
-            near = grad_vertices(model, v, pi, a, PointCloud(x), clip_norm=np.inf)
-            far = grad_vertices(model, v + shift, pi, a, PointCloud(x + shift), clip_norm=np.inf)
+            near = grad_vertices(model, v, pi, a, PointCloud(x))
+            far = grad_vertices(model, v + shift, pi, a, PointCloud(x + shift))
             assert np.abs(far - near).max() <= 1e-10 * np.abs(near).max()
-
-    def test_clipping_contract(self):
-        model = StrataModel(n0=1, edge_endpoints=(), sigma=0.1)
-        data = PointCloud([[100.0, 0.0]])
-        v = np.zeros((1, 2))
-        raw = grad_vertices(model, v, np.ones(1), np.ones((1, 1)), data, clip_norm=np.inf)
-        raw_norm = float(np.linalg.norm(raw[0]))
-        limit = raw_norm / 10.0
-        clipped = grad_vertices(model, v, np.ones(1), np.ones((1, 1)), data, clip_norm=limit)
-        assert np.linalg.norm(clipped[0]) == pytest.approx(limit, rel=1e-12)
 
     def test_degenerate_edge_named(self):
         model = StrataModel(n0=2, edge_endpoints=((0, 1),), sigma=0.1)
@@ -613,7 +603,6 @@ def reference_m_step(model, v, pi, a, data):
         blocks[i] += edge
         blocks[j] += edge
     scale = model.sigma * model.sigma * len(data)
-    step = gs.em.STEP_INIT
     backtracks = 0
     for _ in range(M_STEP_ITERS):
         g = grad_vertices(model, v, pi, a, data)
@@ -621,7 +610,7 @@ def reference_m_step(model, v, pi, a, data):
         slope = float(np.sum(g * direction))
         if slope < SLOPE_TOL:
             break
-        alpha = step
+        alpha = gs.em.STEP_INIT
         accepted = False
         while alpha >= STEP_FLOOR:
             trial = v + alpha * direction
@@ -631,7 +620,6 @@ def reference_m_step(model, v, pi, a, data):
                 ft = -np.inf
             if np.isfinite(ft) and ft - f >= ARMIJO * alpha * slope:
                 v, f = trial, ft
-                step = 2.0 * alpha if alpha == step else alpha
                 accepted = True
                 break
             alpha *= 0.5
@@ -917,6 +905,46 @@ class TestPointPermutation:
         assert sorted(match.tolist()) == list(range(len(v0)))
         assert np.abs(fit.state.v - base.state.v[match]).max() <= 1e-9 * 0.1
         assert np.abs(fit.loglik_trace - base.loglik_trace).max() <= 1e-10
+
+
+class TestUniformScaling:
+    def test_em_fit_commutes_with_scaling(self, fixture_cloud):
+        """Scaling (cloud, R, eps, sigma) by 2^k, which is exact in floating
+        point, scales the fit by 2^k and shifts each log density by -n k log 2."""
+        eps = 0.1
+
+        def fit(k):
+            c = 2.0**k
+            cloud = gs.PointCloud(fixture_cloud.coords * c)
+            graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2 * c, eps=eps * c))[0]
+            return graph, em_fit(*initialize(graph, cloud, sigma=eps / 2 * c), cloud)
+
+        graph0, base = fit(0)
+        for k in (-10, -7, 5):
+            graph, report = fit(k)
+            assert np.array_equal(graph.boundary, graph0.boundary)
+            assert np.array_equal(graph.stratum, graph0.stratum)
+            assert (report.n_iterations, report.converged) == (base.n_iterations, base.converged)
+            assert np.abs(report.state.v / 2.0**k - base.state.v).max() <= 1e-9 * eps
+            shift = fixture_cloud.dim * k * math.log(2.0)
+            assert np.abs(report.loglik_trace + shift - base.loglik_trace).max() <= 1e-9
+
+
+class TestDuplicatedPoints:
+    @pytest.mark.parametrize("case", ["fixture-ratio8", "random-5d-3-vertex"])
+    def test_recover_and_fit_invariant(self, permutation_cases, case):
+        """Every point repeated: the same graph with the stratum column tiled,
+        and the same fit, as each point's weight in every mean is unchanged."""
+        cloud, config, (v0, base) = permutation_cases[case]
+        twice = gs.PointCloud(np.vstack([cloud.coords, cloud.coords]))
+        graph0 = gs.recover_graph(cloud, config)[0]
+        graph = gs.recover_graph(twice, config)[0]
+        assert np.array_equal(graph.boundary, graph0.boundary)
+        assert np.array_equal(graph.stratum, np.tile(graph0.stratum, 2))
+        assert np.abs(graph.vertex_centroids - v0).max() <= 1e-12 * np.abs(v0).max()
+        _, fit = fit_cloud(twice, config)
+        assert fit.n_iterations == base.n_iterations
+        assert np.abs(fit.state.v - base.state.v).max() <= 1e-9 * config.eps
 
 
 class TestRecoverAndFit:
