@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,8 +114,12 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _fit(cloud, graph, sigma: float, em_config: EmConfig):
+def _fit(cloud, graph, sigma: float, em_config: EmConfig, start=None):
+    """EM from the graph's centroids and counting weights, or from `start`,
+    a (vertices, pi) pair in the graph's numbering."""
     model, state = initialize(graph, cloud, sigma)
+    if start is not None:
+        state = replace(state, v=start[0], pi=start[1])
     report = em_fit(model, state, cloud, em_config)
     return model, report
 
@@ -181,23 +185,29 @@ def cmd_pipeline(args) -> int:
         raise ValueError("--ratios must list at least one ratio")
     ratios = sorted({float(r) for r in args.ratios}, reverse=True)
     eps = args.eps
+    configs = []
+    for ratio in ratios:
+        try:
+            configs.append(ReconstructionConfig(R=ratio * eps, eps=eps))
+        except ValueError as exc:
+            raise ValueError(f"{exc}; ratio {ratio:g}") from None
     reference_ratio = ratios[0]
-    ref_config = ReconstructionConfig(R=reference_ratio * eps, eps=eps)
     sigma = _check_sigma(args.sigma if args.sigma is not None else eps / 2)
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
 
-    ref_graph, _, _ = recover_graph(cloud, ref_config)
+    ref_graph, _, _ = recover_graph(cloud, configs[0])
     reference = _ReferenceStructure(
         vertices=np.array(ref_graph.vertex_centroids), edges=tuple(map(tuple, ref_graph.boundary.tolist()))
     )
 
     rows = []
     best = None
-    for ratio in ratios:
-        config = ReconstructionConfig(R=ratio * eps, eps=eps)
+    warm = None  # the last matched fit's (vertices, pi) in the reference numbering
+    for ratio, config in zip(ratios, configs):
         row = {"ratio": ratio, "R": config.R, "structure_match": False, "loglik": None,
-               "n_vertices": None, "n_edges": None, "vertices": None, "error": None}
+               "iterations": None, "converged": None, "n_vertices": None, "n_edges": None,
+               "vertices": None, "error": None}
         try:
             graph = ref_graph if ratio == reference_ratio else recover_graph(cloud, config)[0]
             row["n_vertices"], row["n_edges"] = graph.n_vertices, graph.n_edges
@@ -206,8 +216,16 @@ def cmd_pipeline(args) -> int:
             if not match.is_isomorphic:
                 row["error"] = match.reason
             else:
-                _, report = _fit(cloud, graph, sigma, em_config)
+                # every matched graph has the reference's strata, so it starts
+                # where the last matched fit stopped: EM only continues it
+                strata = np.concatenate([match.vertex_map, graph.n_vertices + np.array(match.edge_map, dtype=np.intp)])
+                start = None if warm is None else (warm[0][match.vertex_map], warm[1][strata])
+                _, report = _fit(cloud, graph, sigma, em_config, start)
+                v, pi = report.state.v, report.state.pi
+                warm = (np.empty_like(v), np.empty_like(pi))
+                warm[0][match.vertex_map], warm[1][strata] = v, pi
                 row["loglik"] = float(report.loglik_trace[-1])
+                row["iterations"], row["converged"] = report.n_iterations, report.converged
                 row["vertices"] = [[float(c) for c in r] for r in report.state.v]
                 if best is None or row["loglik"] > best[1]:
                     best = (ratio, row["loglik"], row["vertices"])

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphskel as gs
+from graphskel import cli
+from graphskel.abstract_graph import recover_graph
 from graphskel.cli import main
 from graphskel.errors import CloudParseError
 from graphskel.fileio import read_cloud, write_cloud
@@ -420,6 +428,104 @@ class TestPipeline:
         assert row4["loglik"] is None
 
 
+class TestPipelineWarmStart:
+    """Each matched ratio after the reference starts EM from the last matched
+    fit, mapped through `vertex_map` and `edge_map`."""
+
+    EPS = 0.1
+
+    @staticmethod
+    def run(path, ratios, recover=recover_graph):
+        """The pipeline report for `ratios`, and each ratio's recovered graph."""
+        graphs = {}
+
+        def spy(cloud, config):
+            out = recover(cloud, config)
+            graphs[round(config.ratio, 9)] = out[0]
+            return out
+
+        out = path.with_suffix(f".{ratios}.json")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "recover_graph", spy)
+            assert main([
+                "pipeline", "--input", str(path), "--output", str(out), "--eps", "0.1", "--ratios", ratios,
+            ]) == 0
+        return json.loads(out.read_text()), graphs
+
+    @pytest.fixture(scope="class")
+    def cloud_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("warm") / "cloud.txt"
+        assert main(["simulate", "--builtin", "--eps", "0.1", "--seed", "1", "--output", str(path)]) == 0
+        return path
+
+    @pytest.fixture(scope="class")
+    def sweep(self, cloud_path):
+        """The 12,10,8,6 report, and a cold fit of each ratio's own graph."""
+        doc, graphs = self.run(cloud_path, "12,10,8,6")
+        cold = {ratio: cli._fit(g.cloud, g, self.EPS / 2, gs.EmConfig())[1] for ratio, g in graphs.items()}
+        return doc, cold
+
+    def test_reference_row_is_the_cold_fit(self, sweep):
+        doc, cold = sweep
+        ref = doc["rows"][0]
+        assert ref["ratio"] == 12
+        assert ref["vertices"] == cold[12].state.v.tolist()
+        assert ref["loglik"] == float(cold[12].loglik_trace[-1])
+        assert (ref["iterations"], ref["converged"]) == (cold[12].n_iterations, cold[12].converged)
+
+    def test_loglik_does_not_fall_down_the_sweep(self, sweep):
+        rows = sweep[0]["rows"]
+        assert all(row["structure_match"] for row in rows)
+        for prev, row in zip(rows, rows[1:]):
+            assert row["loglik"] >= prev["loglik"] - 1e-12
+        # the selection rule is unchanged: the argmax of the column
+        assert sweep[0]["selected_loglik"] == max(row["loglik"] for row in rows)
+
+    def test_later_rows_take_fewer_iterations(self, sweep):
+        ref, *later = sweep[0]["rows"]
+        assert all(row["converged"] for row in sweep[0]["rows"])
+        assert all(row["iterations"] < ref["iterations"] for row in later)
+
+    def test_later_rows_near_their_cold_fit(self, sweep):
+        doc, cold = sweep
+        # rows report vertices in their own graph's numbering, as the cold fit does
+        gaps = [
+            np.linalg.norm(np.asarray(row["vertices"]) - cold[row["ratio"]].state.v, axis=1).max() / self.EPS
+            for row in doc["rows"][1:]
+        ]
+        assert max(gaps) <= 0.05  # measured: 2.1e-4 on this cloud
+
+    def test_unmatched_row_leaves_the_chain(self, cloud_path):
+        def recover(cloud, config):
+            """At ratio 10, the true graph with its last edge folded into its first."""
+            graph, refined, part = recover_graph(cloud, config)
+            if round(config.ratio, 9) != 10:
+                return graph, refined, part
+            n0, n1 = graph.n_vertices, graph.n_edges
+            stratum = np.where(graph.stratum == n0 + n1 - 1, n0, graph.stratum)
+            return replace(graph, stratum=stratum, boundary=graph.boundary[:-1]), refined, part
+
+        doc, _ = self.run(cloud_path, "12,10,8", recover)
+        skipped, _ = self.run(cloud_path, "12,8")
+        row10 = doc["rows"][1]
+        assert row10["structure_match"] is False and row10["loglik"] is None and row10["iterations"] is None
+        # row 8 starts from row 12's fit, as if ratio 10 had not been asked for
+        assert doc["rows"][2] == skipped["rows"][1]
+
+    def test_point_order(self, sweep, cloud_path, tmp_path):
+        coords = read_cloud(str(cloud_path)).coords
+        perm = np.random.default_rng(5).permutation(len(coords))
+        path = tmp_path / "permuted.txt"
+        write_cloud(str(path), gs.PointCloud(coords[perm]))
+        doc, _ = self.run(path, "12,10,8,6")
+        for base, row in zip(sweep[0]["rows"], doc["rows"]):
+            assert row["iterations"] == base["iterations"]
+            # vertex ids may follow point order: compare each vertex with its nearest
+            dist = np.linalg.norm(np.asarray(row["vertices"])[:, None] - np.asarray(base["vertices"])[None], axis=2)
+            assert sorted(dist.argmin(axis=1).tolist()) == list(range(len(dist)))
+            assert dist.min(axis=1).max() <= 1e-9 * self.EPS
+
+
 class TestArgumentErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
@@ -442,5 +548,110 @@ class TestArgumentErrors:
         assert err["message"].startswith("R ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["1", "-3", "nan"])
+    def test_bad_ratio_rejected_before_reading(self, cloud_file, tmp_path, capsys, monkeypatch, bad):
+        def spy(*args):
+            raise AssertionError("recover_graph called")
+
+        monkeypatch.setattr(cli, "recover_graph", spy)
+        out = tmp_path / "out.json"
+        argv = ["pipeline", "--input", str(cloud_file), "--output", str(out), "--eps", "0.1", "--ratios", f"12,{bad}"]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith("R ")
+        assert err["message"].endswith(f"ratio {bad}")
+        assert not out.exists()
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
+
+
+# each fault class, and the commands that can meet it
+FAULTS = {
+    "missing-file": ("partition", "graph", "fit", "pipeline"),
+    "malformed-line": ("partition", "graph", "fit", "pipeline"),
+    "scale": ("partition", "graph", "pipeline"),
+    "ratio<=1": ("partition", "graph", "pipeline"),
+    "em-option": ("fit", "pipeline"),
+    "structural": ("graph", "pipeline"),
+    "numerical": ("fit",),
+}
+
+
+def _fault(draw, cloud, graph, root) -> tuple[str, dict, int, str]:
+    """A command, its options with one drawn fault, the exit code and the error kind."""
+    fault = draw(st.sampled_from(sorted(FAULTS)))
+    command = draw(st.sampled_from(FAULTS[fault]))
+    opts = {"--input": str(cloud), "--eps": "0.1"}
+    opts.update({"partition": {"--ratio": "8"}, "graph": {"--ratio": "8"}, "fit": {"--graph": str(graph)},
+                 "pipeline": {"--ratios": "12,8"}}[command])
+    if command == "fit":
+        del opts["--eps"]
+    ratio_opt = "--ratios" if command == "pipeline" else "--ratio"
+
+    if fault == "missing-file":
+        opts[draw(st.sampled_from(["--input", "--graph"] if command == "fit" else ["--input"]))] = str(root / "missing")
+    elif fault in ("malformed-line", "numerical"):
+        lines = cloud.read_text().splitlines()
+        k = draw(st.integers(0, len(lines) - 1))
+        row = lines[k].split(",")
+        axis = draw(st.integers(0, len(row) - 1))
+        if fault == "numerical":  # far enough that the squared distance overflows
+            row[axis] = repr(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e100, 1e300)))
+        else:
+            row[axis] = draw(st.sampled_from(["x", "nan", "inf", "-inf", "1e400", "1,2"]))
+        lines[k] = ",".join(row)
+        bad = root / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        opts["--input"] = str(bad)
+    elif fault == "scale":
+        value = draw(st.sampled_from(["nan", "inf", "-inf", "0", "-0.1"]))
+        option = draw(st.sampled_from(["--eps", ratio_opt] + (["--R"] if command != "pipeline" else [])))
+        if option == "--R":
+            del opts["--ratio"]
+        opts[option] = f"12,{value}" if option == "--ratios" else value
+    elif fault == "ratio<=1":
+        value = repr(draw(st.floats(max_value=1.0, allow_nan=False)))
+        opts[ratio_opt] = draw(st.sampled_from([value, f"12,{value}"])) if command == "pipeline" else value
+    elif fault == "em-option":
+        option, value = draw(st.sampled_from([
+            ("--sigma", st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e300"])),
+            ("--tol", st.sampled_from(["nan", "inf", "-1"])),
+            ("--max-iters", st.integers(max_value=-1).map(str)),
+        ]))
+        opts[option] = draw(value)
+    elif fault == "structural":  # these ratios abort stage 2 on this cloud
+        opts[ratio_opt] = draw(st.sampled_from(["2.5", "3", "3.5", "4", "4.5"]))
+    code, kind = {"structural": (2, "structural"), "numerical": (3, "numerical")}.get(fault, (1, "usage"))
+    return command, opts, code, kind
+
+
+class TestExitCodeContract:
+    """Every fault maps to its class's exit code and one JSON error line, and
+    writes no output: usage 1, structural 2, numerical 3."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("contract")
+        cloud, graph = root / "cloud.txt", root / "graph.json"
+        assert main(["simulate", "--builtin", "--eps", "0.1", "--seed", "1", "--output", str(cloud)]) == 0
+        assert main(["graph", "--input", str(cloud), "--output", str(graph), "--ratio", "8", "--eps", "0.1"]) == 0
+        (root / "out").mkdir()
+        return root, cloud, graph
+
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_fault_classes(self, files, data):
+        root, cloud, graph = files
+        command, opts, code, kind = _fault(data.draw, cloud, graph, root)
+        # `--opt=value`, so that a value such as -inf is not read as an option
+        argv = [command, *(f"{k}={v}" for k, v in opts.items()), "--output", str(root / "out" / "result.json")]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+            if kind == "numerical":  # the far point overflows on its way to the abort
+                warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == code
+        err = json.loads(stderr.getvalue().strip().splitlines()[-1])
+        assert err["error"] == kind
+        assert list((root / "out").iterdir()) == []
