@@ -54,6 +54,7 @@ class AbstractGraph:
     """
 
     stratum: np.ndarray  # (m,) stratum id of every point of `cloud`
+    moved: np.ndarray  # (m,) bool: `refine` moved the point from the edge-like side
     boundary: np.ndarray  # (n1, 2) vertex-cluster ids per edge cluster, sorted by build_graph
     vertex_centroids: np.ndarray  # (n0, dim)
     cloud: PointCloud  # the sample the stratum column labels
@@ -134,7 +135,8 @@ def build_graph(cloud: PointCloud, refined: RefinedPartition, config: Reconstruc
 
     Every edge cluster must sit within 3*eps (single linkage) of exactly two
     vertex clusters; anything else is a structural error naming the cluster.
-    A point in neither side of `refined` gets stratum -1.
+    A point in neither side of `refined` gets stratum -1. The graph's `moved`
+    column marks `refined.moved`, the one thing of `refined` it keeps.
     """
     v_cc = threshold_components(cloud, refined.p0_tilde, config.vertex_cluster_scale)
     e_cc = contact_components(cloud, refined.p1_tilde, config.contact_scale)
@@ -151,8 +153,10 @@ def build_graph(cloud: PointCloud, refined: RefinedPartition, config: Reconstruc
     stratum = np.full(len(cloud), -1, dtype=np.intp)
     stratum[v_cc.indices] = v_cc.labels
     stratum[e_cc.indices] = v_cc.num_components + e_cc.labels
+    moved = np.zeros(len(cloud), dtype=bool)
+    moved[refined.moved] = True
     centroids = component_centroids(cloud.coords[v_cc.indices], v_cc.labels, v_cc.num_components)
-    return AbstractGraph(stratum, vertex.reshape(-1, 2), centroids, cloud)
+    return AbstractGraph(stratum, moved, vertex.reshape(-1, 2), centroids, cloud)
 
 
 def boundary_matrix(graph: AbstractGraph) -> np.ndarray:
@@ -216,13 +220,9 @@ def match_to_ground_truth(graph: AbstractGraph, truth: "EmbeddedGraphSpec") -> M
     return report(True)
 
 
-def recover_graph(
-    cloud: PointCloud, config: ReconstructionConfig
-) -> tuple[AbstractGraph, RefinedPartition, Partition]:
-    """Full structure pipeline: partition, cluster, refine, build."""
+def recover_graph(cloud: PointCloud, config: ReconstructionConfig) -> AbstractGraph:
+    """Full structure pipeline: partition, cluster, refine, build; the graph
+    is all that stage 2 hands on."""
     part = _partition(cloud, config)
-    q0 = cluster_p0(cloud, part, config)
-    q1 = cluster_p1(cloud, part, config)
-    refined = refine(cloud, q0, q1, config)
-    graph = build_graph(cloud, refined, config)
-    return graph, refined, part
+    refined = refine(cloud, cluster_p0(cloud, part, config), cluster_p1(cloud, part, config), config)
+    return build_graph(cloud, refined, config)

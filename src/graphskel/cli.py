@@ -1,8 +1,8 @@
 """Command-line surface: partition | graph | fit | pipeline | simulate.
 
 Exit codes: 0 success, 1 usage/parse errors, 2 structural errors (assumption
-violation symptoms), 3 numerical aborts. Structural and numerical errors are
-emitted as machine-readable JSON on stderr.
+violation symptoms), 3 numerical aborts. Every error, argparse's own included,
+is emitted as one machine-readable JSON line on stderr.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -105,9 +106,8 @@ def cmd_graph(args) -> int:
     config = _resolve_scales(args)
     _warn_regime(config)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
-    graph, refined, _ = recover_graph(cloud, config)
-    cfg = _config_dict("graph", args, R=config.R)
-    doc = graph_to_dict(graph, refined, cfg)
+    graph = recover_graph(cloud, config)
+    doc = graph_to_dict(graph, _config_dict("graph", args, R=config.R))
     doc["structure_verified"] = not config.guarantee_warning
     write_json_atomic(args.output, doc)
     print(f"recovered {graph.n_vertices} vertices / {graph.n_edges} edges -> {args.output}")
@@ -137,11 +137,7 @@ def _wireframe_csv(graph_boundary, v: np.ndarray) -> str:
 def cmd_fit(args) -> int:
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
-    doc = read_json(args.graph)
-    graph, _ = graph_from_dict(doc, cloud)
-    graph_cfg = doc.get("config", {})
-    if not isinstance(graph_cfg, dict):
-        raise ValueError("malformed document: field config is not an object")
+    graph, graph_cfg = graph_from_dict(read_json(args.graph), cloud)
     sigma = args.sigma
     if sigma is None:
         eps = graph_cfg.get("eps")
@@ -196,20 +192,20 @@ def cmd_pipeline(args) -> int:
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
 
-    ref_graph, _, _ = recover_graph(cloud, configs[0])
+    ref_graph = recover_graph(cloud, configs[0])
     reference = _ReferenceStructure(
         vertices=np.array(ref_graph.vertex_centroids), edges=tuple(map(tuple, ref_graph.boundary.tolist()))
     )
 
     rows = []
-    best = None
+    selected = None  # the last matched row with a fit: the longest-continued fit
     warm = None  # the last matched fit's (vertices, pi) in the reference numbering
     for ratio, config in zip(ratios, configs):
         row = {"ratio": ratio, "R": config.R, "structure_match": False, "loglik": None,
                "iterations": None, "converged": None, "n_vertices": None, "n_edges": None,
                "vertices": None, "error": None}
         try:
-            graph = ref_graph if ratio == reference_ratio else recover_graph(cloud, config)[0]
+            graph = ref_graph if ratio == reference_ratio else recover_graph(cloud, config)
             row["n_vertices"], row["n_edges"] = graph.n_vertices, graph.n_edges
             match = match_to_ground_truth(graph, reference)
             row["structure_match"] = match.is_isomorphic
@@ -227,8 +223,7 @@ def cmd_pipeline(args) -> int:
                 row["loglik"] = float(report.loglik_trace[-1])
                 row["iterations"], row["converged"] = report.n_iterations, report.converged
                 row["vertices"] = [[float(c) for c in r] for r in report.state.v]
-                if best is None or row["loglik"] > best[1]:
-                    best = (ratio, row["loglik"], row["vertices"])
+                selected = row
         except (StructureError, NumericalError) as exc:
             row["error"] = str(exc)
         rows.append(row)
@@ -238,18 +233,18 @@ def cmd_pipeline(args) -> int:
         "kind": "graphskel.pipeline",
         "config": _config_dict("pipeline", args, sigma=sigma, ratios=ratios),
         "reference_ratio": reference_ratio,
-        "reference_in_guarantee_regime": reference_ratio >= 12,
+        "reference_in_guarantee_regime": not configs[0].guarantee_warning,
         "rows": rows,
-        "selected_ratio": best[0] if best else None,
-        "selected_loglik": best[1] if best else None,
-        "selected_vertices": best[2] if best else None,
+        "selected_ratio": selected and selected["ratio"],
+        "selected_loglik": selected and selected["loglik"],
+        "selected_vertices": selected and selected["vertices"],
     }
     write_json_atomic(args.output, out)
     for row in rows:
         ll = "-" if row["loglik"] is None else f"{row['loglik']:.4f}"
         print(f"ratio {row['ratio']:g}: match={row['structure_match']} loglik={ll}")
-    if best:
-        print(f"selected ratio {best[0]:g} (loglik {best[1]:.6f}) -> {args.output}")
+    if selected:
+        print(f"selected ratio {selected['ratio']:g} (loglik {selected['loglik']:.6f}) -> {args.output}")
     return EXIT_OK
 
 
@@ -307,8 +302,16 @@ def _add_em(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8, help="EM log-likelihood tolerance")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so that `main`
+    reports them with the JSON usage line like any other; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="graphskel", description=__doc__)
+    parser = _Parser(prog="graphskel", description=__doc__)
     parser.add_argument("--version", action="version", version=f"graphskel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,12 +361,11 @@ def _emit_error_json(kind: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses exit code 2 for usage errors
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help and --version; usage errors raise ValueError
+            return exc.code
         return args.func(args)
     except (CloudParseError, FileNotFoundError, ValueError, GenerationError) as exc:
         _emit_error_json("usage", exc)

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .abstract_graph import AbstractGraph, RefinedPartition, boundary_matrix
+from .abstract_graph import AbstractGraph, boundary_matrix
 from .errors import CloudParseError
 from .geometry import PointCloud
 from .synthetic import EmbeddedGraphSpec
@@ -106,8 +106,9 @@ def _float_list(arr) -> list[float]:
     return [float(x) for x in np.asarray(arr).tolist()]
 
 
-def graph_to_dict(graph: AbstractGraph, refined: RefinedPartition, config: dict[str, Any]) -> dict[str, Any]:
+def graph_to_dict(graph: AbstractGraph, config: dict[str, Any]) -> dict[str, Any]:
     members = graph.members()
+    n0 = graph.n_vertices
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "graphskel.graph",
@@ -119,14 +120,14 @@ def graph_to_dict(graph: AbstractGraph, refined: RefinedPartition, config: dict[
             for i, centroid in enumerate(graph.vertex_centroids)
         ],
         "edges": [
-            {"id": j, "boundary": _int_list(pair), "members": _int_list(members[graph.n_vertices + j])}
+            {"id": j, "boundary": _int_list(pair), "members": _int_list(members[n0 + j])}
             for j, pair in enumerate(graph.boundary)
         ],
         "boundary_matrix": boundary_matrix(graph).tolist(),
         "labels": {
-            "p0_tilde": _int_list(refined.p0_tilde),
-            "p1_tilde": _int_list(refined.p1_tilde),
-            "moved": _int_list(refined.moved),
+            "p0_tilde": _int_list(np.flatnonzero((graph.stratum >= 0) & (graph.stratum < n0))),
+            "p1_tilde": _int_list(np.flatnonzero(graph.stratum >= n0)),
+            "moved": _int_list(np.flatnonzero(graph.moved)),
         },
     }
 
@@ -197,8 +198,9 @@ def _centroid_margin(cloud: PointCloud) -> float:
     return 10.0 * diag if diag > 0 else 10.0
 
 
-def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, RefinedPartition]:
-    """The graph a `graph_to_dict` document describes; a fault is a ValueError naming its field."""
+def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGraph, dict[str, Any]]:
+    """The graph a `graph_to_dict` document describes, and the document's
+    `config` object ({} when it has none); a fault is a ValueError naming its field."""
     _check_object(doc)
     if doc.get("kind") != "graphskel.graph":
         raise ValueError(f"not a graphskel graph document (kind={doc.get('kind')!r})")
@@ -244,8 +246,12 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
     if far.size:
         i, k = far[0]
         raise ValueError(f"malformed document: vertex {i} centroid is over {limit:.6g} outside the cloud on axis {k}")
-    graph = AbstractGraph(stratum, boundary, centroids, cloud)
-    return graph, RefinedPartition(p0_tilde=p0, p1_tilde=p1, moved=moved)
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError("malformed document: field config is not an object")
+    is_moved = np.zeros(len(cloud), dtype=bool)
+    is_moved[moved] = True
+    return AbstractGraph(stratum, is_moved, boundary, centroids, cloud), config
 
 
 def graph_spec_to_dict(spec: EmbeddedGraphSpec) -> dict[str, Any]:

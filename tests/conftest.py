@@ -29,18 +29,17 @@ def ratio8_config():
 
 @pytest.fixture(scope="session")
 def ratio8_recovery(fixture_cloud, ratio8_config):
-    """(graph, refined, partition) for the fixture cloud at ratio 8."""
+    """The graph recovered from the fixture cloud at ratio 8."""
     return gs.recover_graph(fixture_cloud, ratio8_config)
 
 
 @pytest.fixture(scope="session")
 def twelve_vertex_5d_recovery():
-    """(graph, refined, cloud): a 12-vertex compliant graph in R^5 sampled at
-    spacing eps (m = 2290) and recovered at ratio 12."""
+    """The graph of a 12-vertex compliant graph in R^5 sampled at spacing eps
+    (m = 2290), recovered at ratio 12."""
     spec = gs.random_compliant_graph(5, 12, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
     cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, spacing=0.1, seed=0))
-    graph, refined, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
-    return graph, refined, cloud
+    return gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
 
 
 def random_cloud(rng: np.random.Generator, n: int, dim: int, scale: float = 1.0) -> gs.PointCloud:

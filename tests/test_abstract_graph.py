@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import graphskel as gs
 from graphskel.abstract_graph import (
+    RefinedPartition,
     boundary_matrix,
     build_graph,
     cluster_p0,
@@ -17,6 +18,7 @@ from graphskel.abstract_graph import (
 )
 from graphskel.fileio import graph_from_dict, graph_to_dict
 from graphskel.geometry import PointCloud
+from graphskel.local_structure import partition
 
 
 def segment_cloud(eps: float, length: float, dim: int = 2, seed: int = 0) -> tuple[gs.EmbeddedGraphSpec, gs.PointCloud]:
@@ -29,7 +31,7 @@ def segment_cloud(eps: float, length: float, dim: int = 2, seed: int = 0) -> tup
 
 class TestClusterStages:
     def test_fixture_ratio8_counts(self, fixture_cloud, ratio8_config):
-        part = gs.partition(fixture_cloud, ratio8_config)
+        part = partition(fixture_cloud, ratio8_config)
         q0 = cluster_p0(fixture_cloud, part, ratio8_config)
         assert q0.num_components == 5
         q1 = cluster_p1(fixture_cloud, part, ratio8_config)
@@ -46,7 +48,7 @@ class TestClusterStages:
         # vertex clusters merge instead)
         cloud = gs.sample_graph(fixture_spec, gs.SampleSpec(eps=0.1, seed=1))
         cfg = gs.ReconstructionConfig(R=0.4, eps=0.1)
-        part = gs.partition(cloud, cfg)
+        part = partition(cloud, cfg)
         assert part.p0.size < 40
         q1 = cluster_p1(cloud, part, cfg)
         assert q1.num_components < 5
@@ -55,7 +57,7 @@ class TestClusterStages:
         eps = 0.1
         cfg = gs.ReconstructionConfig(R=12 * eps, eps=eps)
         spec, cloud = segment_cloud(eps, length=8.0)
-        part = gs.partition(cloud, cfg)
+        part = partition(cloud, cfg)
         q0 = cluster_p0(cloud, part, cfg)
         assert q0.num_components == 2  # one cluster per endpoint
         q1 = cluster_p1(cloud, part, cfg)
@@ -70,7 +72,7 @@ class TestClusterStages:
         cfg = gs.ReconstructionConfig(R=1.2, eps=0.1)
         rng = np.random.default_rng(0)
         cloud = PointCloud(rng.uniform(-0.05, 0.05, size=(12, 2)))
-        part = gs.partition(cloud, cfg)
+        part = partition(cloud, cfg)
         assert part.p1.size == 0
         q1 = cluster_p1(cloud, part, cfg)
         assert q1.num_components == 0
@@ -94,6 +96,9 @@ class TestRefine:
         assert refined.moved.tolist() == [2]
         assert refined.p1_tilde.size == 0
         assert sorted(refined.p0_tilde.tolist()) == [0, 1, 2]
+        graph = build_graph(cloud, refined, cfg)
+        assert np.flatnonzero(graph.moved).tolist() == [2]
+        assert graph_to_dict(graph, {})["labels"] == {"p0_tilde": [0, 1, 2], "p1_tilde": [], "moved": [2]}
 
     def test_orphan_edge_cluster_raises(self):
         eps = 0.1
@@ -108,7 +113,7 @@ class TestRefine:
         eps = 0.1
         cfg = gs.ReconstructionConfig(R=12 * eps, eps=eps)
         _, cloud = segment_cloud(eps, length=8.0)
-        part = gs.partition(cloud, cfg)
+        part = partition(cloud, cfg)
         q0 = cluster_p0(cloud, part, cfg)
         q1 = cluster_p1(cloud, part, cfg)
         refined = refine(cloud, q0, q1, cfg)
@@ -131,7 +136,7 @@ class TestBuildGraph:
         for ratio in (6, 8, 10, 12):
             cloud = gs.sample_graph(fixture_spec, gs.SampleSpec(eps=0.1, seed=2))
             cfg = gs.ReconstructionConfig(R=ratio * 0.1, eps=0.1)
-            graph, _, _ = recover_graph(cloud, cfg)
+            graph = recover_graph(cloud, cfg)
             assert (graph.n_vertices, graph.n_edges) == (5, 5)
             match = match_to_ground_truth(graph, fixture_spec)
             assert match.is_isomorphic, f"ratio {ratio}: {match.reason}"
@@ -146,7 +151,7 @@ class TestBuildGraph:
         cfg = gs.ReconstructionConfig(R=R, eps=eps)
         assert gs.check_assumptions(spec, cfg).all_passed
         cloud = gs.sample_graph(spec, gs.SampleSpec(eps=eps, seed=3))
-        graph, _, _ = recover_graph(cloud, cfg)
+        graph = recover_graph(cloud, cfg)
         match = match_to_ground_truth(graph, spec)
         assert match.is_isomorphic
         b = boundary_matrix(graph)
@@ -162,7 +167,7 @@ class TestBuildGraph:
         spec = gs.EmbeddedGraphSpec(verts, ((0, 1), (1, 2)))
         cfg = gs.ReconstructionConfig(R=R, eps=eps)
         cloud = gs.sample_graph(spec, gs.SampleSpec(eps=eps, seed=4))
-        graph, _, _ = recover_graph(cloud, cfg)
+        graph = recover_graph(cloud, cfg)
         match = match_to_ground_truth(graph, spec)
         assert match.is_isomorphic
         b = boundary_matrix(graph)
@@ -172,9 +177,10 @@ class TestBuildGraph:
 
 
     def test_point_in_no_cluster(self, fixture_cloud, ratio8_config, ratio8_recovery):
-        graph, refined, _ = ratio8_recovery
-        left_out = refined.p1_tilde[-1]
-        partial = gs.RefinedPartition(refined.p0_tilde, refined.p1_tilde[:-1], refined.moved)
+        graph = ratio8_recovery
+        p0, p1 = np.flatnonzero(graph.stratum < graph.n_vertices), np.flatnonzero(graph.stratum >= graph.n_vertices)
+        left_out = p1[-1]
+        partial = RefinedPartition(p0, p1[:-1], np.flatnonzero(graph.moved))
         g = build_graph(fixture_cloud, partial, ratio8_config)
         assert g.stratum[left_out] == -1
         want = [m[m != left_out].tolist() for m in graph.members()]
@@ -185,7 +191,7 @@ class TestBuildGraph:
 
 class TestMatchToGroundTruth:
     def test_self_match(self, ratio8_recovery):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
 
         class _Self:
             vertices = np.array(graph.vertex_centroids)
@@ -202,14 +208,14 @@ class TestMatchToGroundTruth:
         cloud = gs.sample_graph(fixture_spec, gs.SampleSpec(eps=0.1, seed=1))
         cfg = gs.ReconstructionConfig(R=0.4, eps=0.1)
         try:
-            graph, _, _ = recover_graph(cloud, cfg)
+            graph = recover_graph(cloud, cfg)
         except gs.StructureError:
             return  # degraded run ends in a structural error: acceptable "No"
         match = match_to_ground_truth(graph, fixture_spec)
         assert not match.is_isomorphic
 
     def test_wrong_counts_not_an_exception(self, ratio8_recovery, fixture_spec):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
 
         class _Extra:
             vertices = np.vstack([fixture_spec.vertices, [[100.0, 100.0, 100.0]]])
@@ -224,8 +230,8 @@ class TestMatchToGroundTruth:
 
 class TestPipelineDeterminism:
     def test_identical_inputs_identical_graphs(self, fixture_cloud, ratio8_config):
-        g1, r1, _ = recover_graph(fixture_cloud, ratio8_config)
-        g2, r2, _ = recover_graph(fixture_cloud, ratio8_config)
+        g1 = recover_graph(fixture_cloud, ratio8_config)
+        g2 = recover_graph(fixture_cloud, ratio8_config)
         assert np.array_equal(g1.stratum, g2.stratum)
         assert np.array_equal(g1.boundary, g2.boundary)
         assert np.array_equal(g1.vertex_centroids, g2.vertex_centroids)
@@ -245,7 +251,7 @@ class TestTheoremRoundTrip:
             spec = gs.random_compliant_graph(dim, n_vertices, gen, seed=100 + g_idx)
             for seed in range(5):
                 cloud = gs.sample_graph(spec, gs.SampleSpec(eps=eps, seed=seed))
-                graph, refined, _ = recover_graph(cloud, rcfg)
+                graph = recover_graph(cloud, rcfg)
                 match = match_to_ground_truth(graph, spec)
                 assert match.is_isomorphic, (
                     f"graph {g_idx} seed {seed}: {match.reason}"
@@ -274,9 +280,9 @@ class TestRecoverGraphInvariance:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_point_order(self, fixture_cloud, ratio8_config, ratio8_recovery, seed):
-        base, _, _ = ratio8_recovery
+        base = ratio8_recovery
         perm = np.random.default_rng(seed).permutation(len(fixture_cloud))
-        graph, _, _ = recover_graph(PointCloud(fixture_cloud.coords[perm]), ratio8_config)
+        graph = recover_graph(PointCloud(fixture_cloud.coords[perm]), ratio8_config)
 
         def structure(g, index):
             """Vertex clusters as point sets, and each edge cluster's point set
@@ -301,7 +307,7 @@ class TestRecoverGraphInvariance:
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]  # a rotation, not a reflection
         shift = rng.uniform(-10.0, 10.0, size=3)
-        graph, _, _ = recover_graph(PointCloud(fixture_cloud.coords @ q.T + shift), ratio8_config)
+        graph = recover_graph(PointCloud(fixture_cloud.coords @ q.T + shift), ratio8_config)
         moved = gs.EmbeddedGraphSpec(fixture_spec.vertices @ q.T + shift, fixture_spec.edges)
         match = match_to_ground_truth(graph, moved)
         assert match.is_isomorphic, match.reason
@@ -311,7 +317,7 @@ class TestRecoverGraphInvariance:
     def test_uniform_scaling(self, fixture_cloud, ratio8_config, ratio8_recovery, k):
         """Scaling (cloud, R, eps) by 2^k is exact in floats, so every label
         and the recovered structure stay the same; inner products scale by 4^k."""
-        base, _, _ = ratio8_recovery
+        base = ratio8_recovery
         scale = 2.0**k
         cloud = PointCloud(fixture_cloud.coords * scale)
         config = gs.ReconstructionConfig(R=ratio8_config.R * scale, eps=ratio8_config.eps * scale)
@@ -320,7 +326,7 @@ class TestRecoverGraphInvariance:
         for name in ("vertex_like", "ball_connected", "shell_components"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert np.array_equal(got.inner_product, want.inner_product * scale**2, equal_nan=True)
-        graph, _, _ = recover_graph(cloud, config)
+        graph = recover_graph(cloud, config)
         assert np.array_equal(graph.stratum, base.stratum)
         assert np.array_equal(graph.boundary, base.boundary)
 
@@ -328,10 +334,18 @@ class TestRecoverGraphInvariance:
 class TestGraphDocument:
     @pytest.mark.parametrize("recovery", ["ratio8_recovery", "twelve_vertex_5d_recovery"])
     def test_round_trip(self, request, recovery):
-        graph, refined, _ = request.getfixturevalue(recovery)
-        back, back_refined = graph_from_dict(graph_to_dict(graph, refined, {}), graph.cloud)
+        graph = request.getfixturevalue(recovery)
+        back, config = graph_from_dict(graph_to_dict(graph, {"eps": 0.1}), graph.cloud)
+        assert config == {"eps": 0.1}
         assert np.array_equal(back.stratum, graph.stratum)
+        assert np.array_equal(back.moved, graph.moved)
         assert np.array_equal(back.boundary, graph.boundary)
         assert np.array_equal(back.vertex_centroids, graph.vertex_centroids)
+
+    def test_labels_are_the_refined_partition(self, fixture_cloud, ratio8_config, ratio8_recovery):
+        part = partition(fixture_cloud, ratio8_config)
+        q0, q1 = cluster_p0(fixture_cloud, part, ratio8_config), cluster_p1(fixture_cloud, part, ratio8_config)
+        refined = refine(fixture_cloud, q0, q1, ratio8_config)
+        labels = graph_to_dict(ratio8_recovery, {})["labels"]
         for name in ("p0_tilde", "p1_tilde", "moved"):
-            assert np.array_equal(getattr(back_refined, name), getattr(refined, name))
+            assert labels[name] == getattr(refined, name).tolist(), name

@@ -44,7 +44,7 @@ def fixture_runs():
             config = gs.ReconstructionConfig(R=ratio * EPS, eps=EPS)
             entry = {"iso": False, "max_err": math.inf, "trace": None, "final_ll": None}
             try:
-                graph, _, _ = gs.recover_graph(cloud, config)
+                graph = gs.recover_graph(cloud, config)
                 match = gs.match_to_ground_truth(graph, spec)
                 entry["iso"] = match.is_isomorphic
                 if match.is_isomorphic:
@@ -103,7 +103,7 @@ def test_criterion_03_ratio4_degradation(fixture_runs):
         cloud = gs.sample_graph(spec, gs.SampleSpec(eps=EPS, seed=seed))
         config = gs.ReconstructionConfig(R=4 * EPS, eps=EPS)
         try:
-            graph, _, _ = gs.recover_graph(cloud, config)
+            graph = gs.recover_graph(cloud, config)
             iso = gs.match_to_ground_truth(graph, spec).is_isomorphic
         except (gs.StructureError, gs.NumericalError):
             iso = False  # orderly structural abort, not a crash

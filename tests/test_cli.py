@@ -17,6 +17,7 @@ from graphskel.abstract_graph import recover_graph
 from graphskel.cli import main
 from graphskel.errors import CloudParseError
 from graphskel.fileio import read_cloud, write_cloud
+from graphskel.geometry import threshold_components
 
 
 def first(doc: dict, key: str, **fields) -> dict:
@@ -122,7 +123,7 @@ class TestPartition:
         # the vertex-like (0) points form exactly 5 clusters at 3R/2 + 2eps
         cfg = gs.ReconstructionConfig(R=0.8, eps=0.1)
         p0 = np.flatnonzero(np.array(labels) == 0)
-        cc = gs.threshold_components(cloud, p0, cfg.vertex_cluster_scale)
+        cc = threshold_components(cloud, p0, cfg.vertex_cluster_scale)
         assert cc.num_components == 5
 
     def test_guarantee_warning_on_stderr(self, cloud_file, tmp_path, capsys):
@@ -389,9 +390,9 @@ class TestPipeline:
         assert doc["reference_in_guarantee_regime"] is True
         assert len(doc["rows"]) == 4
         assert all(row["structure_match"] for row in doc["rows"])
-        assert doc["selected_ratio"] is not None
-        lls = [row["loglik"] for row in doc["rows"]]
-        assert doc["selected_loglik"] == max(lls)
+        last = [row for row in doc["rows"] if row["structure_match"]][-1]
+        assert (doc["selected_ratio"], doc["selected_loglik"]) == (last["ratio"], last["loglik"])
+        assert doc["selected_vertices"] == last["vertices"]
 
     def test_single_ratio(self, cloud_file, tmp_path):
         out = tmp_path / "single.json"
@@ -426,6 +427,17 @@ class TestPipeline:
         row4 = [r for r in doc["rows"] if r["ratio"] == 4][0]
         assert row4["structure_match"] is False
         assert row4["loglik"] is None
+        assert doc["selected_ratio"] == 12  # the last matched row, not the last row
+
+    @pytest.mark.parametrize("ratio, regime", [("11.9999999999", True), ("11.99", False)])
+    def test_guarantee_regime_agrees_with_graph(self, cloud_file, tmp_path, ratio, regime):
+        # one rule for both commands: R >= 12 eps up to a relative rounding of 1e-9
+        graph, report = tmp_path / "graph.json", tmp_path / "report.json"
+        io_args = ["--input", str(cloud_file), "--eps", "0.1", "--output"]
+        assert main(["graph", *io_args, str(graph), "--ratio", ratio]) == 0
+        assert main(["pipeline", *io_args, str(report), "--ratios", ratio]) == 0
+        assert json.loads(graph.read_text())["structure_verified"] is regime
+        assert json.loads(report.read_text())["reference_in_guarantee_regime"] is regime
 
 
 class TestPipelineWarmStart:
@@ -440,9 +452,9 @@ class TestPipelineWarmStart:
         graphs = {}
 
         def spy(cloud, config):
-            out = recover(cloud, config)
-            graphs[round(config.ratio, 9)] = out[0]
-            return out
+            graph = recover(cloud, config)
+            graphs[round(config.ratio, 9)] = graph
+            return graph
 
         out = path.with_suffix(f".{ratios}.json")
         with pytest.MonkeyPatch.context() as mp:
@@ -478,8 +490,8 @@ class TestPipelineWarmStart:
         assert all(row["structure_match"] for row in rows)
         for prev, row in zip(rows, rows[1:]):
             assert row["loglik"] >= prev["loglik"] - 1e-12
-        # the selection rule is unchanged: the argmax of the column
-        assert sweep[0]["selected_loglik"] == max(row["loglik"] for row in rows)
+        # the selection is the last matched row, the longest-continued fit
+        assert (sweep[0]["selected_ratio"], sweep[0]["selected_loglik"]) == (rows[-1]["ratio"], rows[-1]["loglik"])
 
     def test_later_rows_take_fewer_iterations(self, sweep):
         ref, *later = sweep[0]["rows"]
@@ -498,12 +510,12 @@ class TestPipelineWarmStart:
     def test_unmatched_row_leaves_the_chain(self, cloud_path):
         def recover(cloud, config):
             """At ratio 10, the true graph with its last edge folded into its first."""
-            graph, refined, part = recover_graph(cloud, config)
+            graph = recover_graph(cloud, config)
             if round(config.ratio, 9) != 10:
-                return graph, refined, part
+                return graph
             n0, n1 = graph.n_vertices, graph.n_edges
             stratum = np.where(graph.stratum == n0 + n1 - 1, n0, graph.stratum)
-            return replace(graph, stratum=stratum, boundary=graph.boundary[:-1]), refined, part
+            return replace(graph, stratum=stratum, boundary=graph.boundary[:-1])
 
         doc, _ = self.run(cloud_path, "12,10,8", recover)
         skipped, _ = self.run(cloud_path, "12,8")
@@ -566,6 +578,29 @@ class TestArgumentErrors:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
 
+    def test_help_exits_zero(self, capsys):
+        assert main(["fit", "--help"]) == 0
+        assert "--max-iters" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["fit", "--max-iters", "1.5"], "--max-iters"),
+            (["fit", "--max-iters=x"], "--max-iters"),
+            (["pipeline", "--eps", "-inf"], "--eps"),
+            (["graph", "--eps", "0.1"], "--input"),
+            (["frobnicate"], "command"),
+        ],
+        ids=["max-iters-float", "max-iters-word", "eps-read-as-option", "missing-input", "unknown-command"],
+    )
+    def test_parser_error_is_json_usage_line(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert named in err["message"]
+        assert not out.exists()
+
 
 # each fault class, and the commands that can meet it
 FAULTS = {
@@ -618,7 +653,7 @@ def _fault(draw, cloud, graph, root) -> tuple[str, dict, int, str]:
         option, value = draw(st.sampled_from([
             ("--sigma", st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e300"])),
             ("--tol", st.sampled_from(["nan", "inf", "-1"])),
-            ("--max-iters", st.integers(max_value=-1).map(str)),
+            ("--max-iters", st.one_of(st.integers(max_value=-1).map(str), st.sampled_from(["1.5", "x"]))),
         ]))
         opts[option] = draw(value)
     elif fault == "structural":  # these ratios abort stage 2 on this cloud
@@ -645,8 +680,11 @@ class TestExitCodeContract:
     def test_fault_classes(self, files, data):
         root, cloud, graph = files
         command, opts, code, kind = _fault(data.draw, cloud, graph, root)
-        # `--opt=value`, so that a value such as -inf is not read as an option
-        argv = [command, *(f"{k}={v}" for k, v in opts.items()), "--output", str(root / "out" / "result.json")]
+        # `--opt=value` or `--opt value`; in the second form argparse reads a
+        # value such as -inf as an option, which is a usage fault all the same
+        joined = data.draw(st.booleans())
+        tokens = [token for k, v in opts.items() for token in ([f"{k}={v}"] if joined else [k, v])]
+        argv = [command, *tokens, "--output", str(root / "out" / "result.json")]
         stderr = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
             if kind == "numerical":  # the far point overflows on its way to the abort

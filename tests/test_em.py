@@ -414,7 +414,7 @@ class TestCurvatureBlocks:
 
 class TestInitialize:
     def test_fixture_ratio8(self, fixture_cloud, ratio8_recovery):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         assert model.n0 == 5 and model.n1 == 5
         assert state.a.shape == (len(fixture_cloud), 10)
@@ -428,11 +428,12 @@ class TestInitialize:
             assert np.all(state.v[i] <= pts.max(axis=0) + 1e-12)
 
     def test_rejects_empty_cluster(self, fixture_cloud, ratio8_recovery):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         # a sixth vertex cluster with no members: edge ids shift up by one
         broken = gs.AbstractGraph(
             stratum=np.where(graph.stratum < graph.n_vertices, graph.stratum, graph.stratum + 1),
             boundary=graph.boundary,
+            moved=graph.moved,
             vertex_centroids=np.vstack([graph.vertex_centroids, np.zeros(3)]),
             cloud=graph.cloud,
         )
@@ -445,25 +446,21 @@ class TestInitialize:
         ids=["short", "negative", "past-last"],
     )
     def test_rejects_bad_stratum(self, fixture_cloud, ratio8_recovery, damage):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         with pytest.raises(ValueError, match="stratum id in 0..9"):
             initialize(replace(graph, stratum=damage(graph.stratum)), fixture_cloud, sigma=0.05)
 
     def test_rejects_inconsistent_refined(self, fixture_cloud, ratio8_recovery):
         # the check sits where a graph enters from outside: the document reader
-        graph, refined, _ = ratio8_recovery
-        bad = gs.RefinedPartition(
-            p0_tilde=refined.p0_tilde[:-1],
-            p1_tilde=refined.p1_tilde,
-            moved=refined.moved,
-        )
+        doc = graph_to_dict(ratio8_recovery, {})
+        doc["labels"]["p0_tilde"] = doc["labels"]["p0_tilde"][:-1]
         with pytest.raises(ValueError, match="labels.p0_tilde"):
-            graph_from_dict(graph_to_dict(graph, bad, {}), fixture_cloud)
+            graph_from_dict(doc, fixture_cloud)
 
 
 class TestEmFit:
     def test_fixture_fit_accuracy(self, fixture_spec, fixture_cloud, ratio8_recovery):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         report = em_fit(model, state, fixture_cloud)
         match = gs.match_to_ground_truth(graph, fixture_spec)
@@ -491,7 +488,7 @@ class TestEmFit:
             assert np.linalg.norm(report.state.v[i] - means[i]) < 1e-3
 
     def test_zero_iterations_echo_initialization(self, fixture_cloud, ratio8_recovery):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         report = em_fit(model, state, fixture_cloud, EmConfig(max_iters=0))
         assert report.n_iterations == 0
@@ -501,7 +498,7 @@ class TestEmFit:
         assert np.all(report.vertex_displacement == 0.0)
 
     def test_simplex_preserved_every_iteration(self, fixture_cloud, ratio8_recovery):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         for _ in range(5):
             a = responsibilities(model, state, fixture_cloud)
@@ -576,7 +573,7 @@ class TestEmFit:
         assert np.all(np.diff(report.loglik_trace) >= 0)
 
     def test_marginal_loglik_consistency(self, fixture_cloud, ratio8_recovery):
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         report = em_fit(model, state, fixture_cloud, EmConfig(max_iters=3))
         recomputed = marginal_log_likelihood(
@@ -653,9 +650,8 @@ def reference_em_fit(model, state, data, config):
 def twelve_vertex_5d(twelve_vertex_5d_recovery):
     """(model, state, cloud) on the 12-vertex 5-D graph, where most (point,
     stratum) pairs underflow."""
-    graph, _, cloud = twelve_vertex_5d_recovery
-    model, state = initialize(graph, cloud, sigma=0.05)
-    return model, state, cloud
+    model, state = initialize(twelve_vertex_5d_recovery, twelve_vertex_5d_recovery.cloud, sigma=0.05)
+    return model, state, twelve_vertex_5d_recovery.cloud
 
 
 @pytest.fixture(scope="module", params=["fixture-ratio8", "random-5d-large-step", "random-5d-12-vertex"])
@@ -665,14 +661,14 @@ def em_inputs(request, fixture_cloud, ratio8_recovery):
     line-search backtracks, and a 12-vertex 5-D graph where most pairs are
     never priced."""
     if request.param == "fixture-ratio8":
-        graph, _, _ = ratio8_recovery
+        graph = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         return model, state, fixture_cloud, EmConfig(max_iters=10), gs.em.STEP_INIT
     if request.param == "random-5d-12-vertex":
         return *request.getfixturevalue("twelve_vertex_5d"), EmConfig(max_iters=4), gs.em.STEP_INIT
     spec = gs.random_compliant_graph(5, 3, gs.GraphGenConfig(R=1.2, eps=0.1), seed=0)
     cloud = gs.sample_graph(spec, gs.SampleSpec(eps=0.1, seed=0))
-    graph, _, _ = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
+    graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
     model, state = initialize(graph, cloud, sigma=0.05)
     return model, state, cloud, EmConfig(max_iters=10), 64.0
 
@@ -871,7 +867,7 @@ class TestSelectionOncePerIteration:
 
 def fit_cloud(cloud, config):
     """(initial vertex centroids, em_fit report) for the graph recovered from `cloud`."""
-    graph = gs.recover_graph(cloud, config)[0]
+    graph = gs.recover_graph(cloud, config)
     model, state = initialize(graph, cloud, sigma=0.05)
     return state.v, em_fit(model, state, cloud)
 
@@ -916,7 +912,7 @@ class TestUniformScaling:
         def fit(k):
             c = 2.0**k
             cloud = gs.PointCloud(fixture_cloud.coords * c)
-            graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2 * c, eps=eps * c))[0]
+            graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2 * c, eps=eps * c))
             return graph, em_fit(*initialize(graph, cloud, sigma=eps / 2 * c), cloud)
 
         graph0, base = fit(0)
@@ -937,8 +933,8 @@ class TestDuplicatedPoints:
         and the same fit, as each point's weight in every mean is unchanged."""
         cloud, config, (v0, base) = permutation_cases[case]
         twice = gs.PointCloud(np.vstack([cloud.coords, cloud.coords]))
-        graph0 = gs.recover_graph(cloud, config)[0]
-        graph = gs.recover_graph(twice, config)[0]
+        graph0 = gs.recover_graph(cloud, config)
+        graph = gs.recover_graph(twice, config)
         assert np.array_equal(graph.boundary, graph0.boundary)
         assert np.array_equal(graph.stratum, np.tile(graph0.stratum, 2))
         assert np.abs(graph.vertex_centroids - v0).max() <= 1e-12 * np.abs(v0).max()
@@ -957,7 +953,7 @@ class TestRecoverAndFit:
         eps = 0.1
         spec = gs.random_compliant_graph(dim, 2 if dim == 1 else n_vertices, gs.GraphGenConfig(R=1.2, eps=eps), seed=seed)
         cloud = gs.sample_graph(spec, gs.SampleSpec(eps=eps, seed=seed))
-        graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=eps))[0]
+        graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=eps))
         assert (graph.n_vertices, graph.n_edges) == (spec.n_vertices, len(spec.edges))
         match = gs.match_to_ground_truth(graph, spec)
         assert match.is_isomorphic, match.reason

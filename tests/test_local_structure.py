@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphskel as gs
+from graphskel.abstract_graph import cluster_p0
 from graphskel.geometry import PointCloud
 from graphskel.local_structure import (
     ReconstructionConfig,
@@ -201,7 +202,7 @@ class TestPartition:
 
     def test_fixture_p0_forms_five_clusters(self, fixture_cloud, ratio8_config):
         part = partition(fixture_cloud, ratio8_config)
-        cc = gs.cluster_p0(fixture_cloud, part, ratio8_config)
+        cc = cluster_p0(fixture_cloud, part, ratio8_config)
         assert cc.num_components == 5
 
 

@@ -332,7 +332,7 @@ class TestOneContactGraph:
     def test_recover_graph_builds_one_cloud_tree(self, fixture_cloud, monkeypatch):
         cloud = PointCloud(fixture_cloud.coords)  # no tree or pairs cached yet
         trees, radii, components = count_contact_work(monkeypatch)
-        graph, _, _ = gs.recover_graph(cloud, CFG)
+        graph = gs.recover_graph(cloud, CFG)
         assert (graph.n_vertices, graph.n_edges) == (5, 5)
         assert trees.count(len(cloud)) == 1
         assert len(trees) == 3  # the cloud's tree and the two vertex-scale subset trees
@@ -366,9 +366,9 @@ _MEMORY_SCRIPT = textwrap.dedent(
     coords = np.zeros((m, 3))
     coords[:, 0] = np.arange(m) * (eps / 2)
     cloud = gs.PointCloud(coords)
-    graph, refined, part = gs.recover_graph(cloud, gs.ReconstructionConfig(R=12 * eps, eps=eps))
+    graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=12 * eps, eps=eps))
     print(json.dumps({
-        "p1": int(part.p1.size),
+        "edge_points": int(np.count_nonzero(graph.stratum >= graph.n_vertices)),
         "vertices": graph.n_vertices,
         "edges": graph.n_edges,
         "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -392,6 +392,6 @@ def test_recover_graph_memory_is_bounded():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["p1"] == 7255
+    assert out["edge_points"] == 7255
     assert (out["vertices"], out["edges"]) == (2, 1)
     assert out["maxrss_kib"] / 1024 < MEMORY_BUDGET_MIB

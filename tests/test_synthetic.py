@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphskel as gs
+from graphskel.geometry import point_segment_distance
 from graphskel.synthetic import (
     EmbeddedGraphSpec,
     GraphGenConfig,
@@ -80,7 +81,7 @@ class TestSampleGraph:
         cloud = sample_graph(spec, s)
         for x in cloud.coords:
             d = min(
-                gs.point_segment_distance(x, spec.vertices[a], spec.vertices[b])
+                point_segment_distance(x, spec.vertices[a], spec.vertices[b])
                 for (a, b) in spec.edges
             )
             assert d <= 1e-12
