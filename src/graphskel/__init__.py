@@ -13,7 +13,14 @@ from .abstract_graph import AbstractGraph, MatchReport, boundary_matrix, match_t
 from .em import EmConfig, EmState, FitReport, StrataModel, em_fit, initialize
 from .errors import CloudParseError, GenerationError, NumericalError, StructureError
 from .geometry import PointCloud
-from .local_structure import AssumptionReport, LocalLabels, ReconstructionConfig, check_assumptions, classify_all
+from .local_structure import (
+    AssumptionReport,
+    LocalLabels,
+    ReconstructionConfig,
+    check_assumptions,
+    classify_all,
+    classify_sweep,
+)
 from .synthetic import (
     EmbeddedGraphSpec,
     GraphGenConfig,

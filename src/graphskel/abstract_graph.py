@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import StructureError
 from .geometry import ComponentLabeling, PointCloud, component_centroids, contact_components, threshold_components
-from .local_structure import Partition, ReconstructionConfig, partition as _partition
+from .local_structure import LocalLabels, Partition, ReconstructionConfig, partition as _partition
 
 if TYPE_CHECKING:
     from .synthetic import EmbeddedGraphSpec
@@ -220,9 +220,10 @@ def match_to_ground_truth(graph: AbstractGraph, truth: "EmbeddedGraphSpec") -> M
     return report(True)
 
 
-def recover_graph(cloud: PointCloud, config: ReconstructionConfig) -> AbstractGraph:
+def recover_graph(cloud: PointCloud, config: ReconstructionConfig, labels: LocalLabels | None = None) -> AbstractGraph:
     """Full structure pipeline: partition, cluster, refine, build; the graph
-    is all that stage 2 hands on."""
-    part = _partition(cloud, config)
+    is all that stage 2 hands on. `labels`, this config's stage-1 labels, are
+    computed here when not given."""
+    part = _partition(cloud, config, labels)
     refined = refine(cloud, cluster_p0(cloud, part, config), cluster_p1(cloud, part, config), config)
     return build_graph(cloud, refined, config)

@@ -30,7 +30,7 @@ from .fileio import (
     write_json_atomic,
     write_text_atomic,
 )
-from .local_structure import ReconstructionConfig, classify_all
+from .local_structure import ReconstructionConfig, classify_all, classify_sweep
 from .synthetic import SampleSpec, builtin_fixture, hausdorff_check, sample_graph
 
 EXIT_OK = 0
@@ -192,7 +192,8 @@ def cmd_pipeline(args) -> int:
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
 
-    ref_graph = recover_graph(cloud, configs[0])
+    sweep = classify_sweep(cloud, configs)  # stage 1 for every ratio in one pass
+    ref_graph = recover_graph(cloud, configs[0], sweep[0])
     reference = _ReferenceStructure(
         vertices=np.array(ref_graph.vertex_centroids), edges=tuple(map(tuple, ref_graph.boundary.tolist()))
     )
@@ -200,12 +201,12 @@ def cmd_pipeline(args) -> int:
     rows = []
     selected = None  # the last matched row with a fit: the longest-continued fit
     warm = None  # the last matched fit's (vertices, pi) in the reference numbering
-    for ratio, config in zip(ratios, configs):
+    for ratio, config, labels in zip(ratios, configs, sweep):
         row = {"ratio": ratio, "R": config.R, "structure_match": False, "loglik": None,
                "iterations": None, "converged": None, "n_vertices": None, "n_edges": None,
                "vertices": None, "error": None}
         try:
-            graph = ref_graph if ratio == reference_ratio else recover_graph(cloud, config)
+            graph = ref_graph if ratio == reference_ratio else recover_graph(cloud, config, labels)
             row["n_vertices"], row["n_edges"] = graph.n_vertices, graph.n_edges
             match = match_to_ground_truth(graph, reference)
             row["structure_match"] = match.is_isomorphic

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from typing import Any
 
@@ -53,13 +54,19 @@ def read_cloud(path: str, skip_header: bool = False) -> PointCloud:
                 row = list(map(float, parts))
             except ValueError:
                 raise CloudParseError(f"cannot parse coordinates from {line!r}", lineno) from None
-            if not all(map(math.isfinite, row)):
-                raise CloudParseError(f"non-finite coordinates in {line!r}", lineno)
             if width is None:
                 width = len(row)
+                # the largest magnitude whose squared distances stay finite
+                limit = math.sqrt(sys.float_info.max / width) / 2
             elif len(row) != width:
                 raise CloudParseError(
                     f"expected {width} coordinates, found {len(row)}", lineno
+                )
+            if not all(map(limit.__ge__, map(abs, row))):  # also false for nan
+                if not all(map(math.isfinite, row)):
+                    raise CloudParseError(f"non-finite coordinates in {line!r}", lineno)
+                raise CloudParseError(
+                    f"coordinate magnitude above {limit:.4g} in {line!r}: squared distances would overflow", lineno
                 )
             rows.append(row)
     if not rows:

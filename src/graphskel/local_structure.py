@@ -37,6 +37,7 @@ __all__ = [
     "phi",
     "inner_product_threshold",
     "classify_all",
+    "classify_sweep",
     "partition",
     "AssumptionReport",
     "ConditionCheck",
@@ -185,46 +186,86 @@ def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> LocalLabels
     which classifies vertex-like and covers degree-0 vertices. The inner
     product of the two shell centroids (about the sample) is taken only for
     a connected ball with exactly two shell components.
-
-    The cloud's own k-d tree serves all centres. The ball graphs of a chunk
-    of centres form one graph whose nodes are (centre, ball member) pairs and
-    whose edges are the cloud's contact pairs inside the same ball; the shell
-    graph is that graph restricted to members farther than R - eps. Each
-    chunk takes two connected-components passes, one over each graph.
     """
+    return classify_sweep(cloud, (config,))[0]
+
+
+def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
+    """`classify_all(cloud, config)` for each of `configs`, from one pass over the cloud.
+
+    All configs share one eps, hence one 3*eps contact graph. The cloud's own
+    k-d tree serves all centres. The balls of a chunk of centres at the
+    largest radius R + eps form one graph whose nodes are (centre, ball
+    member) pairs and whose edges are the cloud's contact pairs inside the
+    same ball. Every smaller ball is a subset of the largest, so each config
+    keeps the nodes whose exact distance is <= its R + eps and the edges
+    between kept nodes; its shell graph is that graph restricted to members
+    farther than R - eps. Each config takes two connected-components passes
+    per chunk, one over each graph.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("classify_sweep needs at least one config; all configs share one eps")
+    eps = configs[0].eps
+    if any(config.eps != eps for config in configs):
+        raise ValueError(f"all configs must share one eps (one 3*eps contact graph), got {[c.eps for c in configs]}")
     m = len(cloud)
-    labels = LocalLabels(np.zeros(m, bool), np.zeros(m, bool), np.zeros(m, np.intp), np.full(m, np.nan))
+    sweep = [
+        LocalLabels(np.zeros(m, bool), np.zeros(m, bool), np.zeros(m, np.intp), np.full(m, np.nan)) for _ in configs
+    ]
     if m == 0:
-        return labels
+        return sweep
     coords = cloud.coords
     tree = cloud.tree
-    ci, cj, _ = cloud.contact_pairs(config.contact_scale)
+    ci, cj, _ = cloud.contact_pairs(configs[0].contact_scale)
     # contact pairs i < j as a CSR adjacency: row i lists its larger neighbours
     contact_ptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(ci, minlength=m), out=contact_ptr[1:])
+    # from the largest ball to the smallest, so each config filters the last one's nodes
+    order = sorted(range(len(configs)), key=lambda k: configs[k].ball_radius, reverse=True)
+    ordered = [configs[k] for k in order]
 
-    counts = tree.query_ball_point(coords, config.ball_radius, return_length=True)
+    counts = tree.query_ball_point(coords, ordered[0].ball_radius, return_length=True)
     ends = np.cumsum(counts)
     start = 0
     while start < m:
         base = ends[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + _NODE_BUDGET, side="right")))
-        chunk = _classify_chunk(coords, tree, np.arange(start, stop), contact_ptr, cj, config)
-        for column, values in zip(labels, chunk):
-            column[start:stop] = values
+        chunk = _classify_chunk(coords, tree, np.arange(start, stop), contact_ptr, cj, ordered)
+        for k, labels in zip(order, chunk):
+            for column, values in zip(sweep[k], labels):
+                column[start:stop] = values
         start = stop
-    return labels
+    return sweep
 
 
-def _classify_chunk(coords, tree, centres, contact_ptr, contact_nbr, config) -> LocalLabels:
-    m, k = len(coords), centres.size
-    owner, member, d = ball_members(tree, coords, centres, config.ball_radius)
+def _classify_chunk(coords, tree, centres, contact_ptr, contact_nbr, configs) -> list[LocalLabels]:
+    """The labels of `centres` at each of `configs`, sorted by decreasing ball
+    radius: one ball query at the first radius, then each config keeps the
+    nodes within its own radius and the edges between kept nodes."""
+    radius = configs[0].ball_radius
+    owner, member, d = ball_members(tree, coords, centres, radius)
+    src, dst = _ball_edges(owner, member, len(coords), contact_ptr, contact_nbr)
+    chunk = []
+    for config in configs:
+        if config.ball_radius < radius:
+            radius = config.ball_radius
+            keep = d <= radius
+            if not keep.all():
+                owner, member, d = owner[keep], member[keep], d[keep]
+                both = keep[src] & keep[dst]
+                pos = np.cumsum(keep) - 1
+                src, dst = pos[src[both]], pos[dst[both]]
+        chunk.append(_chunk_labels(coords, centres, owner, member, d, src, dst, config))
+    return chunk
+
+
+def _ball_edges(owner, member, m, contact_ptr, contact_nbr) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs (src, dst) of the ball graph: each node's larger contact
+    neighbours, kept when the neighbour is a node of the same ball."""
     n_nodes = member.size
     # node keys are strictly increasing: ball members come sorted per centre
     key = owner * m + member
-
-    # candidate edges: each node's larger contact neighbours, kept when the
-    # neighbour is a node of the same ball
     deg = contact_ptr[member + 1] - contact_ptr[member]
     src = np.repeat(np.arange(n_nodes), deg)
     offsets = np.cumsum(deg) - deg
@@ -232,9 +273,14 @@ def _classify_chunk(coords, tree, centres, contact_ptr, contact_nbr, config) -> 
     want = (key - member)[src] + nbr
     dst = np.minimum(np.searchsorted(key, want), n_nodes - 1)
     hit = key[dst] == want
-    src, dst = src[hit], dst[hit]
+    return src[hit], dst[hit]
 
-    ball_lab, n_ball = component_labels(n_nodes, src, dst)
+
+def _chunk_labels(coords, centres, owner, member, d, src, dst, config) -> LocalLabels:
+    """One config's labels of `centres` from its ball graph: nodes (owner,
+    member) at distance d, edges (src, dst)."""
+    k = centres.size
+    ball_lab, n_ball = component_labels(member.size, src, dst)
     connected = _per_owner_count(ball_lab, n_ball, owner, k) <= 1
 
     in_shell = d > config.shell_inner
@@ -267,9 +313,10 @@ def _per_owner_count(labels: np.ndarray, n_labels: int, owner: np.ndarray, k: in
     return np.bincount(comp_owner, minlength=k)
 
 
-def partition(cloud: PointCloud, config: ReconstructionConfig) -> Partition:
-    """Split the cloud into P0 (vertex-like) and P1 (edge-like)."""
-    vertex_like = classify_all(cloud, config).vertex_like
+def partition(cloud: PointCloud, config: ReconstructionConfig, labels: LocalLabels | None = None) -> Partition:
+    """Split the cloud into P0 (vertex-like) and P1 (edge-like), from `labels`
+    when given (this config's `classify_sweep` entry) or else `classify_all`."""
+    vertex_like = (classify_all(cloud, config) if labels is None else labels).vertex_like
     return Partition(p0=np.flatnonzero(vertex_like), p1=np.flatnonzero(~vertex_like))
 
 

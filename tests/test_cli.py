@@ -451,8 +451,8 @@ class TestPipelineWarmStart:
         """The pipeline report for `ratios`, and each ratio's recovered graph."""
         graphs = {}
 
-        def spy(cloud, config):
-            graph = recover(cloud, config)
+        def spy(cloud, config, labels=None):
+            graph = recover(cloud, config, labels)
             graphs[round(config.ratio, 9)] = graph
             return graph
 
@@ -508,9 +508,9 @@ class TestPipelineWarmStart:
         assert max(gaps) <= 0.05  # measured: 2.1e-4 on this cloud
 
     def test_unmatched_row_leaves_the_chain(self, cloud_path):
-        def recover(cloud, config):
+        def recover(cloud, config, labels=None):
             """At ratio 10, the true graph with its last edge folded into its first."""
-            graph = recover_graph(cloud, config)
+            graph = recover_graph(cloud, config, labels)
             if round(config.ratio, 9) != 10:
                 return graph
             n0, n1 = graph.n_vertices, graph.n_edges
@@ -575,6 +575,25 @@ class TestArgumentErrors:
         assert err["message"].endswith(f"ratio {bad}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["partition", "graph", "fit", "pipeline"])
+    def test_huge_coordinate_is_usage_error(self, cloud_file, tmp_path, capsys, command):
+        # 1e160 squared overflows; the suite turns any overflow warning into an error
+        graph = tmp_path / "graph.json"
+        assert main(["graph", "--input", str(cloud_file), "--output", str(graph), "--ratio", "8", "--eps", "0.1"]) == 0
+        lines = cloud_file.read_text().splitlines()
+        lines[1] = ",".join(["1e160", *lines[1].split(",")[1:]])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        options = {"partition": ["--ratio", "8", "--eps", "0.1"], "graph": ["--ratio", "8", "--eps", "0.1"],
+                   "fit": ["--graph", str(graph)], "pipeline": ["--ratios", "12,8", "--eps", "0.1"]}[command]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main([command, "--input", str(bad), "--output", str(out), *options]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith("line 2: coordinate magnitude above")
+        assert not out.exists()
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
 
@@ -632,10 +651,10 @@ def _fault(draw, cloud, graph, root) -> tuple[str, dict, int, str]:
         k = draw(st.integers(0, len(lines) - 1))
         row = lines[k].split(",")
         axis = draw(st.integers(0, len(row) - 1))
-        if fault == "numerical":  # far enough that the squared distance overflows
-            row[axis] = repr(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e100, 1e300)))
+        if fault == "numerical":  # far enough to overflow in EM, under read_cloud's magnitude limit
+            row[axis] = repr(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e100, 1e150)))
         else:
-            row[axis] = draw(st.sampled_from(["x", "nan", "inf", "-inf", "1e400", "1,2"]))
+            row[axis] = draw(st.sampled_from(["x", "nan", "inf", "-inf", "1e400", "1,2", "1e160", "-1e300"]))
         lines[k] = ",".join(row)
         bad = root / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
