@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .abstract_graph import match_to_ground_truth, recover_graph
 from .densities import _check_sigma
-from .em import EmConfig, em_fit, initialize
+from .em import EmConfig, EmState, em_fit, initialize
 from .errors import CloudParseError, GenerationError, NumericalError, StructureError
 from .fileio import (
     graph_from_dict,
@@ -114,13 +114,11 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _fit(cloud, graph, sigma: float, em_config: EmConfig, start=None):
-    """EM from the graph's centroids and counting weights, or from `start`,
-    a (vertices, pi) pair in the graph's numbering."""
+def _fit(cloud, graph, sigma: float, em_config: EmConfig, start: EmState | None = None):
+    """EM from the graph's centroids and counting weights, or from `start`
+    in the graph's numbering."""
     model, state = initialize(graph, cloud, sigma)
-    if start is not None:
-        state = replace(state, v=start[0], pi=start[1])
-    report = em_fit(model, state, cloud, em_config)
+    report = em_fit(model, state if start is None else start, cloud, em_config)
     return model, report
 
 
@@ -200,7 +198,7 @@ def cmd_pipeline(args) -> int:
 
     rows = []
     selected = None  # the last matched row with a fit: the longest-continued fit
-    warm = None  # the last matched fit's (vertices, pi) in the reference numbering
+    warm = None  # the last matched fit's state in the reference numbering
     for ratio, config, labels in zip(ratios, configs, sweep):
         row = {"ratio": ratio, "R": config.R, "structure_match": False, "loglik": None,
                "iterations": None, "converged": None, "n_vertices": None, "n_edges": None,
@@ -216,11 +214,11 @@ def cmd_pipeline(args) -> int:
                 # every matched graph has the reference's strata, so it starts
                 # where the last matched fit stopped: EM only continues it
                 strata = np.concatenate([match.vertex_map, graph.n_vertices + np.array(match.edge_map, dtype=np.intp)])
-                start = None if warm is None else (warm[0][match.vertex_map], warm[1][strata])
+                start = None if warm is None else EmState(v=warm.v[match.vertex_map], pi=warm.pi[strata])
                 _, report = _fit(cloud, graph, sigma, em_config, start)
                 v, pi = report.state.v, report.state.pi
-                warm = (np.empty_like(v), np.empty_like(pi))
-                warm[0][match.vertex_map], warm[1][strata] = v, pi
+                warm = EmState(v=np.empty_like(v), pi=np.empty_like(pi))
+                warm.v[match.vertex_map], warm.pi[strata] = v, pi
                 row["loglik"] = float(report.loglik_trace[-1])
                 row["iterations"], row["converged"] = report.n_iterations, report.converged
                 row["vertices"] = [[float(c) for c in r] for r in report.state.v]

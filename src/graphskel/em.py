@@ -14,15 +14,16 @@ iterations. The densities are priced once per
 distinct vertex matrix: the objective, the gradient and the posterior logits
 are reductions of that one evaluation.
 
-An evaluation prices only a selection of (point, stratum) pairs: supp(A) and
-every pair whose distance bound comes within UNDERFLOW_GAP + SELECT_MARGIN of
-its row's largest logit. The M-step prices every trial on the selection of its
-start evaluation. Each E-step runs one bounds pass and checks the skipped pairs
-against their rows' priced maxima; only if one comes within UNDERFLOW_GAP is
-the union of the priced pairs and a fresh selection priced. A selection is a
-point-major pair list, the CSR layout of A. Every pair left unpriced gets
-responsibility exactly 0.0 from an all-pairs evaluation too, and sums over
-pairs add in pair order (np.bincount), so the fit is the one it would give.
+An evaluation prices only a selection of (point, stratum) pairs, a
+point-major pair list: every pair whose distance bound comes within
+UNDERFLOW_GAP + SELECT_MARGIN of its row's largest logit. A is one weight per
+pair of that list. The M-step prices every trial on the selection of its
+start evaluation. Each E-step runs one bounds pass and checks the skipped
+pairs against their rows' priced maxima; only if one comes within
+UNDERFLOW_GAP is the union of the priced pairs and a fresh selection priced.
+Every pair left unpriced gets responsibility exactly 0.0 from an all-pairs
+evaluation too, and sums over pairs add in pair order (np.bincount), so the
+fit is the one it would give.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.special import erf
 
 from .abstract_graph import AbstractGraph
@@ -52,7 +52,6 @@ __all__ = [
     "EmState",
     "EmConfig",
     "FitReport",
-    "update_mixing",
     "m_step",
     "initialize",
     "em_fit",
@@ -73,6 +72,12 @@ UNDERFLOW_GAP = 746.0
 # which covers the logits' rise as the M-step moves the vertices: without it
 # the accepted vertex matrix would now and then have to be priced twice.
 SELECT_MARGIN = 100.0
+# EM's range, on the cloud's extent E (its largest distance from its mean).
+# With every point and vertex within E of the mean, the edge kernel's g * g
+# and ll * ss are at most 64 E^4, and t^2, |q| and d^2 / (2 sigma^2) at most
+# 4.5 (E / sigma)^2. Both limits leave a factor of 2 for the M-step's trials.
+MAX_EXTENT = (np.finfo(float).max / 128) ** 0.25
+MAX_EXTENT_SIGMAS = math.sqrt(np.finfo(float).max / 16)
 
 
 @dataclass(frozen=True)
@@ -112,11 +117,10 @@ class StrataModel:
 
 @dataclass(frozen=True)
 class EmState:
-    """A value-semantic snapshot of the EM variables."""
+    """A value-semantic snapshot of the EM variables; A lives inside em_fit."""
 
     v: np.ndarray  # (n0, dim) vertex coordinates
     pi: np.ndarray  # (N,) mixing weights
-    a: np.ndarray | sparse.csr_array  # (|P|, N) responsibilities; em_fit keeps a csr_array
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ def _check_vertices(model: StrataModel, v: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _Pairs(NamedTuple):
-    """A point-major pair list, the CSR layout of A: point j holds pairs start[j]:start[j + 1]."""
+    """A point-major pair list: point j holds pairs start[j]:start[j + 1]."""
 
     point: np.ndarray  # (P,)
     stratum: np.ndarray  # (P,)
@@ -167,8 +171,8 @@ class _Evaluation(NamedTuple):
     """The densities of one selection's pairs at one vertex matrix, priced once.
 
     The objective for any (Pi, A), the posterior logits for any Pi and the
-    gradient for any A are reductions of these arrays; none of them depends
-    on A or Pi.
+    gradient for any A are reductions of these arrays, with A given as one
+    weight per pair; none of them depends on A or Pi.
     """
 
     v: np.ndarray  # (n0, dim) vertex coordinates
@@ -231,11 +235,12 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np
     return top, out
 
 
-def _select(top: np.ndarray, upper: np.ndarray, point: np.ndarray, stratum: np.ndarray) -> _Pairs:
-    """The pairs (point, stratum) and every pair whose bound comes within
-    UNDERFLOW_GAP + SELECT_MARGIN of its row's top (its largest bound does)."""
+def _select(top: np.ndarray, upper: np.ndarray, keep: _Pairs | None = None) -> _Pairs:
+    """Every pair whose bound comes within UNDERFLOW_GAP + SELECT_MARGIN of
+    its row's top (its largest bound does), and the pairs of `keep`."""
     priced = ~(upper < top - (UNDERFLOW_GAP + SELECT_MARGIN))
-    priced[stratum, point] = True
+    if keep is not None:
+        priced[keep.stratum, keep.point] = True
     point, stratum = np.nonzero(priced.T)
     return _Pairs(point, stratum, np.searchsorted(point, np.arange(len(top) + 1)))
 
@@ -262,18 +267,6 @@ def _pricer(model: StrataModel, data: PointCloud, pairs: _Pairs):
     return price
 
 
-def _evaluate(model: StrataModel, v, data: PointCloud, pi, a) -> _Evaluation:
-    """The densities at v of a selection made there under `pi`.
-
-    It holds supp(a), all that the objective and the gradient read, and every
-    pair whose upper bound comes within UNDERFLOW_GAP + SELECT_MARGIN of a
-    lower bound on its row's largest logit, which holds every pair the E-step
-    can weigh.
-    """
-    v = _check_vertices(model, v, data.dim)
-    return _pricer(model, data, _select(*_bounds(model, v, data, pi), *(a > 0).nonzero()))(v)
-
-
 def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> tuple[_Evaluation, np.ndarray]:
     """`ev` and the E-step logits under `pi`, equal to the all-pairs logits
     wherever exp(logit - row maximum) is not exactly 0.0.
@@ -289,7 +282,7 @@ def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> 
     doubt = ~(upper < np.maximum.reduceat(logits, ev.pairs.start[:-1]) - UNDERFLOW_GAP) & (upper != -np.inf)
     doubt[ev.pairs.stratum, ev.pairs.point] = False
     if doubt.any():
-        ev = _pricer(model, data, _select(top, upper, *ev.pairs[:2]))(ev.v)
+        ev = _pricer(model, data, _select(top, upper, ev.pairs))(ev.v)
         logits = _logits(ev, pi)
     return ev, logits
 
@@ -326,14 +319,15 @@ def _gradient(model: StrataModel, ev: _Evaluation, w: np.ndarray, data: PointClo
     return grad
 
 
-def _normalize_rows(pairs: _Pairs, logits: np.ndarray, n_strata: int) -> tuple[sparse.csr_array, np.ndarray]:
-    """Posterior rows on the pairs (summing to 1) and each row's log
-    normalizer, log sum exp(logits), from one max shift, one exp and one sum.
+def _normalize_rows(pairs: _Pairs, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior weights on the pairs (each row's summing to 1) and each
+    row's log normalizer, log sum exp(logits), from one max shift, one exp
+    and one sum.
 
     Rows where every stratum underflows to -inf fall back to uniform, with a
     warning; their log normalizer stays -inf.
     """
-    point, stratum, start = pairs
+    point, _, start = pairs
     shift = np.maximum.reduceat(logits, start[:-1])
     dead = ~np.isfinite(shift)
     if np.any(dead):
@@ -352,17 +346,14 @@ def _normalize_rows(pairs: _Pairs, logits: np.ndarray, n_strata: int) -> tuple[s
     if np.any(dead):
         w[dead[point]] = 1.0
         total[dead] = np.diff(start)[dead]
-    return sparse.csr_array((w / total[point], stratum, start), shape=(len(shift), n_strata)), lognorm
+    return w / total[point], lognorm
 
 
-def update_mixing(a) -> np.ndarray:
-    """Maximizing mixing weights: column mass over total mass, of a dense or scipy sparse A."""
-    a = sparse.csr_array(a)
-    mass = np.bincount(a.indices, a.data, minlength=a.shape[1])  # in pair order
-    total = mass.sum()
-    if total <= 0:
-        raise ValueError("responsibility matrix has no mass")
-    return mass / total
+def _mixing(pairs: _Pairs, w: np.ndarray, n_strata: int) -> np.ndarray:
+    """The maximizing Pi for A = `w` on `pairs`: each stratum's mass, added
+    in pair order, over the sum of those masses."""
+    mass = np.bincount(pairs.stratum, w, minlength=n_strata)
+    return mass / mass.sum()
 
 
 def _curvature_blocks(model: StrataModel, v: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -391,8 +382,9 @@ def _curvature_blocks(model: StrataModel, v: np.ndarray, mass: np.ndarray) -> np
     return blocks
 
 
-def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Evaluation | None = None) -> _Evaluation:
-    """Hill-climb the vertex matrix with A and Pi fixed.
+def m_step(model: StrataModel, evaluation: _Evaluation, pi, w: np.ndarray, data: PointCloud) -> _Evaluation:
+    """Hill-climb the vertex matrix from `evaluation.v` with Pi and A fixed;
+    `w` holds A at the evaluation's pairs, which must cover supp(A).
 
     Ascends along sigma^2 |P| B_i^-1 g_i in each vertex i, with the curvature
     blocks B_i of `_curvature_blocks` taken at the start vertices (the Newton
@@ -405,21 +397,15 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
     the direction scales as a length, so the steps commute with a uniform
     scaling of (cloud, vertices, sigma).
 
-    `evaluation` is the density evaluation at `state.v` (as returned by the
-    previous call); without it one is made here, selected under state.pi. It
-    must price every pair in supp(state.a), as one does whose logits gave
-    state.a. Every line-search trial is priced on its pair list: A is fixed
-    here and the objective and gradient read only supp(A), so no trial runs
-    a bounds pass, and the gather indices are worked out once.
+    Every line-search trial is priced on the evaluation's pair list: the
+    objective and gradient read only supp(A), so no trial runs a bounds
+    pass, and the gather indices are worked out once.
     Returns the evaluation at the accepted vertices, whose `v` is the new
     vertex matrix: each distinct vertex matrix is priced once, and the
     objective and gradient are reductions of its evaluation.
     """
-    if evaluation is None:
-        evaluation = _evaluate(model, state.v, data, state.pi, state.a)
     price = _pricer(model, data, evaluation.pairs)
-    w = np.asarray(state.a[evaluation.pairs.point, evaluation.pairs.stratum], dtype=float)  # A at its pairs
-    f = _objective(evaluation, state.pi, w)
+    f = _objective(evaluation, pi, w)
     if not np.isfinite(f):
         raise NumericalError("M-step objective is non-finite at the current vertices")
 
@@ -440,7 +426,7 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
             except ValueError:  # a trial step collapsed an edge
                 ft = -np.inf
             else:
-                ft = _objective(trial, state.pi, w)
+                ft = _objective(trial, pi, w)
             if np.isfinite(ft):
                 saw_finite = True
                 if ft - f >= ARMIJO * alpha * slope:
@@ -455,47 +441,59 @@ def m_step(model: StrataModel, state: EmState, data: PointCloud, evaluation: _Ev
 
 
 def initialize(graph: AbstractGraph, data: PointCloud, sigma: float) -> tuple[StrataModel, EmState]:
-    """Strata and state from the recovered structure: centroids for V, each
-    point's stratum one-hot for A, counting weights for Pi."""
+    """Strata and state from the recovered structure: centroids for V,
+    counting weights for Pi."""
     n0, n1 = graph.n_vertices, graph.n_edges
     stratum = np.asarray(graph.stratum)
     if stratum.shape != (len(data),) or np.any((stratum < 0) | (stratum >= n0 + n1)):
         raise ValueError(f"cannot initialize: each of the {len(data)} points needs a stratum id in 0..{n0 + n1 - 1}")
-    empty = np.flatnonzero(np.bincount(stratum, minlength=n0 + n1) == 0)
+    count = np.bincount(stratum, minlength=n0 + n1)
+    empty = np.flatnonzero(count == 0)
     if empty.size:
         raise ValueError(f"cannot initialize: cluster {empty[0]} is empty")
 
     model = StrataModel(n0=n0, edge_endpoints=graph.boundary, sigma=sigma)
-    a = sparse.csr_array((np.ones(len(data)), stratum, np.arange(len(data) + 1)), shape=(len(data), n0 + n1))
-    pi = update_mixing(a)
-    v0 = np.array(graph.vertex_centroids, dtype=float)
-    return model, EmState(v=v0, pi=pi, a=a)
+    return model, EmState(v=np.array(graph.vertex_centroids, dtype=float), pi=count / len(data))
+
+
+def _check_range(data: PointCloud, sigma: float) -> None:
+    """Refuse a cloud whose extent is above MAX_EXTENT or MAX_EXTENT_SIGMAS
+    sigma, where pricing would overflow."""
+    _, xc = data.centred
+    with np.errstate(over="ignore"):
+        extent = math.sqrt(np.max(np.einsum("mn,mn->m", xc, xc), initial=0.0))
+    if not (extent <= MAX_EXTENT and extent <= MAX_EXTENT_SIGMAS * sigma):
+        raise ValueError(
+            f"cloud extent {extent:.4g} about its mean is outside EM's range: at most {MAX_EXTENT:.4g} "
+            f"and at most {MAX_EXTENT_SIGMAS:.4g} sigma (sigma = {sigma:.4g})"
+        )
 
 
 def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfig = EmConfig()) -> FitReport:
     """Run E-step / Pi update / M-step until the trace stalls.
 
     Stops when |delta loglik| < tol_ll for CONSECUTIVE iterations in a row,
-    or at max_iters. Raises NumericalError (with the offending point ids) if
-    the marginal log-likelihood ever goes non-finite.
+    or at max_iters. Raises ValueError, before any pricing, if the cloud is
+    outside EM's range (`_check_range`), and NumericalError (with the
+    offending point ids) if the marginal log-likelihood ever goes non-finite.
     """
-    v_init = np.array(state.v, dtype=float)
+    _check_range(data, model.sigma)
+    v_init = _check_vertices(model, state.v, data.dim)
     # One evaluation per accepted vertex matrix feeds the trace entry, the next
-    # E-step and the next M-step's start point.
-    ev = _evaluate(model, state.v, data, state.pi, state.a)
-    logits = _logits(ev, state.pi)  # selected here under state.pi, so exact as priced
-    a, per_point = _normalize_rows(ev.pairs, logits, model.n_strata)
+    # E-step and the next M-step's start point; A is its weight vector w.
+    ev = _pricer(model, data, _select(*_bounds(model, v_init, data, state.pi)))(v_init)
+    w, per_point = _normalize_rows(ev.pairs, _logits(ev, state.pi))  # selected under state.pi: exact as priced
     trace = [float(np.mean(per_point))]
     streak = 0
     converged = False
     n_done = 0
 
     for n_done in range(1, config.max_iters + 1):
-        pi = update_mixing(a)
-        ev = m_step(model, EmState(v=state.v, pi=pi, a=a), data, ev)
+        pi = _mixing(ev.pairs, w, model.n_strata)
+        ev = m_step(model, ev, pi, w, data)
         ev, logits = _exact_logits(model, ev, data, pi)
-        state = EmState(v=ev.v, pi=pi, a=a)
-        a, per_point = _normalize_rows(ev.pairs, logits, model.n_strata)
+        state = EmState(v=ev.v, pi=pi)
+        w, per_point = _normalize_rows(ev.pairs, logits)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
             bad = np.flatnonzero(~np.isfinite(per_point)).tolist()

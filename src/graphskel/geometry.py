@@ -105,9 +105,6 @@ class PointCloud:
     def __getitem__(self, index: int) -> np.ndarray:
         return self._coords[index]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PointCloud) and np.array_equal(self._coords, other._coords)
-
     def __repr__(self) -> str:
         return f"PointCloud(n_points={len(self)}, dim={self.dim})"
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -594,6 +593,35 @@ class TestArgumentErrors:
         assert err["message"].startswith("line 2: coordinate magnitude above")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "pipeline"])
+    def test_coordinate_outside_em_range_is_usage_error(self, cloud_file, tmp_path, capsys, command):
+        # 1e100 passes read_cloud's magnitude rule, but its fourth power would
+        # overflow in pricing; the suite turns any overflow warning into an error
+        graph = tmp_path / "graph.json"
+        assert main(["graph", "--input", str(cloud_file), "--output", str(graph), "--ratio", "8", "--eps", "0.1"]) == 0
+        lines = cloud_file.read_text().splitlines()
+        row = lines[5].split(",")
+        lines[5] = ",".join([row[0], "1e100", *row[2:]])
+        far = tmp_path / "far.txt"
+        far.write_text("\n".join(lines) + "\n")
+        options = {"fit": ["--graph", str(graph)], "pipeline": ["--ratios", "12,8", "--eps", "0.1"]}[command]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main([command, "--input", str(far), "--output", str(out), *options]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert err["error"] == "usage"
+        assert err["message"].startswith("cloud extent")
+        assert not out.exists()
+
+    def test_sigma_near_range_limit_fits(self, cloud_file, tmp_path):
+        # the fixture's extent is about 9, so sigma = 1e-152 stays inside EM's range
+        graph, out = tmp_path / "graph.json", tmp_path / "fit.json"
+        assert main(["graph", "--input", str(cloud_file), "--output", str(graph), "--ratio", "8", "--eps", "0.1"]) == 0
+        argv = ["fit", "--input", str(cloud_file), "--graph", str(graph), "--output", str(out), "--sigma", "1e-152"]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["sigma"] == 1e-152
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
 
@@ -628,8 +656,8 @@ FAULTS = {
     "scale": ("partition", "graph", "pipeline"),
     "ratio<=1": ("partition", "graph", "pipeline"),
     "em-option": ("fit", "pipeline"),
+    "em-range": ("fit", "pipeline"),
     "structural": ("graph", "pipeline"),
-    "numerical": ("fit",),
 }
 
 
@@ -646,12 +674,12 @@ def _fault(draw, cloud, graph, root) -> tuple[str, dict, int, str]:
 
     if fault == "missing-file":
         opts[draw(st.sampled_from(["--input", "--graph"] if command == "fit" else ["--input"]))] = str(root / "missing")
-    elif fault in ("malformed-line", "numerical"):
+    elif fault in ("malformed-line", "em-range"):
         lines = cloud.read_text().splitlines()
         k = draw(st.integers(0, len(lines) - 1))
         row = lines[k].split(",")
         axis = draw(st.integers(0, len(row) - 1))
-        if fault == "numerical":  # far enough to overflow in EM, under read_cloud's magnitude limit
+        if fault == "em-range":  # far enough to overflow in EM, under read_cloud's magnitude limit
             row[axis] = repr(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e100, 1e150)))
         else:
             row[axis] = draw(st.sampled_from(["x", "nan", "inf", "-inf", "1e400", "1,2", "1e160", "-1e300"]))
@@ -677,13 +705,14 @@ def _fault(draw, cloud, graph, root) -> tuple[str, dict, int, str]:
         opts[option] = draw(value)
     elif fault == "structural":  # these ratios abort stage 2 on this cloud
         opts[ratio_opt] = draw(st.sampled_from(["2.5", "3", "3.5", "4", "4.5"]))
-    code, kind = {"structural": (2, "structural"), "numerical": (3, "numerical")}.get(fault, (1, "usage"))
+    code, kind = (2, "structural") if fault == "structural" else (1, "usage")
     return command, opts, code, kind
 
 
 class TestExitCodeContract:
     """Every fault maps to its class's exit code and one JSON error line, and
-    writes no output: usage 1, structural 2, numerical 3."""
+    writes no output: usage 1, structural 2. A coordinate far enough to
+    overflow in EM is a usage fault: EM's range rule refuses it."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -705,9 +734,7 @@ class TestExitCodeContract:
         tokens = [token for k, v in opts.items() for token in ([f"{k}={v}"] if joined else [k, v])]
         argv = [command, *tokens, "--output", str(root / "out" / "result.json")]
         stderr = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
-            if kind == "numerical":  # the far point overflows on its way to the abort
-                warnings.simplefilter("ignore", RuntimeWarning)
+        with contextlib.redirect_stderr(stderr):
             assert main(argv) == code
         err = json.loads(stderr.getvalue().strip().splitlines()[-1])
         assert err["error"] == kind

@@ -26,13 +26,28 @@ from graphskel.em import (
     em_fit,
     initialize,
     m_step,
-    update_mixing,
 )
-from graphskel.em import _curvature_blocks, _evaluate, _exact_logits, _logits, _normalize_rows, _pricer
-from graphskel.errors import NumericalError
+from graphskel.em import (
+    _bounds,
+    _curvature_blocks,
+    _exact_logits,
+    _logits,
+    _mixing,
+    _normalize_rows,
+    _Pairs,
+    _pricer,
+    _select,
+)
 from graphskel.fileio import graph_from_dict, graph_to_dict
 from graphskel.geometry import PointCloud
-from oracles import dense_evaluation, grad_vertices, log_likelihood, marginal_log_likelihood, responsibilities
+from oracles import (
+    all_pairs,
+    dense_evaluation,
+    grad_vertices,
+    log_likelihood,
+    marginal_log_likelihood,
+    responsibilities,
+)
 
 mp.mp.dps = 50
 
@@ -43,6 +58,18 @@ def small_model(rng, dim=2, n0=2, edges=((0, 1),), sigma=0.3):
     while any(np.linalg.norm(v[i] - v[j]) < 0.5 for (i, j) in edges):
         v = rng.normal(size=(n0, dim)) * 2
     return model, v
+
+
+def mixing(a):
+    """The package's Pi update on a dense (|P|, N) A, given on every pair."""
+    return _mixing(all_pairs(*a.shape), a.ravel(), a.shape[1])
+
+
+def dense_a(pairs, w, n_strata):
+    """A as a dense (|P|, N) array, from its weights `w` on `pairs`."""
+    a = np.zeros((len(pairs.start) - 1, n_strata))
+    a[pairs.point, pairs.stratum] = w
+    return a
 
 
 def mp_vertex_density(x, v, sigma):
@@ -114,7 +141,7 @@ class TestResponsibilities:
         rng = np.random.default_rng(0)
         model = StrataModel(n0=1, edge_endpoints=(), sigma=0.5)
         data = PointCloud(rng.normal(size=(6, 2)))
-        state = EmState(v=np.zeros((1, 2)), pi=np.ones(1), a=np.ones((6, 1)))
+        state = EmState(v=np.zeros((1, 2)), pi=np.ones(1))
         a = responsibilities(model, state, data)
         assert np.allclose(a, 1.0)
 
@@ -122,7 +149,7 @@ class TestResponsibilities:
         model = StrataModel(n0=2, edge_endpoints=(), sigma=0.5)
         data = PointCloud([[0.0, 0.0]])
         v = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        state = EmState(v=v, pi=np.array([0.5, 0.5]), a=np.ones((1, 2)) / 2)
+        state = EmState(v=v, pi=np.array([0.5, 0.5]))
         a = responsibilities(model, state, data)
         assert a[0].tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
 
@@ -131,7 +158,7 @@ class TestResponsibilities:
         model, v = small_model(rng, dim=2, n0=2, edges=((0, 1),), sigma=0.35)
         data = PointCloud(rng.normal(size=(10, 2)))
         pi = np.array([0.2, 0.5, 0.3])
-        state = EmState(v=v, pi=pi, a=np.ones((10, 3)) / 3)
+        state = EmState(v=v, pi=pi)
         got = responsibilities(model, state, data)
         for j in range(10):
             x = data.coords[j]
@@ -149,11 +176,7 @@ class TestResponsibilities:
         # stratum's log density to -inf
         model = StrataModel(n0=2, edge_endpoints=(), sigma=1e-3)
         data = PointCloud([[1e200, 1e200]])
-        state = EmState(
-            v=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            pi=np.array([0.5, 0.5]),
-            a=np.ones((1, 2)) / 2,
-        )
+        state = EmState(v=np.array([[0.0, 0.0], [1.0, 0.0]]), pi=np.array([0.5, 0.5]))
         with pytest.warns(RuntimeWarning, match="zero density"):
             a = responsibilities(model, state, data)
         assert a[0].tolist() == [0.5, 0.5]
@@ -163,7 +186,7 @@ class TestResponsibilities:
         model, v = small_model(rng, n0=3, edges=((0, 1), (1, 2)))
         data = PointCloud(rng.normal(size=(40, 2)) * 2)
         pi = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-        state = EmState(v=v, pi=pi, a=np.ones((40, 5)) / 5)
+        state = EmState(v=v, pi=pi)
         a = responsibilities(model, state, data)
         assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
         assert np.all((a >= 0) & (a <= 1))
@@ -174,11 +197,11 @@ class TestUpdateMixing:
         a = np.zeros((10, 2))
         a[:5, 0] = 1.0
         a[5:, 1] = 1.0
-        assert update_mixing(a).tolist() == [0.5, 0.5]
+        assert mixing(a).tolist() == [0.5, 0.5]
 
     def test_uniform(self):
         a = np.ones((7, 4)) / 4
-        assert update_mixing(a).tolist() == pytest.approx([0.25] * 4)
+        assert mixing(a).tolist() == pytest.approx([0.25] * 4)
 
     def test_maximizes_against_simplex_grid(self):
         rng = np.random.default_rng(3)
@@ -186,7 +209,7 @@ class TestUpdateMixing:
         data = PointCloud(rng.normal(size=(8, 2)))
         a = rng.random((8, 3))
         a /= a.sum(axis=1, keepdims=True)
-        pi_star = update_mixing(a)
+        pi_star = mixing(a)
         best_val, best_pi = -math.inf, None
         grid = np.linspace(0.0, 1.0, 101)
         for p0 in grid:
@@ -205,7 +228,7 @@ class TestUpdateMixing:
         rng = np.random.default_rng(4)
         a = rng.random((30, 6))
         a /= a.sum(axis=1, keepdims=True)
-        pi = update_mixing(a)
+        pi = mixing(a)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pi >= 0)
 
@@ -334,8 +357,7 @@ class TestMStep:
         pts = rng.normal(size=(20, 2))
         data = PointCloud(pts)
         v = pts.mean(axis=0, keepdims=True)
-        state = EmState(v=v, pi=np.ones(1), a=np.ones((20, 1)))
-        out = m_step(model, state, data).v
+        out = m_step(model, dense_evaluation(model, v, data), np.ones(1), np.ones(20), data).v
         assert np.allclose(out, v, atol=1e-10)
 
     def test_converges_to_centroid(self):
@@ -344,11 +366,9 @@ class TestMStep:
         pts = rng.normal(size=(50, 3))
         data = PointCloud(pts)
         v0 = pts.mean(axis=0, keepdims=True) + 2.0
-        state = EmState(v=v0, pi=np.ones(1), a=np.ones((50, 1)))
         v = v0
         for _ in range(200):
-            state = EmState(v=v, pi=state.pi, a=state.a)
-            v = m_step(model, state, data).v
+            v = m_step(model, dense_evaluation(model, v, data), np.ones(1), np.ones(50), data).v
             if np.linalg.norm(v - pts.mean(axis=0)) < 1e-6:
                 break
         assert np.linalg.norm(v - pts.mean(axis=0)) < 1e-6
@@ -360,10 +380,10 @@ class TestMStep:
             data = PointCloud(rng.normal(size=(25, 2)) * 2)
             a = rng.random((25, 5))
             a /= a.sum(axis=1, keepdims=True)
-            pi = update_mixing(a)
-            state = EmState(v=v, pi=pi, a=a)
+            pi = mixing(a)
             before = log_likelihood(model, v, pi, a, data)
-            after = log_likelihood(model, m_step(model, state, data).v, pi, a, data)
+            moved = m_step(model, dense_evaluation(model, v, data), pi, a.ravel(), data).v
+            after = log_likelihood(model, moved, pi, a, data)
             assert after >= before - 1e-12
 
 
@@ -374,7 +394,7 @@ class TestCurvatureBlocks:
         data = PointCloud(rng.normal(size=(40, 4)))
         a = rng.random((40, 3))
         a /= a.sum(axis=1, keepdims=True)
-        state = EmState(v=np.zeros((3, 4)), pi=update_mixing(a), a=a)
+        start = dense_evaluation(model, np.zeros((3, 4)), data)
         trials, grads = [], []
         pricer, gradient = gs.em._pricer, gs.em._gradient
 
@@ -384,9 +404,9 @@ class TestCurvatureBlocks:
 
         monkeypatch.setattr(gs.em, "_pricer", recorded_pricer)
         monkeypatch.setattr(gs.em, "_gradient", lambda *args: grads.append(gradient(*args)) or grads[-1])
-        m_step(model, state, data)
-        # trials[0] is the start evaluation; the first trial is 0 + STEP_INIT * direction
-        direction = trials[1] / gs.em.STEP_INIT
+        m_step(model, start, mixing(a), a.ravel(), data)
+        # the first trial is 0 + STEP_INIT * direction
+        direction = trials[0] / gs.em.STEP_INIT
         want = grads[0] * (model.sigma * model.sigma * len(data) / a.sum(axis=0))[:, None]
         assert np.all(np.abs(direction - want) <= 1e-15 * np.abs(want))
 
@@ -417,9 +437,8 @@ class TestInitialize:
         graph = ratio8_recovery
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         assert model.n0 == 5 and model.n1 == 5
-        assert state.a.shape == (len(fixture_cloud), 10)
-        assert np.allclose(state.a.sum(axis=1), 1.0)
-        assert set(np.unique(state.a.toarray())) <= {0.0, 1.0}
+        assert [f.name for f in fields(state)] == ["v", "pi"]
+        assert np.array_equal(state.pi, np.bincount(graph.stratum) / len(fixture_cloud))  # counting weights
         assert state.pi.sum() == pytest.approx(1.0, abs=1e-12)
         # initial vertices inside the bounding box of their clusters
         for i, members in enumerate(graph.members()[: graph.n_vertices]):
@@ -477,11 +496,8 @@ class TestEmFit:
         blob2 = rng.normal(size=(60, 2)) * 0.2 + np.array([6.0, 0.0])
         data = PointCloud(np.vstack([blob1, blob2]))
         model = StrataModel(n0=2, edge_endpoints=(), sigma=0.2)
-        a = np.zeros((120, 2))
-        a[:60, 0] = 1.0
-        a[60:, 1] = 1.0
         v0 = np.array([[0.5, 0.5], [5.5, -0.5]])
-        state = EmState(v=v0, pi=update_mixing(a), a=a)
+        state = EmState(v=v0, pi=np.array([0.5, 0.5]))
         report = em_fit(model, state, data, EmConfig(max_iters=300))
         means = np.array([blob1.mean(axis=0), blob2.mean(axis=0)])
         for i in range(2):
@@ -502,11 +518,11 @@ class TestEmFit:
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         for _ in range(5):
             a = responsibilities(model, state, fixture_cloud)
-            pi = update_mixing(a)
+            pi = mixing(a)
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
-            v = m_step(model, EmState(v=state.v, pi=pi, a=a), fixture_cloud).v
-            state = EmState(v=v, pi=pi, a=a)
+            v = m_step(model, dense_evaluation(model, state.v, fixture_cloud), pi, a.ravel(), fixture_cloud).v
+            state = EmState(v=v, pi=pi)
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(13)
@@ -522,14 +538,14 @@ class TestEmFit:
         a[30:60, 1] = 1.0
         a[60:, 2] = 1.0
         v0 = np.array([[0.1, 0.0], [3.9, 0.1]])
-        state = EmState(v=v0, pi=update_mixing(a), a=a)
+        state = EmState(v=v0, pi=mixing(a))
         base = em_fit(model, state, data, EmConfig(max_iters=2))
 
         # permute: swap the two vertex strata (edge endpoints follow)
         perm = [1, 0, 2]
         model_p = StrataModel(n0=2, edge_endpoints=((1, 0),), sigma=0.1)
         a_p = a[:, perm]
-        state_p = EmState(v=v0[[1, 0]], pi=update_mixing(a_p), a=a_p)
+        state_p = EmState(v=v0[[1, 0]], pi=mixing(a_p))
         permuted = em_fit(model_p, state_p, data, EmConfig(max_iters=2))
 
         assert permuted.state.v[[1, 0]] == pytest.approx(base.state.v, abs=1e-9)
@@ -556,14 +572,23 @@ class TestEmFit:
         mass = simpson(simpson(dens, x=gy, axis=1), x=gx)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
-    def test_dead_row_warns_then_aborts(self):
-        # every stratum underflows at the remote point: uniform fallback with a
-        # warning, then a NumericalError instead of a fit
+    def test_remote_point_rejected_before_pricing(self, monkeypatch):
+        # so remote that every stratum's density would underflow at it: the
+        # range rule refuses the cloud before any pricing, so nothing warns
         model = StrataModel(n0=2, edge_endpoints=(), sigma=1e-3)
         data = PointCloud([[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]])
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        state = EmState(v=np.array([[0.0, 0.0], [1.0, 0.0]]), pi=update_mixing(a), a=a)
-        with pytest.warns(RuntimeWarning, match="zero density"), pytest.raises(NumericalError):
+        state = EmState(v=np.array([[0.0, 0.0], [1.0, 0.0]]), pi=np.array([0.5, 0.5]))
+        monkeypatch.setattr(gs.em, "_bounds", None)
+        monkeypatch.setattr(gs.em, "_pricer", None)
+        with pytest.raises(ValueError, match="^cloud extent .* outside EM's range"):
+            em_fit(model, state, data)
+
+    @pytest.mark.parametrize("extent, sigma", [(1e80, 1.0), (10.0, 1e-153)])
+    def test_range_rule_names_each_limit(self, extent, sigma):
+        model = StrataModel(n0=2, edge_endpoints=(), sigma=sigma)
+        data = PointCloud([[-extent, 0.0], [extent, 0.0]])
+        state = EmState(v=data.coords.copy(), pi=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="outside EM's range"):
             em_fit(model, state, data)
 
     def test_twelve_vertex_5d_converges_in_few_iterations(self, twelve_vertex_5d):
@@ -632,8 +657,8 @@ def reference_em_fit(model, state, data, config):
     trace = [marginal_log_likelihood(model, v, pi, data)]
     streak = n_done = backtracks = 0
     for n_done in range(1, config.max_iters + 1):
-        a = responsibilities(model, EmState(v=v, pi=pi, a=state.a), data)
-        pi = update_mixing(a)
+        a = responsibilities(model, EmState(v=v, pi=pi), data)
+        pi = mixing(a)
         v, halved = reference_m_step(model, v, pi, a, data)
         backtracks += halved
         trace.append(marginal_log_likelihood(model, v, pi, data))
@@ -770,7 +795,8 @@ class TestSparsePricing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             dense = dense_evaluation(model, v, data)
-            selected = _evaluate(model, v, data, pi, support.T)
+            keep = _Pairs(*support.T.nonzero(), None)  # forced into the selection
+            selected = _pricer(model, data, _select(*_bounds(model, v, data, pi), keep))(v)
             ev, logits = _exact_logits(model, selected, data, pi)
             dense_logits = _logits(dense, pi)
         assert ev is selected  # selected for this pi: nothing is priced twice
@@ -801,16 +827,17 @@ class TestSparsePricing:
         for got_ev, got_logits, want_logits in cases:
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
-                got, got_norm = _normalize_rows(got_ev.pairs, got_logits, n_strata)
+                got_w, got_norm = _normalize_rows(got_ev.pairs, got_logits)
             with warnings.catch_warnings(record=True) as seen_dense:
                 warnings.simplefilter("always")
-                want, want_norm = _normalize_rows(dense.pairs, want_logits, n_strata)
-            assert np.array_equal(got.toarray(), want.toarray())
+                want_w, want_norm = _normalize_rows(dense.pairs, want_logits)
+            got, want = dense_a(got_ev.pairs, got_w, n_strata), dense_a(dense.pairs, want_w, n_strata)
+            assert np.array_equal(got, want)
             assert np.array_equal(got_norm, want_norm, equal_nan=True)
             assert [str(w.message) for w in seen] == [str(w.message) for w in seen_dense]
             if remote:  # every stratum underflows at the remote point
                 assert any("zero density" in str(w.message) for w in seen)
-                assert np.all(got.toarray()[-1] == 1.0 / n_strata)
+                assert np.all(got[-1] == 1.0 / n_strata)
 
 
 class TestSelectionOncePerIteration:
@@ -849,20 +876,21 @@ class TestSelectionOncePerIteration:
     def test_stale_selection_is_priced_again(self, twelve_vertex_5d):
         model, state, cloud = twelve_vertex_5d
         n_strata = model.n_strata
-        start = _evaluate(model, state.v, cloud, state.pi, state.a)
+        start = _pricer(model, cloud, _select(*_bounds(model, state.v, cloud, state.pi)))(state.v)
         v = state.v.copy()
         v[0] += 8 * model.sigma * np.ones(cloud.dim) / math.sqrt(cloud.dim)  # several sigma
         stale = _pricer(model, cloud, start.pairs)(v)  # priced on the start vertices' selection
         ev, logits = _exact_logits(model, stale, cloud, state.pi)
         dense = dense_evaluation(model, v, cloud)
-        want, want_norm = _normalize_rows(dense.pairs, _logits(dense, state.pi), n_strata)
+        want_w, want_norm = _normalize_rows(dense.pairs, _logits(dense, state.pi))
+        want = dense_a(dense.pairs, want_w, n_strata)
         assert ev is not stale and np.array_equal(ev.v, v)
         assert np.all(np.isin(pair_keys(stale, n_strata), pair_keys(ev, n_strata)))  # the union keeps every pair
-        got, got_norm = _normalize_rows(ev.pairs, logits, n_strata)
-        assert np.array_equal(got.toarray(), want.toarray())
+        got_w, got_norm = _normalize_rows(ev.pairs, logits)
+        assert np.array_equal(dense_a(ev.pairs, got_w, n_strata), want)
         assert np.array_equal(got_norm, want_norm)
-        stale_a = _normalize_rows(stale.pairs, _logits(stale, state.pi), n_strata)[0]
-        assert not np.array_equal(stale_a.toarray(), want.toarray())
+        stale_w = _normalize_rows(stale.pairs, _logits(stale, state.pi))[0]
+        assert not np.array_equal(dense_a(stale.pairs, stale_w, n_strata), want)
 
 
 def fit_cloud(cloud, config):

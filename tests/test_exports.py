@@ -112,6 +112,10 @@ def test_tracer_contract(monkeypatch, tmp_path, fixture_cloud):
     write_cloud(cloud, fixture_cloud)
     assert main(["graph", "--input", cloud, "--ratio", "8", "--eps", "0.1", "--output", graph]) == 0
     assert main(["fit", "--input", cloud, "--graph", graph, "--output", fit, "--max-iters", "3"]) == 0
+    # the warm-started fits of a sweep: ratio 8 continues ratio 12's fit
+    sweep = str(tmp_path / "pipeline.json")
+    assert main(["pipeline", "--input", cloud, "--eps", "0.1", "--ratios", "12,8", "--output", sweep]) == 0
+    assert len(seen["em_fit"]) == 3
     assert sorted(seen) == sorted(name for _, name in TRACED_READS)
     assert seen["threshold_components"][0][0] == fixture_cloud.dim
 
