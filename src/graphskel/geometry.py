@@ -248,11 +248,15 @@ def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, 
     """
     if n == 0:
         return np.empty(0, dtype=np.intp), 0
-    graph = csr_matrix((np.ones(i.size, dtype=bool), (i, j)), shape=(n, n))
+    # built in the layout csgraph works in (float64 weights, int32 indices), so it converts nothing
+    ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(i, minlength=n), out=ptr[1:])
+    graph = csr_matrix((np.ones(i.size), j[np.argsort(i, kind="stable")].astype(np.int32), ptr), shape=(n, n))
     count, labels = connected_components(graph, directed=False)
-    _, first = np.unique(labels, return_index=True)
+    first = np.full(count, n)
+    np.minimum.at(first, labels, np.arange(n))
     rank = np.empty(count, dtype=np.intp)
-    rank[labels[np.sort(first)]] = np.arange(count)
+    rank[np.argsort(first)] = np.arange(count)
     return rank[labels], int(count)
 
 

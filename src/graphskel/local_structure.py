@@ -5,6 +5,11 @@ B_{R+eps}(p) and the spherical shell S_{R-eps}^{R+eps}(p), both at contact
 scale 3*eps. A connected ball with exactly two shell clusters whose centroids
 subtend a wide angle at p is the signature of an edge interior; everything
 else is vertex-like.
+
+`classify_sweep` builds both graphs on clique cells: grid cells of side
+3*eps/sqrt(n), each checked exactly to be a clique of the contact graph. The
+members of one cell inside one ball or one shell are then a single node, so
+the graphs grow with the number of cells a ball meets, not with its points.
 """
 from __future__ import annotations
 
@@ -46,9 +51,12 @@ __all__ = [
 
 _ASIN_CLAMP = 1e-12  # tolerate only rounding-level excursions outside [-1, 1]
 
-# Centres are classified in chunks whose (centre, ball member) nodes stay
-# under this count, which bounds the candidate-edge temporaries of one pass.
+# Centres are classified in chunks of about this many (centre, ball member)
+# nodes, at the mean ball size of _SAMPLE centres spread over the cloud. It
+# bounds a chunk's node and group arrays; its edge lists add at most the cell
+# degree per group and, for members of cut cells, the contact degree.
 _NODE_BUDGET = 1 << 14
+_SAMPLE = 64
 
 
 @dataclass(frozen=True)
@@ -194,14 +202,17 @@ def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
     """`classify_all(cloud, config)` for each of `configs`, from one pass over the cloud.
 
     All configs share one eps, hence one 3*eps contact graph. The cloud's own
-    k-d tree serves all centres. The balls of a chunk of centres at the
-    largest radius R + eps form one graph whose nodes are (centre, ball
-    member) pairs and whose edges are the cloud's contact pairs inside the
-    same ball. Every smaller ball is a subset of the largest, so each config
-    keeps the nodes whose exact distance is <= its R + eps and the edges
-    between kept nodes; its shell graph is that graph restricted to members
-    farther than R - eps. Each config takes two connected-components passes
-    per chunk, one over each graph.
+    k-d tree serves all centres, and its contact pairs give one set of clique
+    cells (`_clique_cells`) for the whole sweep. The balls of a chunk of
+    centres are queried once, at the largest radius R + eps; every smaller
+    ball is the subset of nodes whose exact distance is <= its own R + eps,
+    and its shell the subset farther than R - eps. Within one ball or one
+    shell, the members of one cell are pairwise in contact, so the graph's
+    nodes are (centre, cell) groups. A group holding all of its cell's members
+    is complete: it meets another complete group exactly when the two cells
+    are adjacent. Edges at a cut group come from the contact neighbours of
+    its members. Each config takes two connected-components passes per chunk,
+    one over each group graph.
     """
     configs = tuple(configs)
     if not configs:
@@ -217,100 +228,186 @@ def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
         return sweep
     coords = cloud.coords
     tree = cloud.tree
-    ci, cj, _ = cloud.contact_pairs(configs[0].contact_scale)
-    # contact pairs i < j as a CSR adjacency: row i lists its larger neighbours
-    contact_ptr = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(ci, minlength=m), out=contact_ptr[1:])
-    # from the largest ball to the smallest, so each config filters the last one's nodes
+    cells = _clique_cells(cloud, configs[0].contact_scale)
+    # from the largest ball to the smallest; the largest one is queried
     order = sorted(range(len(configs)), key=lambda k: configs[k].ball_radius, reverse=True)
     ordered = [configs[k] for k in order]
 
-    counts = tree.query_ball_point(coords, ordered[0].ball_radius, return_length=True)
-    ends = np.cumsum(counts)
-    start = 0
-    while start < m:
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _NODE_BUDGET, side="right")))
-        chunk = _classify_chunk(coords, tree, np.arange(start, stop), contact_ptr, cj, ordered)
+    # each chunk takes as many centres as fit the budget at the mean ball size of a sample
+    sample = tree.query_ball_point(coords[:: -(-m // _SAMPLE)], ordered[0].ball_radius, return_length=True)
+    size = max(1, _NODE_BUDGET * sample.size // int(sample.sum()))
+    for start in range(0, m, size):
+        stop = min(m, start + size)
+        chunk = _classify_chunk(coords, tree, np.arange(start, stop), cells, ordered)
         for k, labels in zip(order, chunk):
             for column, values in zip(sweep[k], labels):
                 column[start:stop] = values
-        start = stop
     return sweep
 
 
-def _classify_chunk(coords, tree, centres, contact_ptr, contact_nbr, configs) -> list[LocalLabels]:
+class _Cells(NamedTuple):
+    """A cloud's clique cells at one contact scale, and the adjacency that stage 1 reads.
+
+    A block lists the contact neighbours of one point that lie in one other
+    cell: block b holds the points `nbr[block_ptr[b]:block_ptr[b + 1]]` of cell
+    `block_cell[b]`, and point i owns the blocks `touch_ptr[i]:touch_ptr[i + 1]`.
+    """
+
+    of: np.ndarray  # (m,) cell of each point
+    size: np.ndarray  # (C,) members per cell
+    adj_ptr: np.ndarray  # CSR over cells: row c lists the larger cells joined to c by a contact pair
+    adj: np.ndarray
+    touch_ptr: np.ndarray
+    block_cell: np.ndarray
+    block_ptr: np.ndarray
+    nbr: np.ndarray
+
+
+def _clique_cells(cloud: PointCloud, r: float) -> _Cells:
+    """Grid cells of side r/sqrt(n), each a clique of the contact graph at scale r.
+
+    Cells are checked exactly: a cell is kept only if the cloud's contact
+    pairs join all of its member pairs, and a cell that fails splits into
+    singletons. The grid itself only proposes cells, so it needs no
+    exactness: it is built from halved coordinates, whose differences cannot
+    overflow, with at most 2**52 cells a side.
+    """
+    coords = cloud.coords
+    m, n = coords.shape
+    ci, cj, _ = cloud.contact_pairs(r)
+    half = coords * 0.5
+    side = max(r * 0.5 / math.sqrt(n), math.ulp(0.0))
+    grid = np.floor(np.minimum(half - half.min(axis=0), side * 2.0**52) / side).astype(np.int64)
+    # one integer per grid cell; past 2**63 cells the radix wraps and may merge cells, which the check splits
+    radix = np.cumprod(np.r_[1, grid.max(axis=0)[:-1] + 1])
+    cell = np.unique(grid @ radix, return_inverse=True)[1]
+    size = np.bincount(cell)
+    inside = cell[ci] == cell[cj]
+    clique = np.bincount(cell[ci[inside]], minlength=size.size) == size * (size - 1) // 2
+    # number the cells by first member, a failed cell's members each on their own
+    lead = np.full(size.size, m)
+    np.minimum.at(lead, cell, np.arange(m))
+    cell = np.unique(np.where(clique[cell], lead[cell], np.arange(m)), return_inverse=True)[1]
+    size = np.bincount(cell)
+    n_cells = size.size
+    # every contact pair across two cells, from both ends, sorted by (point, the other end's cell)
+    src, dst = np.concatenate([ci, cj]), np.concatenate([cj, ci])
+    across = cell[src] != cell[dst]
+    key = src[across] * n_cells + cell[dst[across]]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    point, block_cell = np.divmod(key[starts], n_cells)
+    # the cell pairs joined by a contact pair, each once, listed under the smaller cell
+    own = cell[point]
+    lower, upper = np.divmod(np.unique(own[own < block_cell] * n_cells + block_cell[own < block_cell]), n_cells)
+    return _Cells(
+        cell,
+        size,
+        _row_ptr(lower, n_cells),
+        upper,
+        _row_ptr(point, m),
+        block_cell,
+        np.r_[starts, key.size],
+        dst[across][order],
+    )
+
+
+def _row_ptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of n rows whose entries' sorted row ids are `rows`."""
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _entries(rows: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in `rows`, entry index) for every CSR entry of each of `rows`."""
+    deg = ptr[rows + 1] - ptr[rows]
+    pos = np.repeat(np.arange(rows.size), deg)
+    offsets = np.cumsum(deg) - deg
+    return pos, np.arange(pos.size) + np.repeat(ptr[rows] - offsets, deg)
+
+
+def _lookup(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, found) of each of `want` in the strictly increasing `keys`."""
+    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return at, keys[at] == want
+
+
+def _classify_chunk(coords, tree, centres, cells: _Cells, configs) -> list[LocalLabels]:
     """The labels of `centres` at each of `configs`, sorted by decreasing ball
-    radius: one ball query at the first radius, then each config keeps the
-    nodes within its own radius and the edges between kept nodes."""
-    radius = configs[0].ball_radius
-    owner, member, d = ball_members(tree, coords, centres, radius)
-    src, dst = _ball_edges(owner, member, len(coords), contact_ptr, contact_nbr)
+    radius, from one ball query at the first radius."""
+    owner, member, d = ball_members(tree, coords, centres, configs[0].ball_radius)
+    n_cells = cells.size.size
+    # (centre, cell) groups, sorted by centre
+    key = owner * n_cells + cells.of[member]
+    group_key, group = np.unique(key, return_inverse=True)
+    group_owner, group_cell = np.divmod(group_key, n_cells)
+    # adjacent cells of one centre, each pair once: the group edges between complete groups
+    src, at = _entries(group_cell, cells.adj_ptr)
+    dst, found = _lookup(group_key, group_key[src] - group_cell[src] + cells.adj[at])
+    joined = src[found], dst[found]
+    node_key = owner * len(coords) + member  # strictly increasing: members come sorted per centre
+
+    def components(region):
+        """The components of `region`, a node mask, over its groups: each
+        group's label, ranked by smallest group and -1 outside the region,
+        and the count per centre."""
+        count = np.bincount(group[region], minlength=group_key.size)
+        complete = count == cells.size[group_cell]
+        both = complete[joined[0]] & complete[joined[1]]
+        # a cut group meets each present group of a cell its region members touch:
+        # a complete one outright, a cut one if a touched point is in the region
+        cut = np.flatnonzero(region & ~complete[group])
+        at, block = _entries(member[cut], cells.touch_ptr)
+        x = group[cut[at]]
+        y, found = _lookup(group_key, key[cut[at]] - group_cell[x] + cells.block_cell[block])
+        found &= count[y] > 0
+        full = found & complete[y]
+        part = np.flatnonzero(found & ~complete[y] & (x < y))
+        at2, entry = _entries(block[part], cells.block_ptr)
+        u = cut[at[part[at2]]]
+        node, hit = _lookup(node_key, node_key[u] - member[u] + cells.nbr[entry])
+        hit[hit] = region[node[hit]]
+        present = count > 0
+        pos = np.cumsum(present) - 1
+        src = pos[np.concatenate([joined[0][both], x[full], group[u[hit]]])]
+        dst = pos[np.concatenate([joined[1][both], y[full], group[node[hit]]])]
+        labels, n_labels = component_labels(int(pos[-1]) + 1, src, dst)
+        comp_owner = np.empty(n_labels, dtype=np.intp)
+        comp_owner[labels] = group_owner[present]
+        group_label = np.full(group_key.size, -1)
+        group_label[present] = labels
+        return group_label, np.bincount(comp_owner, minlength=centres.size)
+
     chunk = []
     for config in configs:
-        if config.ball_radius < radius:
-            radius = config.ball_radius
-            keep = d <= radius
-            if not keep.all():
-                owner, member, d = owner[keep], member[keep], d[keep]
-                both = keep[src] & keep[dst]
-                pos = np.cumsum(keep) - 1
-                src, dst = pos[src[both]], pos[dst[both]]
-        chunk.append(_chunk_labels(coords, centres, owner, member, d, src, dst, config))
+        ball = d <= config.ball_radius
+        shell = ball & (d > config.shell_inner)
+        connected = components(ball)[1] <= 1
+        shell_labels, shell_count = components(shell)
+        # Each candidate centre owns two consecutive labels, and labels grow
+        # with the centre. Members are summed in member order, as in a scan.
+        cand = connected & (shell_count == 2)
+        sel = shell & cand[owner]
+        _, comp = np.unique(shell_labels[group[sel]], return_inverse=True)
+        chunk.append(_labels(coords, centres, member[sel], comp, connected, shell_count, config))
     return chunk
 
 
-def _ball_edges(owner, member, m, contact_ptr, contact_nbr) -> tuple[np.ndarray, np.ndarray]:
-    """Node pairs (src, dst) of the ball graph: each node's larger contact
-    neighbours, kept when the neighbour is a node of the same ball."""
-    n_nodes = member.size
-    # node keys are strictly increasing: ball members come sorted per centre
-    key = owner * m + member
-    deg = contact_ptr[member + 1] - contact_ptr[member]
-    src = np.repeat(np.arange(n_nodes), deg)
-    offsets = np.cumsum(deg) - deg
-    nbr = contact_nbr[np.arange(src.size) + np.repeat(contact_ptr[member] - offsets, deg)]
-    want = (key - member)[src] + nbr
-    dst = np.minimum(np.searchsorted(key, want), n_nodes - 1)
-    hit = key[dst] == want
-    return src[hit], dst[hit]
-
-
-def _chunk_labels(coords, centres, owner, member, d, src, dst, config) -> LocalLabels:
-    """One config's labels of `centres` from its ball graph: nodes (owner,
-    member) at distance d, edges (src, dst)."""
-    k = centres.size
-    ball_lab, n_ball = component_labels(member.size, src, dst)
-    connected = _per_owner_count(ball_lab, n_ball, owner, k) <= 1
-
-    in_shell = d > config.shell_inner
-    shell_id = np.cumsum(in_shell) - 1
-    both = in_shell[src] & in_shell[dst]
-    shell_lab, n_shell = component_labels(int(in_shell.sum()), shell_id[src[both]], shell_id[dst[both]])
-    shell_owner, shell_member = owner[in_shell], member[in_shell]
-    shell_count = _per_owner_count(shell_lab, n_shell, shell_owner, k)
-
-    # Shell nodes are sorted by (centre, member) and components are ranked by
-    # smallest node, so each candidate centre owns two consecutive labels, the
-    # first one holding its first shell node, and labels grow with the centre.
+def _labels(coords, centres, members, comp, connected, shell_count, config) -> LocalLabels:
+    """One config's labels of `centres`, where `comp` numbers the shell
+    components of the candidates (connected, two shell components) 0, 1, ...
+    in pairs per centre, and `members` are their members."""
     cand = connected & (shell_count == 2)
-    sel = cand[shell_owner]
-    _, comp = np.unique(shell_lab[sel], return_inverse=True)
     n_cand = int(cand.sum())
-    centroids = component_centroids(coords[shell_member[sel]], comp, 2 * n_cand).reshape(n_cand, 2, coords.shape[1])
+    centroids = component_centroids(coords[members], comp, 2 * n_cand).reshape(n_cand, 2, coords.shape[1])
     p = coords[centres[cand]]
     a, b = centroids[:, 0] - p, centroids[:, 1] - p
-    ip = np.full(k, np.nan)
+    ip = np.full(centres.size, np.nan)
     ip[cand] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
     vertex_like = connected & ((shell_count != 2) | (ip > config.ip_threshold))
     return LocalLabels(vertex_like, connected, shell_count, ip)
-
-
-def _per_owner_count(labels: np.ndarray, n_labels: int, owner: np.ndarray, k: int) -> np.ndarray:
-    """Number of distinct components per centre; no component spans two centres."""
-    comp_owner = np.empty(n_labels, dtype=np.intp)
-    comp_owner[labels] = owner
-    return np.bincount(comp_owner, minlength=k)
 
 
 def partition(cloud: PointCloud, config: ReconstructionConfig, labels: LocalLabels | None = None) -> Partition:

@@ -4,7 +4,7 @@ The shipped code finds neighbours with a k-d tree and re-decides every
 candidate with the linear scans' own distance formula. These tests pin that
 ties at each threshold resolve exactly as the linear scans resolve them, and
 that the batched classifier keeps memory bounded on a cloud whose dense
-pairwise temporaries would not fit.
+pairwise temporaries would not fit, and on the densest fixture cloud.
 """
 from __future__ import annotations
 
@@ -394,4 +394,39 @@ def test_recover_graph_memory_is_bounded():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["edge_points"] == 7255
     assert (out["vertices"], out["edges"]) == (2, 1)
+    assert out["maxrss_kib"] / 1024 < MEMORY_BUDGET_MIB
+
+
+_DENSE_FIXTURE_SCRIPT = textwrap.dedent(
+    """
+    import json, resource
+    import graphskel as gs
+
+    cloud = gs.sample_graph(gs.builtin_fixture(), gs.SampleSpec(eps=0.1, spacing=0.005, seed=0))
+    graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
+    print(json.dumps({
+        "points": len(cloud),
+        "vertices": graph.n_vertices,
+        "edges": graph.n_edges,
+        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    }))
+    """
+)
+
+
+def test_dense_fixture_recovery_is_bounded():
+    """The fixture at spacing 0.005 (m = 6739) at ratio 12: a ball holds
+    about 570 points on average and a contact neighbourhood about 120. Its
+    recovery must finish in a fresh process whose peak resident set stays
+    under MEMORY_BUDGET_MIB.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gs.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _DENSE_FIXTURE_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["points"] == 6739
+    assert (out["vertices"], out["edges"]) == (5, 5)
     assert out["maxrss_kib"] / 1024 < MEMORY_BUDGET_MIB
