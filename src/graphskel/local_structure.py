@@ -51,10 +51,10 @@ __all__ = [
 
 _ASIN_CLAMP = 1e-12  # tolerate only rounding-level excursions outside [-1, 1]
 
-# Centres are classified in chunks of about this many (centre, ball member)
-# nodes, at the mean ball size of _SAMPLE centres spread over the cloud. It
-# bounds a chunk's node and group arrays; its edge lists add at most the cell
-# degree per group and, for members of cut cells, the contact degree.
+# Centres are classified in chunks of at most this many (centre, ball member)
+# nodes at the largest ball size among _SAMPLE centres spread over the cloud.
+# It bounds a chunk's node and group arrays; its edge lists add at most the
+# cell degree per group and, for members of cut cells, the contact degree.
 _NODE_BUDGET = 1 << 14
 _SAMPLE = 64
 
@@ -233,9 +233,9 @@ def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
     order = sorted(range(len(configs)), key=lambda k: configs[k].ball_radius, reverse=True)
     ordered = [configs[k] for k in order]
 
-    # each chunk takes as many centres as fit the budget at the mean ball size of a sample
+    # each chunk takes as many centres as fit the budget at the largest ball size of a sample
     sample = tree.query_ball_point(coords[:: -(-m // _SAMPLE)], ordered[0].ball_radius, return_length=True)
-    size = max(1, _NODE_BUDGET * sample.size // int(sample.sum()))
+    size = max(1, _NODE_BUDGET // int(sample.max()))
     for start in range(0, m, size):
         stop = min(m, start + size)
         chunk = _classify_chunk(coords, tree, np.arange(start, stop), cells, ordered)
