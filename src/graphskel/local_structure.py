@@ -229,19 +229,16 @@ def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
     coords = cloud.coords
     tree = cloud.tree
     cells = _clique_cells(cloud, configs[0].contact_scale)
-    # from the largest ball to the smallest; the largest one is queried
-    order = sorted(range(len(configs)), key=lambda k: configs[k].ball_radius, reverse=True)
-    ordered = [configs[k] for k in order]
-
+    radius = max(config.ball_radius for config in configs)
     # each chunk takes as many centres as fit the budget at the largest ball size of a sample
-    sample = tree.query_ball_point(coords[:: -(-m // _SAMPLE)], ordered[0].ball_radius, return_length=True)
+    sample = tree.query_ball_point(coords[:: -(-m // _SAMPLE)], radius, return_length=True)
     size = max(1, _NODE_BUDGET // int(sample.max()))
     for start in range(0, m, size):
         stop = min(m, start + size)
-        chunk = _classify_chunk(coords, tree, np.arange(start, stop), cells, ordered)
-        for k, labels in zip(order, chunk):
-            for column, values in zip(sweep[k], labels):
-                column[start:stop] = values
+        chunk = _classify_chunk(coords, tree, np.arange(start, stop), cells, configs, radius)
+        for labels, values in zip(sweep, chunk):
+            for column, column_values in zip(labels, values):
+                column[start:stop] = column_values
     return sweep
 
 
@@ -334,10 +331,10 @@ def _lookup(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return at, keys[at] == want
 
 
-def _classify_chunk(coords, tree, centres, cells: _Cells, configs) -> list[LocalLabels]:
-    """The labels of `centres` at each of `configs`, sorted by decreasing ball
-    radius, from one ball query at the first radius."""
-    owner, member, d = ball_members(tree, coords, centres, configs[0].ball_radius)
+def _classify_chunk(coords, tree, centres, cells: _Cells, configs, radius: float) -> list[LocalLabels]:
+    """The labels of `centres` at each of `configs`, from one ball query at
+    `radius`, the largest ball radius of the configs."""
+    owner, member, d = ball_members(tree, coords, centres, radius)
     n_cells = cells.size.size
     # (centre, cell) groups, sorted by centre
     key = owner * n_cells + cells.of[member]
