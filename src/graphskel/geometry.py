@@ -1,16 +1,16 @@
 """Euclidean primitives, range queries, and threshold-graph components.
 
 Everything in this module is a pure function over immutable inputs.
-The neighbour searches (`ball_members`, `pairs_within`,
-`threshold_components`) query a k-d tree at a slightly padded radius and then
-decide every candidate with the `sqrt(sum(d**2))` distance and the comparison
-an exact linear scan uses, so ties at the threshold resolve as it would.
+The neighbour searches (`pairs_within`, `threshold_components`) query a k-d
+tree at a slightly padded radius and then decide every candidate with the
+`sqrt(sum(d**2))` distance and the comparison an exact linear scan uses, so
+ties at the threshold resolve as it would. Stage 1's cell queries use the same
+padding and distance (`_padded`, `_row_distances`).
 A `PointCloud` keeps its own k-d tree and its contact pairs, so every stage
 that needs the 3*eps contact graph of a cloud reads the same one.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "threshold_components",
     "contact_components",
     "component_centroids",
-    "ball_members",
     "pairs_within",
     "component_labels",
 ]
@@ -200,28 +199,6 @@ def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _padded(r: float) -> float:
     return r * (1.0 + _QUERY_PAD)
-
-
-def _flatten(hits) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and concatenation of a k-d tree's per-query index lists."""
-    sizes = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-    flat = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(sizes.sum()))
-    return sizes, flat
-
-
-def ball_members(
-    tree: cKDTree, coords: np.ndarray, centres: np.ndarray, r: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-ball members of several centres at once, as an exact linear scan decides them.
-
-    Returns (owner, member, d): the position of the centre in `centres`, the
-    member index and its distance, sorted by (owner, member).
-    """
-    sizes, member = _flatten(tree.query_ball_point(coords[centres], _padded(r), return_sorted=True))
-    owner = np.repeat(np.arange(len(centres)), sizes)
-    d = _row_distances(coords[member], coords[centres[owner]])
-    keep = d <= r
-    return owner[keep], member[keep], d[keep]
 
 
 def pairs_within(

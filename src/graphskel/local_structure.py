@@ -13,17 +13,21 @@ the graphs grow with the number of cells a ball meets, not with its points.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
+    _QUERY_PAD,
     PointCloud,
+    _padded,
+    _row_distances,
     angle_cosine,
-    ball_members,
     component_centroids,
     component_labels,
     distance,
@@ -51,12 +55,22 @@ __all__ = [
 
 _ASIN_CLAMP = 1e-12  # tolerate only rounding-level excursions outside [-1, 1]
 
-# Centres are classified in chunks of at most this many (centre, ball member)
-# nodes at the largest ball size among _SAMPLE centres spread over the cloud.
-# It bounds a chunk's node and group arrays; its edge lists add at most the
-# cell degree per group and, for members of cut cells, the contact degree.
+# Centres are classified in chunks, sized from _SAMPLE centres spread over
+# the cloud. A chunk holds at most _NODE_BUDGET (centre, ball member) pairs at
+# the largest sampled ball, which bounds its groups and its checked members;
+# its edge lists add at most the cell degree per group and, for members of
+# cut cells, the contact degree. Its (centre, cell) -> group table, one int32
+# per centre and cell met by the chunk, holds at most _TABLE_BUDGET entries:
+# a chunk of s centres meets at most the C cells, and at most s times the most
+# cells a sampled centre meets.
 _NODE_BUDGET = 1 << 14
+_TABLE_BUDGET = 1 << 20
 _SAMPLE = 64
+# A sphere is decided for a whole cell only with this relative margin, and
+# only where the squares of distances near it are normal doubles: from
+# _NORMAL to 1 / _NORMAL.
+_MARGIN = 4 * _QUERY_PAD
+_NORMAL = 2.0**-450
 
 
 @dataclass(frozen=True)
@@ -230,12 +244,16 @@ def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
     tree = cloud.tree
     cells = _clique_cells(cloud, configs[0].contact_scale)
     radius = max(config.ball_radius for config in configs)
-    # each chunk takes as many centres as fit the budget at the largest ball size of a sample
-    sample = tree.query_ball_point(coords[:: -(-m // _SAMPLE)], radius, return_length=True)
-    size = max(1, _NODE_BUDGET // int(sample.max()))
+    # each chunk takes as many centres as fit both budgets at the largest ball
+    # and the most cells met among a sample of centres
+    sample = coords[:: -(-m // _SAMPLE)]
+    ball = int(tree.query_ball_point(sample, radius, return_length=True).max())
+    met = int(cells.tree.query_ball_point(sample, _lead_radius(cells, radius), return_length=True).max())
+    table = max(_TABLE_BUDGET // cells.size.size, math.isqrt(_TABLE_BUDGET // met))
+    size = max(1, min(_NODE_BUDGET // ball, table))
     for start in range(0, m, size):
         stop = min(m, start + size)
-        chunk = _classify_chunk(coords, tree, np.arange(start, stop), cells, configs, radius)
+        chunk = _classify_chunk(coords, np.arange(start, stop), cells, configs, radius)
         for labels, values in zip(sweep, chunk):
             for column, column_values in zip(labels, values):
                 column[start:stop] = column_values
@@ -243,7 +261,12 @@ def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
 
 
 class _Cells(NamedTuple):
-    """A cloud's clique cells at one contact scale, and the adjacency that stage 1 reads.
+    """A cloud's clique cells at one contact scale, and what stage 1 reads of them.
+
+    Cell c holds the points `members[ptr[c]:ptr[c + 1]]`, in index order. Its
+    lead is the first of them and its reach the largest distance from a member
+    to the lead, so one distance from a centre to the lead bounds the distance
+    to every member. `tree` indexes the leads' coordinates in cell order.
 
     A block lists the contact neighbours of one point that lie in one other
     cell: block b holds the points `nbr[block_ptr[b]:block_ptr[b + 1]]` of cell
@@ -252,6 +275,12 @@ class _Cells(NamedTuple):
 
     of: np.ndarray  # (m,) cell of each point
     size: np.ndarray  # (C,) members per cell
+    ptr: np.ndarray  # (C + 1,) CSR over cells of `members`
+    members: np.ndarray
+    rank: np.ndarray  # (m,) position of each point in its cell's member list
+    lead: np.ndarray  # (C,) first member of each cell
+    reach: np.ndarray  # (C,) largest distance from a member to the lead
+    tree: cKDTree
     adj_ptr: np.ndarray  # CSR over cells: row c lists the larger cells joined to c by a contact pair
     adj: np.ndarray
     touch_ptr: np.ndarray
@@ -287,31 +316,57 @@ def _clique_cells(cloud: PointCloud, r: float) -> _Cells:
     cell = np.unique(np.where(clique[cell], lead[cell], np.arange(m)), return_inverse=True)[1]
     size = np.bincount(cell)
     n_cells = size.size
-    # every contact pair across two cells, from both ends, sorted by (point, the other end's cell)
-    src, dst = np.concatenate([ci, cj]), np.concatenate([cj, ci])
-    across = cell[src] != cell[dst]
-    key = src[across] * n_cells + cell[dst[across]]
+    members = np.argsort(cell, kind="stable")
+    ptr = _row_ptr(cell, n_cells)
+    lead = members[ptr[:-1]]
+    rank = np.empty(m, dtype=np.intp)
+    rank[members] = np.arange(m) - np.repeat(ptr[:-1], size)
+    reach = np.maximum.reduceat(_row_distances(coords[members], coords[np.repeat(lead, size)]), ptr[:-1])
+    # every contact pair across two cells, from both ends, sorted by (point, the
+    # other end's cell); indices are int32 where m allows, and each temporary
+    # is dropped once read, since the pairs outnumber the points
+    index = np.int32 if m < 2**31 else np.intp
+    across = cell[ci] != cell[cj]
+    i, j = ci[across].astype(index), cj[across].astype(index)
+    del across
+    nbr = np.concatenate([j, i])
+    key = np.concatenate([i, j]).astype(np.int64)
+    del i, j
+    key *= n_cells
+    key += cell.astype(index)[nbr]
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    nbr = nbr[order]
+    del order
+    key.sort()
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
     point, block_cell = np.divmod(key[starts], n_cells)
+    block_ptr = np.r_[starts, key.size]
+    del key
     # the cell pairs joined by a contact pair, each once, listed under the smaller cell
     own = cell[point]
     lower, upper = np.divmod(np.unique(own[own < block_cell] * n_cells + block_cell[own < block_cell]), n_cells)
     return _Cells(
         cell,
         size,
+        ptr,
+        members,
+        rank,
+        lead,
+        reach,
+        cKDTree(coords[lead]),
         _row_ptr(lower, n_cells),
         upper,
         _row_ptr(point, m),
         block_cell,
-        np.r_[starts, key.size],
-        dst[across][order],
+        block_ptr,
+        nbr,
     )
 
 
 def _row_ptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointer of n rows whose entries' sorted row ids are `rows`."""
+    """CSR row pointer of n rows whose entries' row ids are `rows`."""
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
     return ptr
@@ -325,70 +380,122 @@ def _entries(rows: np.ndarray, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return pos, np.arange(pos.size) + np.repeat(ptr[rows] - offsets, deg)
 
 
-def _lookup(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index, found) of each of `want` in the strictly increasing `keys`."""
-    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    return at, keys[at] == want
+def _flatten(hits) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and concatenation of a k-d tree's per-query index lists."""
+    sizes = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+    flat = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(sizes.sum()))
+    return sizes, flat
 
 
-def _classify_chunk(coords, tree, centres, cells: _Cells, configs, radius: float) -> list[LocalLabels]:
-    """The labels of `centres` at each of `configs`, from one ball query at
-    `radius`, the largest ball radius of the configs."""
-    owner, member, d = ball_members(tree, coords, centres, radius)
-    n_cells = cells.size.size
-    # (centre, cell) groups, sorted by centre
-    key = owner * n_cells + cells.of[member]
-    group_key, group = np.unique(key, return_inverse=True)
-    group_owner, group_cell = np.divmod(group_key, n_cells)
+def _lead_radius(cells: _Cells, radius: float) -> float:
+    """The padded radius about a centre within which lie the leads of all
+    cells with a member at most `radius` away."""
+    return _padded(max(radius + float(cells.reach.max()), _NORMAL))
+
+
+def _query_cells(cells: _Cells, coords, centres, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, cell, d): every cell whose lead lies within `radius` plus the
+    largest reach (padded) of one of `centres`, sorted by (owner, cell), with
+    d the distance from the centre to the lead. These are all the cells that
+    may meet the ball of radius `radius` about a centre."""
+    hits = cells.tree.query_ball_point(coords[centres], _lead_radius(cells, radius), return_sorted=True)
+    sizes, cell = _flatten(hits)
+    owner = np.repeat(np.arange(centres.size), sizes)
+    return owner, cell, _row_distances(coords[cells.lead[cell]], coords[centres[owner]])
+
+
+def _sides(d: np.ndarray, reach: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, outside): the cells whose members all lie within distance t
+    of a centre, and all beyond it, as an exact scan decides, from the
+    centre's distance d to each lead. A cell is decided only with a margin
+    that covers the rounding of d, its reach and each member's distance, and
+    only where their squares are normal doubles; every other cell is cut."""
+    sure = (t >= _NORMAL) & (d + reach <= 1 / _NORMAL)
+    return sure & (d + reach < t * (1 - _MARGIN)), sure & (d - reach > t * (1 + _MARGIN))
+
+
+def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> list[LocalLabels]:
+    """The labels of `centres` at each of `configs`, from one query of the
+    cells about them at `radius`, the largest ball radius of the configs."""
+    owner, cell, d = _query_cells(cells, coords, centres, radius)
+    keep = ~_sides(d, cells.reach[cell], radius)[1]
+    # (centre, cell) groups, sorted by centre: the cells that may meet the largest ball
+    owner, cell, d = owner[keep], cell[keep], d[keep]
+    size, reach = cells.size[cell], cells.reach[cell]
+    spheres = [(_sides(d, reach, c.ball_radius), _sides(d, reach, c.shell_inner)) for c in configs]
+    decided = np.ones(owner.size, dtype=bool)
+    for sphere in spheres:
+        for inside, outside in sphere:
+            decided &= inside | outside
+    # group of each (centre, cell) met; column 0 answers every cell the chunk does not meet
+    met = np.zeros(cells.size.size, dtype=bool)
+    met[cell] = True
+    column = np.where(met, np.cumsum(met), 0)
+    table = np.full((centres.size, column.max() + 1), -1, dtype=np.int32)
+    table[owner, column[cell]] = np.arange(owner.size)
     # adjacent cells of one centre, each pair once: the group edges between complete groups
-    src, at = _entries(group_cell, cells.adj_ptr)
-    dst, found = _lookup(group_key, group_key[src] - group_cell[src] + cells.adj[at])
-    joined = src[found], dst[found]
-    node_key = owner * len(coords) + member  # strictly increasing: members come sorted per centre
+    src, at = _entries(cell, cells.adj_ptr)
+    dst = table[owner[src], column[cells.adj[at]]]
+    joined = src[dst >= 0], dst[dst >= 0]
+    # the members of cut groups, whose distances are checked one by one
+    cut = np.flatnonzero(~decided)
+    at, entry = _entries(cell[cut], cells.ptr)
+    group = cut[at]
+    member = cells.members[entry]
+    first = np.zeros(owner.size, dtype=np.intp)
+    first[cut] = np.cumsum(size[cut]) - size[cut]
+    member_d = _row_distances(coords[member], coords[centres[owner[group]]])
 
-    def components(region):
-        """The components of `region`, a node mask, over its groups: each
-        group's label, ranked by smallest group and -1 outside the region,
-        and the count per centre."""
-        count = np.bincount(group[region], minlength=group_key.size)
-        complete = count == cells.size[group_cell]
+    def components(count, region):
+        """The components of a region, given its member count per group and
+        its members among the checked ones: each group's label, ranked by
+        smallest group and -1 outside the region, the count per centre, and
+        each label's centre."""
+        complete = count == size
         both = complete[joined[0]] & complete[joined[1]]
         # a cut group meets each present group of a cell its region members touch:
         # a complete one outright, a cut one if a touched point is in the region
-        cut = np.flatnonzero(region & ~complete[group])
-        at, block = _entries(member[cut], cells.touch_ptr)
-        x = group[cut[at]]
-        y, found = _lookup(group_key, key[cut[at]] - group_cell[x] + cells.block_cell[block])
-        found &= count[y] > 0
+        open_ = np.flatnonzero(region & ~complete[group])
+        at, block = _entries(member[open_], cells.touch_ptr)
+        x = group[open_[at]]
+        y = table[owner[x], column[cells.block_cell[block]]]
+        found = (y >= 0) & (count[y] > 0)
         full = found & complete[y]
         part = np.flatnonzero(found & ~complete[y] & (x < y))
         at2, entry = _entries(block[part], cells.block_ptr)
-        u = cut[at[part[at2]]]
-        node, hit = _lookup(node_key, node_key[u] - member[u] + cells.nbr[entry])
-        hit[hit] = region[node[hit]]
+        x2, y2 = x[part[at2]], y[part[at2]]
+        hit = region[first[y2] + cells.rank[cells.nbr[entry]]]
         present = count > 0
         pos = np.cumsum(present) - 1
-        src = pos[np.concatenate([joined[0][both], x[full], group[u[hit]]])]
-        dst = pos[np.concatenate([joined[1][both], y[full], group[node[hit]]])]
+        src = pos[np.concatenate([joined[0][both], x[full], x2[hit]])]
+        dst = pos[np.concatenate([joined[1][both], y[full], y2[hit]])]
         labels, n_labels = component_labels(int(pos[-1]) + 1, src, dst)
-        comp_owner = np.empty(n_labels, dtype=np.intp)
-        comp_owner[labels] = group_owner[present]
-        group_label = np.full(group_key.size, -1)
+        label_owner = np.empty(n_labels, dtype=np.intp)
+        label_owner[labels] = owner[present]
+        group_label = np.full(owner.size, -1)
         group_label[present] = labels
-        return group_label, np.bincount(comp_owner, minlength=centres.size)
+        return group_label, np.bincount(label_owner, minlength=centres.size), label_owner
 
     chunk = []
-    for config in configs:
-        ball = d <= config.ball_radius
-        shell = ball & (d > config.shell_inner)
-        connected = components(ball)[1] <= 1
-        shell_labels, shell_count = components(shell)
+    for config, ((ball_in, _), (_, inner_out)) in zip(configs, spheres):
+        ball = member_d <= config.ball_radius
+        shell = ball & (member_d > config.shell_inner)
+        whole = decided & ball_in & inner_out  # groups wholly in the shell, of unchecked members
+        connected = components(np.where(ball_in, size, np.bincount(group[ball], minlength=owner.size)), ball)[1] <= 1
+        shell_labels, shell_count, label_owner = components(
+            np.where(whole, size, np.bincount(group[shell], minlength=owner.size)), shell
+        )
         # Each candidate centre owns two consecutive labels, and labels grow
         # with the centre. Members are summed in member order, as in a scan.
         cand = connected & (shell_count == 2)
-        sel = shell & cand[owner]
-        _, comp = np.unique(shell_labels[group[sel]], return_inverse=True)
-        chunk.append(_labels(coords, centres, member[sel], comp, connected, shell_count, config))
+        comp = np.cumsum(cand[label_owner]) - 1
+        whole = np.flatnonzero(whole & cand[owner])
+        at, entry = _entries(cell[whole], cells.ptr)
+        sel = np.flatnonzero(shell & cand[owner[group]])
+        members = np.concatenate([cells.members[entry], member[sel]])
+        comp = comp[shell_labels[np.concatenate([whole[at], group[sel]])]]
+        order = np.argsort(comp * len(coords) + members)
+        chunk.append(_labels(coords, centres, members[order], comp[order], connected, shell_count, config))
     return chunk
 
 

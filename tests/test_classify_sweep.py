@@ -117,17 +117,18 @@ def test_pipeline_graphs_match_recover_graph_alone(case, tmp_path, monkeypatch):
 
 
 def test_pipeline_queries_balls_once_at_the_largest_radius(fixture_spec, tmp_path, monkeypatch):
-    """pipeline-sweep's cloud needs three chunks at ratio 12: each centre is
-    queried once, at R + eps of the largest ratio, whatever the ratio count."""
+    """pipeline-sweep's cloud needs four chunks at ratio 12: each centre's
+    cells are queried once, at R + eps of the largest ratio, whatever the
+    ratio count."""
     cloud = gs.sample_graph(fixture_spec, gs.SampleSpec(eps=EPS, spacing=0.05, seed=0))
     calls = []
-    real = local_structure.ball_members
+    real = local_structure._query_cells
 
-    def counted(tree, coords, centres, r):
+    def counted(cells, coords, centres, r):
         calls.append((r, centres))
-        return real(tree, coords, centres, r)
+        return real(cells, coords, centres, r)
 
-    monkeypatch.setattr(local_structure, "ball_members", counted)
+    monkeypatch.setattr(local_structure, "_query_cells", counted)
     doc, _ = run_pipeline(cloud, tmp_path, "12,10,8,6", monkeypatch)
     assert all(row["structure_match"] for row in doc["rows"])
     assert len(calls) > 1
