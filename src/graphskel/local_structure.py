@@ -10,6 +10,8 @@ else is vertex-like.
 3*eps/sqrt(n), each checked exactly to be a clique of the contact graph. The
 members of one cell inside one ball or one shell are then a single node, so
 the graphs grow with the number of cells a ball meets, not with its points.
+Each cell is decided against each sphere as a whole wherever the sphere does
+not cut it, so only the members of cut cells have their distances computed.
 """
 from __future__ import annotations
 
@@ -215,18 +217,24 @@ def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> LocalLabels
 def classify_sweep(cloud: PointCloud, configs) -> list[LocalLabels]:
     """`classify_all(cloud, config)` for each of `configs`, from one pass over the cloud.
 
-    All configs share one eps, hence one 3*eps contact graph. The cloud's own
-    k-d tree serves all centres, and its contact pairs give one set of clique
-    cells (`_clique_cells`) for the whole sweep. The balls of a chunk of
-    centres are queried once, at the largest radius R + eps; every smaller
-    ball is the subset of nodes whose exact distance is <= its own R + eps,
-    and its shell the subset farther than R - eps. Within one ball or one
-    shell, the members of one cell are pairwise in contact, so the graph's
-    nodes are (centre, cell) groups. A group holding all of its cell's members
-    is complete: it meets another complete group exactly when the two cells
-    are adjacent. Edges at a cut group come from the contact neighbours of
-    its members. Each config takes two connected-components passes per chunk,
-    one over each group graph.
+    All configs share one eps, hence one 3*eps contact graph. The cloud's
+    contact pairs give one set of clique cells (`_clique_cells`) for the
+    whole sweep. Within one ball or one shell, the members of one cell are
+    pairwise in contact, so the graph's nodes are (centre, cell) groups.
+    The cells about a chunk of centres are queried once, from the k-d tree of
+    the cells' leads, at the largest R + eps plus the largest reach. Against
+    each config's spheres R + eps and R - eps, a cell is then wholly inside,
+    wholly outside, or cut: the centre's distance to the lead, plus or minus
+    the cell's reach, bounds every member's distance, and must clear the
+    sphere by a relative margin (`_sides`). Only the members of cut cells
+    get their exact distance; each config's ball is the members within its
+    R + eps, and its shell those also beyond its R - eps. A group holding all
+    of its cell's members is complete: it meets another complete group
+    exactly when the two cells are adjacent. Edges at a cut group come from
+    the contact neighbours of its members. A per-chunk table gives the group
+    of each (centre, cell), so every group lookup is a gather. Each config
+    takes two connected-components passes per chunk, one over each group
+    graph.
     """
     configs = tuple(configs)
     if not configs:
