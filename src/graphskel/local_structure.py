@@ -488,22 +488,26 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
     for config, ((ball_in, _), (_, inner_out)) in zip(configs, spheres):
         ball = member_d <= config.ball_radius
         shell = ball & (member_d > config.shell_inner)
-        whole = decided & ball_in & inner_out  # groups wholly in the shell, of unchecked members
-        connected = components(np.where(ball_in, size, np.bincount(group[ball], minlength=owner.size)), ball)[1] <= 1
-        shell_labels, shell_count, label_owner = components(
-            np.where(whole, size, np.bincount(group[shell], minlength=owner.size)), shell
+        # a group's count is its cell's size where the cell lies wholly in the
+        # region, and else the number of its checked members in it
+        in_shell = decided & ball_in & inner_out
+        ball_count, shell_count = (
+            np.where(whole, size, np.bincount(group[region], minlength=owner.size))
+            for whole, region in ((ball_in, ball), (in_shell, shell))
         )
+        connected = components(ball_count, ball)[1] <= 1
+        shell_labels, n_shell, label_owner = components(shell_count, shell)
         # Each candidate centre owns two consecutive labels, and labels grow
         # with the centre. Members are summed in member order, as in a scan.
-        cand = connected & (shell_count == 2)
+        cand = connected & (n_shell == 2)
         comp = np.cumsum(cand[label_owner]) - 1
-        whole = np.flatnonzero(whole & cand[owner])
+        whole = np.flatnonzero(in_shell & cand[owner])
         at, entry = _entries(cell[whole], cells.ptr)
         sel = np.flatnonzero(shell & cand[owner[group]])
         members = np.concatenate([cells.members[entry], member[sel]])
         comp = comp[shell_labels[np.concatenate([whole[at], group[sel]])]]
         order = np.argsort(comp * len(coords) + members)
-        chunk.append(_labels(coords, centres, members[order], comp[order], connected, shell_count, config))
+        chunk.append(_labels(coords, centres, members[order], comp[order], connected, n_shell, config))
     return chunk
 
 
