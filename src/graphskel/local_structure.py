@@ -450,7 +450,7 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
     at, entry = _entries(cell[cut], cells.ptr)
     group = cut[at]
     member = cells.members[entry]
-    first = np.zeros(owner.size, dtype=np.intp)
+    first = np.zeros(owner.size, dtype=np.intp)  # position of each cut group's first member
     first[cut] = np.cumsum(size[cut]) - size[cut]
     member_d = _row_distances(coords[member], coords[centres[owner[group]]])
 
@@ -463,9 +463,9 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
         both = complete[joined[0]] & complete[joined[1]]
         # a cut group meets each present group of a cell its region members touch:
         # a complete one outright, a cut one if a touched point is in the region
-        open_ = np.flatnonzero(region & ~complete[group])
-        at, block = _entries(member[open_], cells.touch_ptr)
-        x = group[open_[at]]
+        loose = np.flatnonzero(region & ~complete[group])
+        at, block = _entries(member[loose], cells.touch_ptr)
+        x = group[loose[at]]
         y = table[owner[x], column[cells.block_cell[block]]]
         found = (y >= 0) & (count[y] > 0)
         full = found & complete[y]
@@ -492,8 +492,8 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
         # region, and else the number of its checked members in it
         in_shell = decided & ball_in & inner_out
         ball_count, shell_count = (
-            np.where(whole, size, np.bincount(group[region], minlength=owner.size))
-            for whole, region in ((ball_in, ball), (in_shell, shell))
+            np.where(wholly, size, np.bincount(group[region], minlength=owner.size))
+            for wholly, region in ((ball_in, ball), (in_shell, shell))
         )
         connected = components(ball_count, ball)[1] <= 1
         shell_labels, n_shell, label_owner = components(shell_count, shell)

@@ -134,7 +134,7 @@ def test_classify_all_memory_is_bounded(twelve_vertex_5d_recovery):
     cloud's tree and contact pairs: its traced peak stays under 3.5 MiB."""
     cloud = twelve_vertex_5d_recovery.cloud
     config = ReconstructionConfig(R=1.2, eps=0.1)
-    cloud.tree, cloud.contact_pairs(config.contact_scale)
+    cloud.contact_pairs(config.contact_scale)  # builds the tree too
     tracemalloc.start()
     try:
         classify_all(cloud, config)
