@@ -16,7 +16,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import StructureError
-from .geometry import ComponentLabeling, PointCloud, component_centroids, contact_components, threshold_components
+from .geometry import (
+    ComponentLabeling, PointCloud, _row_distances, component_centroids, contact_components, threshold_components
+)
 from .local_structure import LocalLabels, Partition, ReconstructionConfig, partition as _partition
 
 if TYPE_CHECKING:
@@ -89,17 +91,18 @@ def _touching(
     cloud: PointCloud, edges: ComponentLabeling, vertices: ComponentLabeling, r: float, strict: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct (edge cluster id, vertex cluster id) pairs within
-    single-linkage distance r (distance < r when `strict`, else <= r), sorted."""
-    i, j, d = cloud.contact_pairs(r)
-    if strict:
-        keep = d < r
-        i, j = i[keep], j[keep]
+    single-linkage distance r (distance < r when `strict`, else <= r), sorted.
+    The contact pairs are those within r, so `strict` re-decides only the linking pairs."""
+    i, j = cloud.contact_pairs(r)
     ids = np.full((2, len(cloud)), -1, dtype=np.intp)  # cluster id per point, -1 outside
     ids[0, edges.indices], ids[1, vertices.indices] = edges.labels, vertices.labels
     # a contact pair links an edge cluster to a vertex cluster in either order
     e = np.concatenate([ids[0, i], ids[0, j]])
     v = np.concatenate([ids[1, j], ids[1, i]])
     hit = (e >= 0) & (v >= 0)
+    if strict:  # end k of the concatenation belongs to pair k mod the pair count
+        pair = np.flatnonzero(hit) % i.size
+        hit[hit] = _row_distances(cloud.coords[i[pair]], cloud.coords[j[pair]]) < r
     nv = max(vertices.num_components, 1)
     return np.divmod(np.unique(e[hit] * nv + v[hit]), nv)
 

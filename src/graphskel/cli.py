@@ -248,12 +248,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.builtin:
-        spec = builtin_fixture()
-    elif args.graph:
-        spec = graph_spec_from_dict(read_json(args.graph))
-    else:
-        raise ValueError("provide --builtin or --graph <spec.json>")
+    spec = builtin_fixture() if args.builtin else graph_spec_from_dict(read_json(args.graph))
     sample = SampleSpec(
         eps=args.eps,
         spacing=args.spacing,
@@ -343,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("simulate", help="sample an epsilon-cloud from a graph spec")
-    p.add_argument("--builtin", action="store_true", help="use the built-in 5-vertex fixture")
-    p.add_argument("--graph", default=None, help="graph-spec JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", action="store_true", help="use the built-in 5-vertex fixture")
+    source.add_argument("--graph", default=None, help="graph-spec JSON file")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--spacing", type=float, default=None, help="arc-length spacing (default eps)")
     p.add_argument("--noise", type=float, default=None, help="perturbation bound (default eps/2)")

@@ -182,6 +182,16 @@ def _is_point(value: Any, dim: int) -> bool:
     )
 
 
+def _is_pairs(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_pair, value))
+
+
+def _is_rows(value: Any) -> bool:
+    """A non-empty list of points, all in the dimension (at least 1) of the first."""
+    dim = len(value[0]) if isinstance(value, list) and value and isinstance(value[0], list) else 0
+    return dim > 0 and all(_is_point(row, dim) for row in value)
+
+
 def _stratum_column(clusters: list[list[int]], m: int) -> np.ndarray:
     """Each point's stratum, from per-stratum member lists that must partition 0..m-1."""
     point = np.asarray([i for members in clusters for i in members], dtype=np.int64)
@@ -272,15 +282,10 @@ def graph_spec_to_dict(spec: EmbeddedGraphSpec) -> dict[str, Any]:
 
 
 def graph_spec_from_dict(doc: dict[str, Any]) -> EmbeddedGraphSpec:
+    """The graph a `graph_spec_to_dict` document describes; a fault is a ValueError naming its field."""
     _check_object(doc)
     if doc.get("kind") != "graphskel.graph-spec":
         raise ValueError(f"not a graphskel graph-spec document (kind={doc.get('kind')!r})")
-    vertices, edges = _get(doc, "vertices"), _get(doc, "edges")
-    try:
-        vertices = np.asarray(vertices, dtype=float)
-        edges = tuple((int(a), int(b)) for (a, b) in edges)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"malformed document: vertices must be coordinate rows and edges [i, j] pairs ({exc})"
-        ) from None
-    return EmbeddedGraphSpec(vertices, edges)
+    vertices = _field(doc, "vertices", _is_rows, "a non-empty list of rows of finite numbers, all of one length")
+    edges = _field(doc, "edges", _is_pairs, "a list of pairs of 64-bit integers")
+    return EmbeddedGraphSpec(np.array(vertices, dtype=float), tuple(map(tuple, edges)))

@@ -92,8 +92,8 @@ class PointCloud:
                 arr.setflags(write=False)
         return self._centred
 
-    def contact_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`pairs_within(coords, r)` from the cloud's tree, kept until another r is asked for."""
+    def contact_pairs(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """`pairs_within(coords, r)` from the cloud's tree, read-only, kept until another r is asked for."""
         if self._contact is None or self._contact[0] != r:
             pairs = pairs_within(self._coords, r, self.tree)
             for arr in pairs:
@@ -201,21 +201,14 @@ def _padded(r: float) -> float:
     return r * (1.0 + _QUERY_PAD)
 
 
-def pairs_within(
-    coords: np.ndarray, r: float, tree: cKDTree | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All pairs (i, j, d) with i < j and d = ||p_i - p_j|| <= r, sorted by (i, j)."""
-    if len(coords) < 2:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty, np.empty(0)
+def pairs_within(coords: np.ndarray, r: float, tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs (i, j) with i < j and ||p_i - p_j|| <= r, each once, in the
+    order the tree returns them. Indices are int32 below 2**31 points, else intp."""
     tree = cKDTree(coords) if tree is None else tree
     pairs = tree.query_pairs(_padded(r), output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    d = _row_distances(coords[i], coords[j])
-    keep = d <= r
-    i, j, d = i[keep], j[keep], d[keep]
-    order = np.lexsort((j, i))
-    return i[order], j[order], d[order]
+    keep = _row_distances(coords[pairs[:, 0]], coords[pairs[:, 1]]) <= r
+    index = np.int32 if len(coords) < 2**31 else np.intp
+    return pairs[keep, 0].astype(index), pairs[keep, 1].astype(index)
 
 
 def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, int]:
@@ -246,7 +239,7 @@ def threshold_components(cloud: PointCloud, subset, r: float) -> ComponentLabeli
     if r < 0:
         raise ValueError("threshold must be nonnegative")
     subset = _checked_subset(cloud, subset)
-    i, j, _ = pairs_within(cloud.coords[subset], r)
+    i, j = pairs_within(cloud.coords[subset], r)
     labels, count = component_labels(subset.size, i, j)
     return ComponentLabeling(subset, labels, count)
 
@@ -258,7 +251,7 @@ def contact_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling
     restricted to the subset.
     """
     subset = _checked_subset(cloud, subset)
-    i, j, _ = cloud.contact_pairs(r)
+    i, j = cloud.contact_pairs(r)
     pos = np.full(len(cloud), -1, dtype=np.intp)
     pos[subset] = np.arange(subset.size)
     pi, pj = pos[i], pos[j]

@@ -308,7 +308,7 @@ def _clique_cells(cloud: PointCloud, r: float) -> _Cells:
     """
     coords = cloud.coords
     m, n = coords.shape
-    ci, cj, _ = cloud.contact_pairs(r)
+    ci, cj = cloud.contact_pairs(r)
     half = coords * 0.5
     side = max(r * 0.5 / math.sqrt(n), math.ulp(0.0))
     grid = np.floor(np.minimum(half - half.min(axis=0), side * 2.0**52) / side).astype(np.int64)
@@ -331,17 +331,16 @@ def _clique_cells(cloud: PointCloud, r: float) -> _Cells:
     rank[members] = np.arange(m) - np.repeat(ptr[:-1], size)
     reach = np.maximum.reduceat(_row_distances(coords[members], coords[np.repeat(lead, size)]), ptr[:-1])
     # every contact pair across two cells, from both ends, sorted by (point, the
-    # other end's cell); indices are int32 where m allows, and each temporary
-    # is dropped once read, since the pairs outnumber the points
-    index = np.int32 if m < 2**31 else np.intp
+    # other end's cell); indices keep the pairs' width, and each temporary is
+    # dropped once read, since the pairs outnumber the points
     across = cell[ci] != cell[cj]
-    i, j = ci[across].astype(index), cj[across].astype(index)
+    i, j = ci[across], cj[across]
     del across
     nbr = np.concatenate([j, i])
     key = np.concatenate([i, j]).astype(np.int64)
     del i, j
     key *= n_cells
-    key += cell.astype(index)[nbr]
+    key += cell.astype(nbr.dtype)[nbr]
     order = np.argsort(key, kind="stable")
     nbr = nbr[order]
     del order

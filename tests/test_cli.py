@@ -71,8 +71,20 @@ class TestSimulate:
             (lambda doc: {k: v for k, v in doc.items() if k != "edges"}, "edges"),
             (lambda doc: {**doc, "edges": [0, 1]}, "edges"),
             (lambda doc: [doc], "JSON object"),
+            # entries that a converting reader would take: edge ends as the integers they round or
+            # convert to, a numeric string as a coordinate; and a ragged or non-finite vertex list
+            (lambda doc: {**doc, "edges": [[0.7, 4]] + doc["edges"][1:]}, "edges"),
+            (lambda doc: {**doc, "edges": doc["edges"][:3] + [[1.9999, 3], [1, 2]]}, "edges"),
+            (lambda doc: {**doc, "edges": [["0", 4]] + doc["edges"][1:]}, "edges"),
+            (lambda doc: {**doc, "edges": doc["edges"][:4] + [[True, 2]]}, "edges"),
+            (lambda doc: {**doc, "vertices": [["1e3", 0.0, 0.0]] + doc["vertices"][1:]}, "vertices"),
+            (lambda doc: {**doc, "vertices": [[0.0, 0.0]] + doc["vertices"][1:]}, "vertices"),
+            (lambda doc: {**doc, "vertices": [[float("nan"), 0.0, 0.0]] + doc["vertices"][1:]}, "vertices"),
         ],
-        ids=["no-edges", "flat-edges", "top-level-list"],
+        ids=[
+            "no-edges", "flat-edges", "top-level-list", "float-edge", "near-integer-edge", "string-edge",
+            "boolean-edge", "string-coordinate", "ragged-vertices", "nan-coordinate",
+        ],
     )
     def test_malformed_graph_spec_is_usage_error(self, tmp_path, capsys, damage, field):
         from graphskel.fileio import graph_spec_to_dict
@@ -84,6 +96,19 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "usage"
         assert field in err["message"]
+
+    def test_builtin_with_graph_is_usage_error(self, tmp_path, capsys):
+        from graphskel.fileio import graph_spec_to_dict, write_json_atomic
+
+        spec_path = tmp_path / "spec.json"
+        write_json_atomic(str(spec_path), graph_spec_to_dict(gs.builtin_fixture()))
+        out = tmp_path / "c.txt"
+        rc = main(["simulate", "--builtin", "--graph", str(spec_path), "--eps", "0.1", "--output", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert "--graph" in err["message"]
+        assert not out.exists()
 
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "--eps", "0.1", "--output", str(tmp_path / "c.txt")])

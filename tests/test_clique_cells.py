@@ -78,7 +78,7 @@ class TestCliqueCells:
         at = {name: names.index(name) for name in names}
         cell = local_structure._clique_cells(cloud, config.contact_scale).of
         assert cell[at["x"]] != cell[at["v"]] == cell[at["y"]]
-        i, j, _ = cloud.contact_pairs(config.contact_scale)
+        i, j = cloud.contact_pairs(config.contact_scale)
         pairs = {frozenset(pair) for pair in zip(i.tolist(), j.tolist())}
         assert pairs == {frozenset((at["x"], at["v"])), frozenset((at["v"], at["y"]))}
         d = np.sqrt(np.sum((cloud.coords - p) ** 2, axis=1))

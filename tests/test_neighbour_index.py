@@ -67,6 +67,12 @@ def scan_label(cloud: PointCloud, p_index: int, config: ReconstructionConfig) ->
     return Label(ip > config.ip_threshold, True, 2, ip)
 
 
+def scan_pairs(coords: np.ndarray, r: float) -> list[tuple[int, int]]:
+    """Every pair (i, j) with i < j within r, by a dense all-pairs scan."""
+    dmat = np.sqrt(np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2))
+    return [tuple(pair) for pair in np.argwhere(np.triu(dmat <= r, 1)).tolist()]
+
+
 def scan_linkage(cloud: PointCloud, a, b) -> float:
     """Single-linkage distance between two member sets by an all-pairs scan."""
     pa, pb = cloud.coords[np.asarray(a)], cloud.coords[np.asarray(b)]
@@ -116,8 +122,9 @@ class TestRoundingTies:
         assert label_rows(got) == [scan_label(cloud, i, CFG) for i in range(len(cloud))]
         assert got.shell_components[0] == 1  # the R+eps point, not the R-eps one
         assert threshold_components(cloud, [0, 3], CFG.contact_scale).num_components == 1
-        i, j, d = cloud.contact_pairs(CFG.contact_scale)
-        assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [3], [CFG.contact_scale])
+        i, j = cloud.contact_pairs(CFG.contact_scale)
+        assert (i.tolist(), j.tolist()) == ([0], [3])
+        assert all(a.dtype == np.int32 and not a.flags.writeable for a in (i, j))
 
 class TestAxisTies:
     def test_ties_are_exact_in_the_oracle(self):
@@ -145,25 +152,36 @@ class TestAxisTies:
             cc = threshold_components(cloud, subset, r)
             want = scan_components(cloud, subset, r)
             assert [m.tolist() for m in component_sets(cc)] == [m.tolist() for m in want]
+            i, j = geometry.pairs_within(cloud.coords[subset], r)
+            assert i.dtype == j.dtype == np.int32
+            assert sorted(zip(i.tolist(), j.tolist())) == scan_pairs(cloud.coords[subset], r)
 
-    def chain(self, tail_gap: float) -> tuple[PointCloud, np.ndarray, np.ndarray, np.ndarray]:
+    def chain(self, tail_gap: float, reverse: bool) -> tuple[PointCloud, np.ndarray, np.ndarray, np.ndarray]:
         """Vertex A at the origin (doubled), an edge chain on the x-axis starting
-        exactly 3eps from A, and vertex B `tail_gap` past the chain's end."""
+        exactly 3eps from A, and vertex B `tail_gap` past the chain's end. In
+        `reverse` point order, the contact pair at the tie reads (edge, vertex)."""
         c = CFG.contact_scale
         xs = c + np.arange(12) * (c / 2)
         b = xs[-1] + tail_gap
         coords = np.zeros((len(xs) + 3, 3))
         coords[2:-1, 0] = xs
         coords[-1, 0] = b
-        cloud = PointCloud(coords)
+        cloud = PointCloud(coords[::-1] if reverse else coords)
         a_idx, e_idx, b_idx = np.array([0, 1]), np.arange(2, len(xs) + 2), np.array([len(xs) + 2])
+        if reverse:
+            a_idx, e_idx, b_idx = (np.sort(len(coords) - 1 - idx) for idx in (a_idx, e_idx, b_idx))
+        i, j = cloud.contact_pairs(c)
+        a, e = set(a_idx.tolist()), set(e_idx.tolist())
+        tie = [p for p, q in zip(i.tolist(), j.tolist()) if {p, q} & a and {p, q} & e]
+        assert tie and all((p in e) == reverse for p in tie)
         assert scan_linkage(cloud, a_idx, e_idx) == c
         assert scan_linkage(cloud, a_idx, b_idx) > CFG.vertex_cluster_scale
         return cloud, a_idx, e_idx, b_idx
 
-    def test_refine_is_strict(self):
+    @pytest.mark.parametrize("reverse", [False, True], ids=["vertex-first", "edge-first"])
+    def test_refine_is_strict(self, reverse):
         # A touches the chain at exactly 3eps (not adjacent under <), B is closer
-        cloud, a_idx, e_idx, b_idx = self.chain(CFG.contact_scale / 2)
+        cloud, a_idx, e_idx, b_idx = self.chain(CFG.contact_scale / 2, reverse)
         q0 = threshold_components(cloud, np.concatenate([a_idx, b_idx]), 0.0)
         q1 = threshold_components(cloud, e_idx, CFG.contact_scale)
         adjacent = [
@@ -175,15 +193,16 @@ class TestAxisTies:
         assert refined.moved.tolist() == e_idx.tolist()
         assert refined.p1_tilde.size == 0
 
-    def test_build_graph_is_inclusive(self):
+    @pytest.mark.parametrize("reverse", [False, True], ids=["vertex-first", "edge-first"])
+    def test_build_graph_is_inclusive(self, reverse):
         # the chain sits exactly 3eps from both vertices: adjacent under <=
-        cloud, a_idx, e_idx, b_idx = self.chain(CFG.contact_scale)
+        cloud, a_idx, e_idx, b_idx = self.chain(CFG.contact_scale, reverse)
         assert scan_linkage(cloud, b_idx, e_idx) == CFG.contact_scale
         refined = RefinedPartition(
             p0_tilde=np.concatenate([a_idx, b_idx]), p1_tilde=e_idx, moved=np.empty(0, dtype=int)
         )
         graph = build_graph(cloud, refined, CFG)
-        assert [m.tolist() for m in graph.members()] == [a_idx.tolist(), b_idx.tolist(), e_idx.tolist()]
+        assert [m.tolist() for m in graph.members()] == sorted([a_idx.tolist(), b_idx.tolist()]) + [e_idx.tolist()]
         assert graph.boundary.tolist() == [[0, 1]]
         # under refine's strict test the same chain touches neither vertex
         q0 = threshold_components(cloud, refined.p0_tilde, CFG.vertex_cluster_scale)
@@ -351,6 +370,30 @@ class TestOneContactGraph:
         assert trees.count(len(fixture_cloud)) == 1
         assert radii.count(CFG.contact_scale) == 1
         assert CFG.contact_scale not in components
+
+
+@pytest.mark.parametrize(
+    "recovery, ratio", [("ratio8_recovery", 8), ("twelve_vertex_5d_recovery", 12)], ids=["fixture-ratio-8", "5d-12"]
+)
+def test_no_reader_depends_on_pair_order(request, monkeypatch, recovery, ratio):
+    """`pairs_within` promises no order: with every pair list reversed, the
+    labels and the recovered graph are bit-identical."""
+    coords = request.getfixturevalue(recovery).cloud.coords
+    config = ReconstructionConfig(R=ratio * EPS, eps=EPS)
+
+    def run():
+        cloud = PointCloud(coords)  # no pairs cached yet
+        labels = classify_all(cloud, config)
+        return labels, gs.recover_graph(cloud, config, labels)
+
+    want = run()
+    real = geometry.pairs_within
+    monkeypatch.setattr(geometry, "pairs_within", lambda *args: tuple(a[::-1] for a in real(*args)))
+    got = run()
+    for column, expected in zip(got[0], want[0]):
+        np.testing.assert_array_equal(column, expected)
+    for field in ("stratum", "boundary", "vertex_centroids", "moved"):
+        np.testing.assert_array_equal(getattr(got[1], field), getattr(want[1], field))
 
 
 MEMORY_BUDGET_MIB = 400
