@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import StructureError
 from .geometry import (
-    ComponentLabeling, PointCloud, _row_distances, component_centroids, contact_components, threshold_components
+    ComponentLabeling, PointCloud, component_centroids, contact_components, distance, threshold_components
 )
 from .local_structure import LocalLabels, Partition, ReconstructionConfig, partition as _partition
 
@@ -102,7 +102,7 @@ def _touching(
     hit = (e >= 0) & (v >= 0)
     if strict:  # end k of the concatenation belongs to pair k mod the pair count
         pair = np.flatnonzero(hit) % i.size
-        hit[hit] = _row_distances(cloud.coords[i[pair]], cloud.coords[j[pair]]) < r
+        hit[hit] = distance(cloud.coords[i[pair]], cloud.coords[j[pair]]) < r
     nv = max(vertices.num_components, 1)
     return np.divmod(np.unique(e[hit] * nv + v[hit]), nv)
 

@@ -286,6 +286,9 @@ def graph_spec_from_dict(doc: dict[str, Any]) -> EmbeddedGraphSpec:
     _check_object(doc)
     if doc.get("kind") != "graphskel.graph-spec":
         raise ValueError(f"not a graphskel graph-spec document (kind={doc.get('kind')!r})")
+    dim = _field(doc, "dim", lambda value: type(value) is int, "an integer")
     vertices = _field(doc, "vertices", _is_rows, "a non-empty list of rows of finite numbers, all of one length")
+    if dim != len(vertices[0]):
+        raise ValueError(f"malformed document: field dim is {dim} but the vertices have {len(vertices[0])} coordinates")
     edges = _field(doc, "edges", _is_pairs, "a list of pairs of 64-bit integers")
     return EmbeddedGraphSpec(np.array(vertices, dtype=float), tuple(map(tuple, edges)))

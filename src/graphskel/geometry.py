@@ -1,11 +1,13 @@
 """Euclidean primitives, range queries, and threshold-graph components.
 
-Everything in this module is a pure function over immutable inputs.
+Everything in this module is a pure function over immutable inputs. The
+Euclidean measures take points with coordinates on the last axis and broadcast
+over the leading axes, computing each row as a call on that row alone would.
 The neighbour searches (`pairs_within`, `threshold_components`) query a k-d
 tree at a slightly padded radius and then decide every candidate with the
 `sqrt(sum(d**2))` distance and the comparison an exact linear scan uses, so
 ties at the threshold resolve as it would. Stage 1's cell queries use the same
-padding and distance (`_padded`, `_row_distances`).
+padding and distance (`_padded`, `distance`).
 A `PointCloud` keeps its own k-d tree and its contact pairs, so every stage
 that needs the 3*eps contact graph of a cloud reads the same one.
 """
@@ -33,7 +35,7 @@ __all__ = [
 ]
 
 # Relative radius padding for k-d tree queries. The tree rounds distances
-# differently from `_row_distances`; candidates found at the padded radius are
+# differently from `distance`; candidates found at the padded radius are
 # re-decided exactly, so the padding only has to exceed a few ulps.
 _QUERY_PAD = 1e-9
 
@@ -121,80 +123,68 @@ class ComponentLabeling:
     num_components: int
 
 
-def _check_same_dim(p: np.ndarray, q: np.ndarray) -> None:
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
+def _points(*arrays) -> list[np.ndarray]:
+    """The arguments as float arrays with coordinates on the last axis, which must agree in length."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if len({a.shape[-1:] for a in arrays}) > 1:
+        raise ValueError(f"dimension mismatch: {' vs '.join(str(a.shape) for a in arrays)}")
+    return arrays
 
 
-def distance(p, q) -> float:
-    """Euclidean distance between two points."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_same_dim(p, q)
-    return float(np.sqrt(np.sum((p - q) ** 2)))
+def _result(x: np.ndarray):
+    """A float for one point, else the array over the leading axes."""
+    return float(x) if x.ndim == 0 else x
 
 
-def angle_cosine(apex, p, q) -> float:
+def distance(p, q):
+    """Euclidean distance between points p and q."""
+    p, q = _points(p, q)
+    return _result(np.sqrt(np.sum((p - q) ** 2, axis=-1)))
+
+
+def angle_cosine(apex, p, q):
     """Cosine of the angle at `apex` between the rays to p and to q."""
+    apex, p, q = _points(apex, p, q)
     u1 = p - apex
     u2 = q - apex
-    return float(np.dot(u1, u2) / (np.linalg.norm(u1) * np.linalg.norm(u2)))
+    return _result(np.vecdot(u1, u2) / (np.sqrt(np.vecdot(u1, u1)) * np.sqrt(np.vecdot(u2, u2))))
 
 
-def point_segment_distance(x, a, b) -> float:
+def point_segment_distance(x, a, b):
     """Distance from x to the segment [a, b] via the clamped projection."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_same_dim(x, a)
-    _check_same_dim(a, b)
+    x, a, b = _points(x, a, b)
     d = b - a
-    dd = float(np.dot(d, d))
-    if dd == 0.0:
+    dd = np.vecdot(d, d)
+    if np.any(dd == 0.0):
         raise ValueError("degenerate segment: endpoints coincide")
-    t = float(np.dot(x - a, d)) / dd
-    t = min(1.0, max(0.0, t))
-    return float(np.sqrt(np.sum((x - (a + t * d)) ** 2)))
+    t = np.clip(np.vecdot(x - a, d) / dd, 0.0, 1.0)
+    return distance(x, a + t[..., None] * d)
 
 
-def segment_segment_distance(p0, p1, q0, q1) -> float:
+def segment_segment_distance(p0, p1, q0, q1):
     """Minimum distance between segments [p0,p1] and [q0,q1] in R^n.
 
     Standard clamped quadratic minimization over the (s, t) parameter square.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
+    p0, p1, q0, q1 = _points(p0, p1, q0, q1)
     u = p1 - p0
     v = q1 - q0
     w0 = p0 - q0
-    a = float(np.dot(u, u))
-    b = float(np.dot(u, v))
-    c = float(np.dot(v, v))
-    d = float(np.dot(u, w0))
-    e = float(np.dot(v, w0))
-    if a == 0.0 or c == 0.0:
+    a = np.vecdot(u, u)
+    b = np.vecdot(u, v)
+    c = np.vecdot(v, v)
+    d = np.vecdot(u, w0)
+    e = np.vecdot(v, w0)
+    if np.any((a == 0.0) | (c == 0.0)):
         raise ValueError("degenerate segment: endpoints coincide")
 
     denom = a * c - b * b
-    if denom > 1e-14 * a * c:
-        s = (b * e - c * d) / denom
-    else:
-        s = 0.0  # near-parallel: fix one endpoint, clamp below
-    s = min(1.0, max(0.0, s))
+    skew = denom > 1e-14 * a * c  # else near-parallel: fix one endpoint, clamp below
+    s = np.clip(np.where(skew, b * e - c * d, 0.0) / np.where(skew, denom, 1.0), 0.0, 1.0)
     # optimal t for this s, then re-optimize s for the clamped t
-    t = (b * s + e) / c
-    t = min(1.0, max(0.0, t))
-    s = (b * t - d) / a
-    s = min(1.0, max(0.0, s))
-    diff = (p0 + s * u) - (q0 + t * v)
-    return float(np.sqrt(np.sum(diff**2)))
-
-
-def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distances ||a_i - b_i||, computed as an exact linear scan does."""
-    return np.sqrt(np.sum((a - b) ** 2, axis=1))
+    t = np.clip((b * s + e) / c, 0.0, 1.0)
+    s = np.clip((b * t - d) / a, 0.0, 1.0)
+    return distance(p0 + s[..., None] * u, q0 + t[..., None] * v)
 
 
 def _padded(r: float) -> float:
@@ -206,7 +196,7 @@ def pairs_within(coords: np.ndarray, r: float, tree: cKDTree | None = None) -> t
     order the tree returns them. Indices are int32 below 2**31 points, else intp."""
     tree = cKDTree(coords) if tree is None else tree
     pairs = tree.query_pairs(_padded(r), output_type="ndarray")
-    keep = _row_distances(coords[pairs[:, 0]], coords[pairs[:, 1]]) <= r
+    keep = distance(coords[pairs[:, 0]], coords[pairs[:, 1]]) <= r
     index = np.int32 if len(coords) < 2**31 else np.intp
     return pairs[keep, 0].astype(index), pairs[keep, 1].astype(index)
 

@@ -28,7 +28,6 @@ from .geometry import (
     _QUERY_PAD,
     PointCloud,
     _padded,
-    _row_distances,
     angle_cosine,
     component_centroids,
     component_labels,
@@ -329,7 +328,7 @@ def _clique_cells(cloud: PointCloud, r: float) -> _Cells:
     lead = members[ptr[:-1]]
     rank = np.empty(m, dtype=np.intp)
     rank[members] = np.arange(m) - np.repeat(ptr[:-1], size)
-    reach = np.maximum.reduceat(_row_distances(coords[members], coords[np.repeat(lead, size)]), ptr[:-1])
+    reach = np.maximum.reduceat(distance(coords[members], coords[np.repeat(lead, size)]), ptr[:-1])
     # every contact pair across two cells, from both ends, sorted by (point, the
     # other end's cell); indices keep the pairs' width, and each temporary is
     # dropped once read, since the pairs outnumber the points
@@ -408,7 +407,7 @@ def _query_cells(cells: _Cells, coords, centres, radius: float) -> tuple[np.ndar
     hits = cells.tree.query_ball_point(coords[centres], _lead_radius(cells, radius), return_sorted=True)
     sizes, cell = _flatten(hits)
     owner = np.repeat(np.arange(centres.size), sizes)
-    return owner, cell, _row_distances(coords[cells.lead[cell]], coords[centres[owner]])
+    return owner, cell, distance(coords[cells.lead[cell]], coords[centres[owner]])
 
 
 def _sides(d: np.ndarray, reach: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -451,7 +450,7 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
     member = cells.members[entry]
     first = np.zeros(owner.size, dtype=np.intp)  # position of each cut group's first member
     first[cut] = np.cumsum(size[cut]) - size[cut]
-    member_d = _row_distances(coords[member], coords[centres[owner[group]]])
+    member_d = distance(coords[member], coords[centres[owner[group]]])
 
     def components(count, region):
         """The components of a region, given its member count per group and
@@ -549,16 +548,36 @@ class AssumptionReport:
         return all(c.passed for c in self.conditions)
 
 
-def _vertex_angles(graph: "EmbeddedGraphSpec") -> list[tuple[int, int, int, float]]:
-    """All (vertex, neighbor_a, neighbor_b, angle) triples at shared vertices."""
-    out = []
-    for v in range(graph.n_vertices):
-        nbrs = graph.neighbors(v)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                c = angle_cosine(graph.vertices[v], graph.vertices[nbrs[i]], graph.vertices[nbrs[j]])
-                out.append((v, nbrs[i], nbrs[j], math.acos(min(1.0, max(-1.0, c)))))
-    return out
+def _edge_pairs(vertices: np.ndarray, ends: np.ndarray):
+    """Every pair of edges k < l of the embedded graph with edge array `ends`,
+    in the order nested loops over k and then l visit them, in two kinds.
+
+    Returns ((k, l, dist), (apex, a, b, cos)): the pairs that share no vertex,
+    with the distance between their segments; and the corners, pairs that meet
+    at `apex`, stably ordered by it, with the far ends a of k and b of l and
+    the cosine of the angle a-apex-b.
+    """
+    k, l = np.triu_indices(len(ends), 1)
+    (a, b), f = ends[k].T, ends[l]
+    shared = np.where((a == f[:, 0]) | (a == f[:, 1]), a, np.where((b == f[:, 0]) | (b == f[:, 1]), b, -1))
+    apart = shared < 0
+    p, q = vertices[ends[k[apart]]], vertices[ends[l[apart]]]
+    dist = segment_segment_distance(p[:, 0], p[:, 1], q[:, 0], q[:, 1])
+    corner = np.flatnonzero(~apart)
+    corner = corner[np.argsort(shared[corner], kind="stable")]
+    apex = shared[corner]
+    a, b = ends[k[corner]].sum(axis=1) - apex, ends[l[corner]].sum(axis=1) - apex
+    return (k[apart], l[apart], dist), (apex, a, b, angle_cosine(vertices[apex], vertices[a], vertices[b]))
+
+
+def _least(name: str, values: np.ndarray, bound: float, witness: str, *columns, strict: bool = True) -> ConditionCheck:
+    """The condition min(values) > bound (>= unless `strict`). A failure is
+    witnessed by `witness` formatted with each column's entry at the first
+    smallest value."""
+    worst = float(values.min(initial=math.inf))
+    ok = worst > bound if strict else worst >= bound
+    first = np.argmin(values) if not ok else None
+    return ConditionCheck(name, ok, worst - bound, "" if ok else witness.format(*(c[first] for c in columns)))
 
 
 def check_assumptions(graph: "EmbeddedGraphSpec", config: ReconstructionConfig) -> AssumptionReport:
@@ -569,47 +588,29 @@ def check_assumptions(graph: "EmbeddedGraphSpec", config: ReconstructionConfig) 
     """
     R, eps = config.R, config.eps
     V = graph.vertices
+    ends = graph.ends
     checks = []
 
     # 1. vertex separation > 9R/2 + 6 eps (strict)
-    bound = 4.5 * R + 6 * eps
-    worst, witness = math.inf, ""
-    for i in range(graph.n_vertices):
-        for j in range(i + 1, graph.n_vertices):
-            d = distance(V[i], V[j])
-            if d < worst:
-                worst, witness = d, f"vertices {i},{j} at distance {d:.6g}"
-    ok = worst > bound
-    checks.append(ConditionCheck("vertex_separation", ok, worst - bound, "" if ok else witness))
+    i, j = np.triu_indices(graph.n_vertices, 1)
+    d = distance(V[i], V[j])
+    checks.append(_least("vertex_separation", d, 4.5 * R + 6 * eps, "vertices {},{} at distance {:.6g}", i, j, d))
 
     # 2. vertex to non-incident edge > 3R/2 + 4 eps
-    bound = 1.5 * R + 4 * eps
-    worst, witness = math.inf, ""
-    for v in range(graph.n_vertices):
-        for (a, b) in graph.edges:
-            if v in (a, b):
-                continue
-            d = point_segment_distance(V[v], V[a], V[b])
-            if d < worst:
-                worst, witness = d, f"vertex {v} to edge ({a},{b}) at distance {d:.6g}"
-    ok = worst > bound
-    checks.append(ConditionCheck("vertex_edge_clearance", ok, worst - bound, "" if ok else witness))
+    v = np.repeat(np.arange(graph.n_vertices), graph.n_edges)
+    a, b = np.tile(ends, (graph.n_vertices, 1)).T
+    off = (a != v) & (b != v)
+    v, a, b = v[off], a[off], b[off]
+    d = point_segment_distance(V[v], V[a], V[b])
+    witness = "vertex {} to edge ({},{}) at distance {:.6g}"
+    checks.append(_least("vertex_edge_clearance", d, 1.5 * R + 4 * eps, witness, v, a, b, d))
 
     # 3. edges sharing no vertex > 5 eps apart
-    bound = 5 * eps
-    worst, witness = math.inf, ""
-    for i in range(graph.n_edges):
-        for j in range(i + 1, graph.n_edges):
-            e1, e2 = graph.edges[i], graph.edges[j]
-            if set(e1) & set(e2):
-                continue
-            d = segment_segment_distance(V[e1[0]], V[e1[1]], V[e2[0]], V[e2[1]])
-            if d < worst:
-                worst, witness = d, f"edges {e1} and {e2} at distance {d:.6g}"
-    ok = worst > bound
-    checks.append(ConditionCheck("edge_edge_clearance", ok, worst - bound, "" if ok else witness))
-
-    angles = _vertex_angles(graph)
+    (k, l, d), (apex, a, b, cos) = _edge_pairs(V, ends)
+    (a1, b1), (a2, b2) = ends[k].T, ends[l].T
+    witness = "edges ({}, {}) and ({}, {}) at distance {:.6g}"
+    checks.append(_least("edge_edge_clearance", d, 5 * eps, witness, a1, b1, a2, b2, d))
+    angle = np.arccos(np.clip(cos, -1.0, 1.0))
 
     # 4. every shared-vertex angle >= Phi(R, eps)
     try:
@@ -617,14 +618,10 @@ def check_assumptions(graph: "EmbeddedGraphSpec", config: ReconstructionConfig) 
     except ValueError as exc:
         checks.append(ConditionCheck("angle_lower_bound", False, -math.inf, f"Phi undefined: {exc}"))
     else:
-        worst, witness = math.inf, ""
-        for (v, a, b, ang) in angles:
-            if ang < worst:
-                worst, witness = ang, f"angle {ang:.6g} rad at vertex {v} between edges to {a},{b}"
-        ok = worst >= lower
-        checks.append(ConditionCheck("angle_lower_bound", ok, worst - lower, "" if ok else witness))
+        witness = "angle {:.6g} rad at vertex {} between edges to {},{}"
+        checks.append(_least("angle_lower_bound", angle, lower, witness, angle, apex, a, b, strict=False))
 
-    # 5. degree-2 vertex angles <= Psi(R, eps)
+    # 5. degree-2 vertex angles <= Psi(R, eps), that is -angle >= -Psi
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -632,11 +629,9 @@ def check_assumptions(graph: "EmbeddedGraphSpec", config: ReconstructionConfig) 
     except ValueError as exc:
         checks.append(ConditionCheck("deg2_angle_upper_bound", False, -math.inf, f"Psi undefined: {exc}"))
     else:
-        worst, witness = -math.inf, ""
-        for (v, a, b, ang) in angles:
-            if graph.degree(v) == 2 and ang > worst:
-                worst, witness = ang, f"angle {ang:.6g} rad at degree-2 vertex {v}"
-        ok = worst <= upper  # vacuously true with no degree-2 vertices
-        checks.append(ConditionCheck("deg2_angle_upper_bound", ok, upper - worst, "" if ok else witness))
+        deg2 = np.bincount(ends.ravel(), minlength=graph.n_vertices)[apex] == 2
+        angle, apex = angle[deg2], apex[deg2]
+        witness = "angle {:.6g} rad at degree-2 vertex {}"
+        checks.append(_least("deg2_angle_upper_bound", -angle, -upper, witness, angle, apex, strict=False))
 
     return AssumptionReport(tuple(checks))

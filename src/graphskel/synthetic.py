@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GenerationError
 from .geometry import PointCloud, angle_cosine, distance, point_segment_distance, segment_segment_distance
-from .local_structure import ReconstructionConfig, check_assumptions
+from .local_structure import ReconstructionConfig, _edge_pairs, check_assumptions, phi
 
 __all__ = [
     "EmbeddedGraphSpec",
@@ -59,31 +59,28 @@ class EmbeddedGraphSpec:
             if key in seen:
                 raise ValueError(f"duplicate edge ({a},{b})")
             seen.add(key)
-        for i in range(n_v):
-            for j in range(i + 1, n_v):
-                if np.array_equal(verts[i], verts[j]):
-                    raise ValueError(f"vertices {i} and {j} coincide")
-        # non-adjacent embedded edges must not touch
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                e1, e2 = edges[i], edges[j]
-                if set(e1) & set(e2):
-                    continue
-                d = segment_segment_distance(verts[e1[0]], verts[e1[1]], verts[e2[0]], verts[e2[1]])
-                if d <= 0.0:
-                    raise ValueError(f"non-adjacent edges {e1} and {e2} intersect")
-        # adjacent edges must not overlap, and degree-2 angles must differ from pi
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
-        for v in range(n_v):
-            nbrs = self.neighbors(v)
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    c = angle_cosine(verts[v], verts[nbrs[i]], verts[nbrs[j]])
-                    if c >= 1.0:
-                        raise ValueError(f"edges at vertex {v} overlap (zero angle)")
-                    if len(nbrs) == 2 and c <= -1.0:
-                        raise ValueError(f"degree-2 vertex {v} has a straight (pi) angle")
+        i, j = np.triu_indices(n_v, 1)
+        same = np.all(verts[i] == verts[j], axis=1)
+        if same.any():
+            w = np.argmax(same)
+            raise ValueError(f"vertices {i[w]} and {j[w]} coincide")
+        # non-adjacent embedded edges must not touch
+        ends = self.ends
+        (k, l, dist), (apex, _, _, cos) = _edge_pairs(verts, ends)
+        crossing = dist <= 0.0
+        if crossing.any():
+            w = np.argmax(crossing)
+            raise ValueError(f"non-adjacent edges {edges[k[w]]} and {edges[l[w]]} intersect")
+        # adjacent edges must not overlap, and degree-2 angles must differ from pi
+        straight = (np.bincount(ends.ravel(), minlength=n_v)[apex] == 2) & (cos <= -1.0)
+        bad = (cos >= 1.0) | straight
+        if bad.any():
+            w = np.argmax(bad)
+            if straight[w]:
+                raise ValueError(f"degree-2 vertex {apex[w]} has a straight (pi) angle")
+            raise ValueError(f"edges at vertex {apex[w]} overlap (zero angle)")
 
     @property
     def dim(self) -> int:
@@ -96,6 +93,11 @@ class EmbeddedGraphSpec:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def ends(self) -> np.ndarray:
+        """(n_edges, 2) array of the edges' vertex indices."""
+        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
     def neighbors(self, v: int) -> list[int]:
         out = []
@@ -178,6 +180,11 @@ def _ball_noise(rng: np.random.Generator, n: int, dim: int, radius: float, kind:
     return out
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def sample_graph(spec: EmbeddedGraphSpec, sample: SampleSpec) -> PointCloud:
     """Deterministic eps-sample of the embedded graph.
 
@@ -187,7 +194,7 @@ def sample_graph(spec: EmbeddedGraphSpec, sample: SampleSpec) -> PointCloud:
     the coordinates alone would not fit in physical memory is a ValueError
     naming it, raised before anything is allocated.
     """
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     total = 0.0  # samples so far, in floating point so no count overflows
     chunks = []
     for eidx, (a, b) in enumerate(spec.edges):
@@ -220,32 +227,47 @@ class HausdorffReport:
 
 
 def _graph_discretization(spec: EmbeddedGraphSpec, resolution: float) -> np.ndarray:
-    chunks = []
-    for (a, b) in spec.edges:
-        va, vb = spec.vertices[a], spec.vertices[b]
-        n_seg = max(1, math.ceil(distance(va, vb) / resolution))
-        ts = np.linspace(0.0, 1.0, n_seg + 1)
-        chunks.append(va[None, :] + ts[:, None] * (vb - va)[None, :])
-    for vidx in spec.isolated_vertices():
-        chunks.append(spec.vertices[vidx][None, :])
-    return np.vstack(chunks)
+    """Points at spacing <= resolution along every edge, both ends included, and
+    the isolated vertices. Raises ValueError naming eps = 100 * resolution, as
+    `hausdorff_check` sets it, before allocating points whose coordinates would
+    not fit in physical memory."""
+    ends = spec.ends
+    va, vb = spec.vertices[ends[:, 0]], spec.vertices[ends[:, 1]]
+    segments = np.maximum(1.0, np.ceil(distance(va, vb) / resolution))
+    isolated = spec.isolated_vertices()
+    total = float(segments.sum()) + len(ends) + len(isolated)
+    memory = _physical_memory()
+    if not total * spec.dim * 8.0 <= memory:
+        raise ValueError(
+            f"eps {100 * resolution:g} asks for {total:.3g} points on the graph to check the Hausdorff "
+            f"bound at eps/100, whose coordinates exceed the {memory:.3g} bytes of physical memory"
+        )
+    chunks = [
+        a[None, :] + np.linspace(0.0, 1.0, int(n) + 1)[:, None] * (b - a)[None, :] for a, b, n in zip(va, vb, segments)
+    ]
+    return np.vstack(chunks + [spec.vertices[isolated]])
 
 
-def _distance_to_graph(x: np.ndarray, spec: EmbeddedGraphSpec) -> float:
-    best = math.inf
+def _distance_to_graph(points: np.ndarray, spec: EmbeddedGraphSpec) -> np.ndarray:
+    """Distance from each point to the embedded graph: one running minimum over the edges and isolated vertices."""
+    best = np.full(len(points), math.inf)
     for (a, b) in spec.edges:
-        best = min(best, point_segment_distance(x, spec.vertices[a], spec.vertices[b]))
+        np.minimum(best, point_segment_distance(points, spec.vertices[a], spec.vertices[b]), out=best)
     for vidx in spec.isolated_vertices():
-        best = min(best, distance(x, spec.vertices[vidx]))
+        np.minimum(best, distance(points, spec.vertices[vidx]), out=best)
     return best
 
 
 def hausdorff_check(cloud: PointCloud, spec: EmbeddedGraphSpec, eps: float) -> HausdorffReport:
-    """Certify d_H(|G|, P) <= eps up to an eps/100 discretization slack."""
+    """Certify d_H(|G|, P) <= eps up to an eps/100 discretization slack.
+
+    An eps so small that the discretization would not fit in physical memory
+    is a ValueError naming it, raised before the discretization is allocated.
+    """
     resolution = eps / 100.0
     grid = _graph_discretization(spec, resolution)
     graph_to_cloud = float(cloud.tree.query(grid, k=1)[0].max())
-    cloud_to_graph = max(_distance_to_graph(x, spec) for x in cloud.coords)
+    cloud_to_graph = float(_distance_to_graph(cloud.coords, spec).max())
     measured = max(graph_to_cloud, cloud_to_graph)
     tolerance = eps + resolution
     return HausdorffReport(measured <= tolerance, measured, tolerance, resolution)
@@ -266,36 +288,21 @@ class GraphGenConfig:
 
 
 def _edge_candidate_ok(
-    verts: np.ndarray,
-    edges: list[tuple[int, int]],
-    new_edge: tuple[int, int],
-    cfg: GraphGenConfig,
-    phi_bound: float,
+    verts: np.ndarray, edges: list[np.ndarray], new_edge: np.ndarray, cfg: GraphGenConfig, phi_bound: float
 ) -> bool:
     a, b = new_edge
     margin = 1.0 + MARGIN
-    # vertex clearance from the new edge
-    for v in range(verts.shape[0]):
-        if v in (a, b):
-            continue
-        if point_segment_distance(verts[v], verts[a], verts[b]) <= (1.5 * cfg.R + 4 * cfg.eps) * margin:
-            return False
-    for (c, d) in edges:
-        shared = {a, b} & {c, d}
-        if not shared:
-            if (
-                segment_segment_distance(verts[a], verts[b], verts[c], verts[d])
-                <= 5 * cfg.eps * margin
-            ):
-                return False
-        else:
-            v = shared.pop()
-            other_new = b if v == a else a
-            other_old = d if v == c else c
-            cosang = angle_cosine(verts[v], verts[other_new], verts[other_old])
-            if math.acos(min(1.0, max(-1.0, cosang))) < phi_bound * margin:
-                return False
-    return True
+    others = np.ones(len(verts), dtype=bool)
+    others[[a, b]] = False
+    clear = point_segment_distance(verts[others], verts[a], verts[b])
+    # newest edge first, so that each pair of the accepted edges is measured as
+    # when the later one was added, and passes again
+    (_, _, dist), (_, _, _, cos) = _edge_pairs(verts, np.array([new_edge, *edges[::-1]]))
+    return not (
+        np.any(clear <= (1.5 * cfg.R + 4 * cfg.eps) * margin)
+        or np.any(dist <= 5 * cfg.eps * margin)
+        or np.any(np.arccos(np.clip(cos, -1.0, 1.0)) < phi_bound * margin)
+    )
 
 
 def random_compliant_graph(
@@ -308,8 +315,6 @@ def random_compliant_graph(
     """
     if n_vertices < 2:
         raise ValueError("need at least two vertices")
-    from .local_structure import phi  # local import: keep module load light
-
     rcfg = config.reconstruction
     sep = (4.5 * config.R + 6 * config.eps) * (1.0 + MARGIN)
     side = sep * (1.0 + 1.4 * n_vertices ** (1.0 / dim))
@@ -320,14 +325,14 @@ def random_compliant_graph(
         verts = _place_separated(rng, n_vertices, dim, side, sep)
         if verts is None:
             continue
-        pairs = [(i, j) for i in range(n_vertices) for j in range(i + 1, n_vertices)]
+        pairs = np.column_stack(np.triu_indices(n_vertices, 1))
         rng.shuffle(pairs)
         target = (
             config.n_edges
             if config.n_edges is not None
             else int(rng.integers(n_vertices - 1, n_vertices + 2))
         )
-        edges: list[tuple[int, int]] = []
+        edges: list[np.ndarray] = []
         for pair in pairs:
             if len(edges) >= target:
                 break
@@ -350,13 +355,13 @@ def random_compliant_graph(
 def _place_separated(
     rng: np.random.Generator, n: int, dim: int, side: float, sep: float
 ) -> np.ndarray | None:
-    placed: list[np.ndarray] = []
-    for _ in range(n):
+    placed = np.empty((n, dim))
+    for count in range(n):
         for _ in range(400):
             cand = rng.random(dim) * side
-            if all(distance(cand, p) > sep for p in placed):
-                placed.append(cand)
+            if np.all(distance(cand, placed[:count]) > sep):
+                placed[count] = cand
                 break
         else:
             return None
-    return np.vstack(placed)
+    return placed

@@ -80,10 +80,16 @@ class TestSimulate:
             (lambda doc: {**doc, "vertices": [["1e3", 0.0, 0.0]] + doc["vertices"][1:]}, "vertices"),
             (lambda doc: {**doc, "vertices": [[0.0, 0.0]] + doc["vertices"][1:]}, "vertices"),
             (lambda doc: {**doc, "vertices": [[float("nan"), 0.0, 0.0]] + doc["vertices"][1:]}, "vertices"),
+            # a dimension that is missing, not an integer, or not the rows' length
+            (lambda doc: {k: v for k, v in doc.items() if k != "dim"}, "dim"),
+            (lambda doc: {**doc, "dim": 7}, "dim"),
+            (lambda doc: {**doc, "dim": "3"}, "dim"),
+            (lambda doc: {**doc, "dim": True}, "dim"),
         ],
         ids=[
             "no-edges", "flat-edges", "top-level-list", "float-edge", "near-integer-edge", "string-edge",
-            "boolean-edge", "string-coordinate", "ragged-vertices", "nan-coordinate",
+            "boolean-edge", "string-coordinate", "ragged-vertices", "nan-coordinate", "no-dim", "wrong-dim",
+            "string-dim", "boolean-dim",
         ],
     )
     def test_malformed_graph_spec_is_usage_error(self, tmp_path, capsys, damage, field):
@@ -96,6 +102,17 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "usage"
         assert field in err["message"]
+
+    def test_discretization_past_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # room for the fixture's ~360 samples, not for its ~36000-point Hausdorff grid
+        monkeypatch.setattr(gs.synthetic, "_physical_memory", lambda: 100_000)
+        out = tmp_path / "c.txt"
+        rc = main(["simulate", "--builtin", "--eps", "0.1", "--output", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith("eps 0.1 ")
+        assert not out.exists()
 
     def test_builtin_with_graph_is_usage_error(self, tmp_path, capsys):
         from graphskel.fileio import graph_spec_to_dict, write_json_atomic

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphskel.geometry import (
     PointCloud,
+    angle_cosine,
     component_centroids,
     distance,
     point_segment_distance,
@@ -137,6 +140,37 @@ class TestSegmentSegmentDistance:
             got = segment_segment_distance(p0, p1, q0, q1)
             assert got <= want + 1e-9
             assert got == pytest.approx(want, abs=5e-3)
+
+
+class TestBroadcast:
+    @settings(max_examples=100)
+    @given(dim=st.integers(1, 5), k=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_equal_single_calls(self, dim, k, seed):
+        rng = np.random.default_rng(seed)
+        p0, p1, q0, q1 = rng.normal(size=(4, k, dim))
+        q1[::2] = q0[::2] + 2.0 * (p1[::2] - p0[::2])  # parallel segments take the other branch
+        a, b = rng.normal(size=(2, dim))  # one segment measured against every row, as hausdorff_check does
+        for measure, args in (
+            (distance, (p0, q0)),
+            (angle_cosine, (p0, p1, q0)),
+            (point_segment_distance, (p0, q0, q1)),
+            (point_segment_distance, (p0, a, b)),
+            (segment_segment_distance, (p0, p1, q0, q1)),
+            (segment_segment_distance, (a, b, q0, q1)),
+        ):
+            batch = measure(*args)
+            rows = [measure(*(x[r] if x.ndim == 2 else x for x in args)) for r in range(k)]
+            assert batch.shape == (k,) and all(type(row) is float for row in rows)
+            assert batch.tobytes() == np.array(rows, dtype=float).tobytes()
+
+    def test_batch_faults_raise(self):
+        segments = np.array([[[0.0, 0.0], [1.0, 0.0]], [[2.0, 2.0], [2.0, 2.0]]])
+        with pytest.raises(ValueError, match="degenerate"):
+            point_segment_distance(np.zeros((2, 2)), segments[:, 0], segments[:, 1])
+        with pytest.raises(ValueError, match="degenerate"):
+            segment_segment_distance(segments[::-1, 0], segments[::-1, 1], segments[:, 0], segments[:, 1])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            segment_segment_distance((0, 0), (1, 0), (0, 0, 1), (1, 0, 1))
 
 
 class TestQueries:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -138,6 +139,11 @@ class TestHausdorffCheck:
         rep = hausdorff_check(cloud, spec, 0.1)
         assert rep.measured <= 0.01
 
+    def test_discretization_past_memory_is_named(self):
+        spec = EmbeddedGraphSpec(np.array([[0.0, 0.0], [1e15, 0.0]]), ((0, 1),))
+        with pytest.raises(ValueError, match="^eps 0.1 asks for 1e\\+18 points"):
+            hausdorff_check(gs.PointCloud([[0.0, 0.0]]), spec, 0.1)
+
     def test_planted_violation_detected(self):
         spec = builtin_fixture()
         eps = 0.1
@@ -165,6 +171,16 @@ class TestRandomCompliantGraph:
             dim = 2 if seed % 2 == 0 else 3
             spec = random_compliant_graph(dim, 3, cfg, seed=seed)
             assert gs.check_assumptions(spec, cfg.reconstruction).all_passed
+
+    def test_benchmark_graph_is_pinned(self):
+        # the input of the benchmark's graph-fit-5d workload, which a change to the generator would change
+        spec = random_compliant_graph(5, 12, GraphGenConfig(R=1.2, eps=0.1), seed=0)
+        assert spec.edges == (
+            (2, 8), (3, 10), (0, 5), (3, 8), (4, 7), (6, 10), (6, 8), (7, 11), (6, 11), (6, 9), (4, 5), (1, 3), (2, 9)
+        )
+        assert hashlib.sha256(spec.vertices.tobytes()).hexdigest() == (
+            "7ab9748c2325ca6777b6d3ec4eec8ce3ceb05d0a906f9d28957178c21a719169"
+        )
 
     def test_two_vertices_one_edge(self):
         cfg = GraphGenConfig(R=0.6, eps=0.05, n_edges=1)
