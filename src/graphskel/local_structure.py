@@ -203,9 +203,9 @@ def classify_all(cloud: PointCloud, config: ReconstructionConfig) -> LocalLabels
     """Classify every sample by its (R, eps)-local structure.
 
     Each label is what the definition gives from one exact ball and one exact
-    shell scan about the sample, each split by `threshold_components`. The
-    sample itself takes part in the ball graph but not in the shell (its
-    self-distance 0 is <= R - eps). An empty shell counts as 0 components,
+    shell scan about the sample, each split into components at the contact
+    scale. The sample itself takes part in the ball graph but not in the shell
+    (its self-distance 0 is <= R - eps). An empty shell counts as 0 components,
     which classifies vertex-like and covers degree-0 vertices. The inner
     product of the two shell centroids (about the sample) is taken only for
     a connected ball with exactly two shell components.
