@@ -131,18 +131,18 @@ def _points(*arrays) -> list[np.ndarray]:
     return arrays
 
 
-def _result(x: np.ndarray):
+def _result(x: np.ndarray) -> float | np.ndarray:
     """A float for one point, else the array over the leading axes."""
     return float(x) if x.ndim == 0 else x
 
 
-def distance(p, q):
+def distance(p, q) -> float | np.ndarray:
     """Euclidean distance between points p and q."""
     p, q = _points(p, q)
     return _result(np.sqrt(np.sum((p - q) ** 2, axis=-1)))
 
 
-def angle_cosine(apex, p, q):
+def angle_cosine(apex, p, q) -> float | np.ndarray:
     """Cosine of the angle at `apex` between the rays to p and to q."""
     apex, p, q = _points(apex, p, q)
     u1 = p - apex
@@ -150,7 +150,7 @@ def angle_cosine(apex, p, q):
     return _result(np.vecdot(u1, u2) / (np.sqrt(np.vecdot(u1, u1)) * np.sqrt(np.vecdot(u2, u2))))
 
 
-def point_segment_distance(x, a, b):
+def point_segment_distance(x, a, b) -> float | np.ndarray:
     """Distance from x to the segment [a, b] via the clamped projection."""
     x, a, b = _points(x, a, b)
     d = b - a
@@ -161,7 +161,7 @@ def point_segment_distance(x, a, b):
     return distance(x, a + t[..., None] * d)
 
 
-def segment_segment_distance(p0, p1, q0, q1):
+def segment_segment_distance(p0, p1, q0, q1) -> float | np.ndarray:
     """Minimum distance between segments [p0,p1] and [q0,q1] in R^n.
 
     Standard clamped quadratic minimization over the (s, t) parameter square.

@@ -576,8 +576,10 @@ def _least(name: str, values: np.ndarray, bound: float, witness: str, *columns, 
     smallest value."""
     worst = float(values.min(initial=math.inf))
     ok = worst > bound if strict else worst >= bound
-    first = np.argmin(values) if not ok else None
-    return ConditionCheck(name, ok, worst - bound, "" if ok else witness.format(*(c[first] for c in columns)))
+    if ok:
+        return ConditionCheck(name, ok, worst - bound)
+    first = np.argmin(values)
+    return ConditionCheck(name, ok, worst - bound, witness.format(*(c[first] for c in columns)))
 
 
 def check_assumptions(graph: "EmbeddedGraphSpec", config: ReconstructionConfig) -> AssumptionReport:

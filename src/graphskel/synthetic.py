@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import PointCloud, angle_cosine, distance, point_segment_distance, segment_segment_distance
+from .geometry import PointCloud, distance, point_segment_distance
 from .local_structure import ReconstructionConfig, _edge_pairs, check_assumptions, phi
 
 __all__ = [
@@ -295,8 +295,9 @@ def _edge_candidate_ok(
     others = np.ones(len(verts), dtype=bool)
     others[[a, b]] = False
     clear = point_segment_distance(verts[others], verts[a], verts[b])
-    # newest edge first, so that each pair of the accepted edges is measured as
-    # when the later one was added, and passes again
+    # newest edge first: each pair of accepted edges is then measured with the
+    # arguments it had when the later one was accepted, so only pairs with the
+    # new edge can fail
     (_, _, dist), (_, _, _, cos) = _edge_pairs(verts, np.array([new_edge, *edges[::-1]]))
     return not (
         np.any(clear <= (1.5 * cfg.R + 4 * cfg.eps) * margin)
