@@ -11,6 +11,9 @@ must agree with.
   numerically, independently of the closed form.
 * `edge_log_density_grad` reads one segment's per-point gradients off the
   batch kernel, priced on every point.
+* `embedding_fault` and `assumption_rows` measure an embedded graph with
+  nested loops over vertex pairs, vertex-edge pairs, edge pairs and corners,
+  one scalar call each, so the first witness is the one the loops meet first.
 * The EM helpers price every (point, stratum) pair, straight from
   `graphskel.densities`, so they share no selection code with the sparse
   evaluation that `em_fit` runs. Each row sums left to right, as the package's
@@ -37,8 +40,17 @@ from graphskel.em import (
     _objective,
     _Pairs,
 )
-from graphskel.geometry import ComponentLabeling, PointCloud, component_centroids, threshold_components
-from graphskel.local_structure import LocalLabels, ReconstructionConfig
+from graphskel.geometry import (
+    ComponentLabeling,
+    PointCloud,
+    angle_cosine,
+    component_centroids,
+    distance,
+    point_segment_distance,
+    segment_segment_distance,
+    threshold_components,
+)
+from graphskel.local_structure import LocalLabels, ReconstructionConfig, phi, psi
 
 
 # -- geometry ---------------------------------------------------------------
@@ -240,3 +252,111 @@ def grad_vertices(model: StrataModel, v, pi, a, data: PointCloud) -> np.ndarray:
     """Exact gradient of the cost function with respect to every vertex
     coordinate, holding A and Pi fixed."""
     return _gradient(model, dense_evaluation(model, v, data), np.asarray(a, dtype=float).ravel(), data)
+
+
+
+# -- embedded graphs --------------------------------------------------------
+
+
+def _neighbours(edges, v: int) -> list[int]:
+    return [b if a == v else a for (a, b) in edges if v in (a, b)]
+
+
+def _corners(vertices: np.ndarray, edges) -> list[tuple[int, int, int, float]]:
+    """(vertex, neighbour, later neighbour, cosine) for every pair of edges at a vertex, by vertex."""
+    out = []
+    for v in range(len(vertices)):
+        nbrs = _neighbours(edges, v)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                out.append((v, nbrs[i], nbrs[j], angle_cosine(vertices[v], vertices[nbrs[i]], vertices[nbrs[j]])))
+    return out
+
+
+def embedding_fault(vertices: np.ndarray, edges) -> str | None:
+    """The first pairwise fault `EmbeddedGraphSpec` reports, found by nested
+    loops over vertex pairs, edge pairs and each vertex's neighbour pairs;
+    None for a valid embedding. The edges must already be distinct, in range
+    and free of self-loops."""
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            if np.array_equal(vertices[i], vertices[j]):
+                return f"vertices {i} and {j} coincide"
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            e1, e2 = edges[i], edges[j]
+            if not set(e1) & set(e2):
+                if segment_segment_distance(vertices[e1[0]], vertices[e1[1]], vertices[e2[0]], vertices[e2[1]]) <= 0.0:
+                    return f"non-adjacent edges {e1} and {e2} intersect"
+    for (v, _, _, c) in _corners(vertices, edges):
+        if c >= 1.0:
+            return f"edges at vertex {v} overlap (zero angle)"
+        if len(_neighbours(edges, v)) == 2 and c <= -1.0:
+            return f"degree-2 vertex {v} has a straight (pi) angle"
+    return None
+
+
+def assumption_rows(graph, config: ReconstructionConfig) -> list[tuple[str, bool, float, str]]:
+    """(name, passed, margin, witness) of the five embedding conditions, each
+    a running minimum or maximum over nested loops, as `check_assumptions`
+    must report them."""
+    R, eps, V, edges = config.R, config.eps, graph.vertices, graph.edges
+    rows = []
+
+    def least(name, worst, witness, bound, strict=True):
+        ok = worst > bound if strict else worst >= bound
+        rows.append((name, ok, worst - bound, "" if ok else witness))
+
+    worst, witness = math.inf, ""
+    for i in range(len(V)):
+        for j in range(i + 1, len(V)):
+            d = distance(V[i], V[j])
+            if d < worst:
+                worst, witness = d, f"vertices {i},{j} at distance {d:.6g}"
+    least("vertex_separation", worst, witness, 4.5 * R + 6 * eps)
+
+    worst, witness = math.inf, ""
+    for v in range(len(V)):
+        for (a, b) in edges:
+            if v not in (a, b):
+                d = point_segment_distance(V[v], V[a], V[b])
+                if d < worst:
+                    worst, witness = d, f"vertex {v} to edge ({a},{b}) at distance {d:.6g}"
+    least("vertex_edge_clearance", worst, witness, 1.5 * R + 4 * eps)
+
+    worst, witness = math.inf, ""
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            e1, e2 = edges[i], edges[j]
+            if not set(e1) & set(e2):
+                d = segment_segment_distance(V[e1[0]], V[e1[1]], V[e2[0]], V[e2[1]])
+                if d < worst:
+                    worst, witness = d, f"edges {e1} and {e2} at distance {d:.6g}"
+    least("edge_edge_clearance", worst, witness, 5 * eps)
+
+    angles = [(v, a, b, math.acos(min(1.0, max(-1.0, c)))) for (v, a, b, c) in _corners(V, edges)]
+    try:
+        lower = phi(R, eps)
+    except ValueError as exc:
+        rows.append(("angle_lower_bound", False, -math.inf, f"Phi undefined: {exc}"))
+    else:
+        worst, witness = math.inf, ""
+        for (v, a, b, ang) in angles:
+            if ang < worst:
+                worst, witness = ang, f"angle {ang:.6g} rad at vertex {v} between edges to {a},{b}"
+        least("angle_lower_bound", worst, witness, lower, strict=False)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            upper = psi(R, eps)
+    except ValueError as exc:
+        rows.append(("deg2_angle_upper_bound", False, -math.inf, f"Psi undefined: {exc}"))
+    else:
+        worst, witness = -math.inf, ""
+        for (v, _, _, ang) in angles:
+            if len(_neighbours(edges, v)) == 2 and ang > worst:
+                worst, witness = ang, f"angle {ang:.6g} rad at degree-2 vertex {v}"
+        ok = worst <= upper  # vacuously true with no degree-2 vertices
+        rows.append(("deg2_angle_upper_bound", ok, upper - worst, "" if ok else witness))
+    return rows

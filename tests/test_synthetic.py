@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from graphskel.synthetic import (
     random_compliant_graph,
     sample_graph,
 )
+from oracles import assumption_rows, embedding_fault
 
 
 class TestEmbeddedGraphSpec:
@@ -52,6 +54,53 @@ class TestEmbeddedGraphSpec:
         verts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0]])
         spec = EmbeddedGraphSpec(verts, ((0, 1),))
         assert spec.isolated_vertices() == [2]
+
+
+def random_embeddings(count: int, seed: int):
+    """(vertices, edges) of `count` random graphs in dims 1-4, every third on a
+    small integer lattice, where coincident vertices, collinear and crossing
+    edges and ties between pairs are common."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n, dim = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        vertices = rng.integers(-2, 3, size=(n, dim)).astype(float) if trial % 3 == 0 else rng.normal(size=(n, dim))
+        pairs = np.column_stack(np.triu_indices(n, 1))
+        edges = pairs[rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        yield vertices, tuple(map(tuple, edges.tolist()))
+
+
+class TestEmbeddingMeasures:
+    """The array measures against nested loops (`oracles`), which meet the witnesses in a fixed order."""
+
+    def test_spec_faults_match_loops(self):
+        faults = 0
+        for vertices, edges in random_embeddings(600, seed=11):
+            fault = embedding_fault(vertices, edges)
+            if fault is None:
+                EmbeddedGraphSpec(vertices, edges)
+            else:
+                faults += 1
+                with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+                    EmbeddedGraphSpec(vertices, edges)
+        assert 100 < faults < 500
+
+    def test_check_assumptions_matches_loops(self):
+        failed = set()
+        for vertices, edges in random_embeddings(300, seed=12):
+            if embedding_fault(vertices, edges) is not None:
+                continue
+            spec = EmbeddedGraphSpec(vertices, edges)
+            for R, eps in ((1.2, 0.1), (0.3, 0.02), (0.05, 0.01), (0.25, 0.1)):
+                config = gs.ReconstructionConfig(R, eps)
+                report = gs.check_assumptions(spec, config)
+                for check, (name, passed, margin, witness) in zip(report.conditions, assumption_rows(spec, config)):
+                    assert (check.name, check.passed, check.witness) == (name, passed, witness)
+                    assert type(check.passed) is bool and check.margin == pytest.approx(margin, rel=1e-12)
+                    if not passed:
+                        failed.add(name)
+        assert len(failed) == 5  # every condition's witness was compared
 
 
 class TestSampleSpec:
