@@ -24,6 +24,15 @@ UNDERFLOW_GAP is the union of the priced pairs and a fresh selection priced.
 Every pair left unpriced gets responsibility exactly 0.0 from an all-pairs
 evaluation too, and sums over pairs add in pair order (np.bincount), so the
 fit is the one it would give.
+
+Mixture EM converges linearly, so its late steps of x = (V / sigma, log Pi)
+point one way and shrink by a steady ratio. When the last two steps d1, d2
+have cosine above JUMP_COSINE and length ratio r = |d2| / |d1| below
+JUMP_RATIO, em_fit prices the geometric tail's end x + r / (1 - r) d2, with
+Pi renormalised, on a fresh selection. It takes that point only if its
+marginal log-likelihood beats the iterate's by more than SLOPE_TOL, a gain
+above rounding, so the trace stays non-decreasing. V in units of sigma keeps
+the jump commuting with a uniform scaling.
 """
 from __future__ import annotations
 
@@ -58,6 +67,8 @@ __all__ = [
 ]
 
 CONSECUTIVE = 3  # how many small deltas in a row declare convergence
+JUMP_COSINE = 0.95  # EM jumps only after two steps this aligned (cosine above) ...
+JUMP_RATIO = 0.95  # ... whose length shrank by a ratio below this
 M_STEP_ITERS = 5
 STEP_FLOOR = 1e-12
 STEP_INIT = 1.0  # the direction already carries the sigma^2 |P| B^-1 scale
@@ -469,8 +480,46 @@ def _check_range(data: PointCloud, sigma: float) -> None:
         )
 
 
+def _fresh(model: StrataModel, data: PointCloud, v, pi) -> tuple[_Evaluation, np.ndarray, float]:
+    """The evaluation at (v, pi) on a selection made there, its posterior
+    weights and its marginal log-likelihood: selected under pi, so exact as
+    priced."""
+    ev = _pricer(model, data, _select(*_bounds(model, v, data, pi)))(v)
+    w, per_point = _normalize_rows(ev.pairs, _logits(ev, pi))
+    return ev, w, float(np.mean(per_point))
+
+
+def _iterate(v: np.ndarray, pi, sigma: float) -> np.ndarray:
+    """EM's iterate as one flat vector x = (V / sigma, log Pi)."""
+    with np.errstate(divide="ignore"):
+        return np.concatenate([(v / sigma).ravel(), np.log(pi)])
+
+
+def _jump(xs: list[np.ndarray], v: np.ndarray, sigma: float):
+    """(V, Pi) at x + r / (1 - r) d2, the end of the geometric tail of the
+    last two steps d1, d2 of the iterates `xs`, or None unless they are
+    aligned (cosine above JUMP_COSINE) and shrinking (r = |d2| / |d1| below
+    JUMP_RATIO)."""
+    d1, d2 = xs[1] - xs[0], xs[2] - xs[1]
+    n1, n2 = math.sqrt(d1 @ d1), math.sqrt(d2 @ d2)
+    if not (n2 < JUMP_RATIO * n1 and d1 @ d2 > JUMP_COSINE * n1 * n2):
+        return None
+    r = n2 / n1
+    x = xs[2] + r / (1.0 - r) * d2
+    logpi = x[v.size :]
+    pi = np.exp(logpi - logpi.max())
+    return x[: v.size].reshape(v.shape) * sigma, pi / pi.sum()
+
+
 def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfig = EmConfig()) -> FitReport:
     """Run E-step / Pi update / M-step until the trace stalls.
+
+    After each iteration whose last two steps of x = (V / sigma, log Pi) are
+    aligned and shrinking (`_jump`), the end of their geometric tail is
+    priced on a fresh selection. EM continues from it, with a fresh step
+    history, if its marginal log-likelihood beats the iterate's by more than
+    SLOPE_TOL; otherwise, or if it collapses an edge or prices non-finite,
+    the iterate stands. No jump is tried while some weight in Pi is 0.
 
     Stops when |delta loglik| < tol_ll for CONSECUTIVE iterations in a row,
     or at max_iters. Raises ValueError, before any pricing, if the cloud is
@@ -481,9 +530,9 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     v_init = _check_vertices(model, state.v, data.dim)
     # One evaluation per accepted vertex matrix feeds the trace entry, the next
     # E-step and the next M-step's start point; A is its weight vector w.
-    ev = _pricer(model, data, _select(*_bounds(model, v_init, data, state.pi)))(v_init)
-    w, per_point = _normalize_rows(ev.pairs, _logits(ev, state.pi))  # selected under state.pi: exact as priced
-    trace = [float(np.mean(per_point))]
+    ev, w, ll = _fresh(model, data, v_init, state.pi)
+    trace = [ll]
+    xs = [_iterate(v_init, state.pi, model.sigma)]
     streak = 0
     converged = False
     n_done = 0
@@ -492,12 +541,25 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
         pi = _mixing(ev.pairs, w, model.n_strata)
         ev = m_step(model, ev, pi, w, data)
         ev, logits = _exact_logits(model, ev, data, pi)
-        state = EmState(v=ev.v, pi=pi)
         w, per_point = _normalize_rows(ev.pairs, logits)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
             bad = np.flatnonzero(~np.isfinite(per_point)).tolist()
             raise NumericalError(f"non-finite log-likelihood at points {bad[:20]}")
+        x = _iterate(ev.v, pi, model.sigma)
+        xs = [*xs[-2:], x] if np.isfinite(x).all() else []
+        jump = _jump(xs, ev.v, model.sigma) if len(xs) == 3 else None
+        if jump is not None:
+            try:
+                with warnings.catch_warnings():  # a failed jump is dropped, not reported
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    tried = _fresh(model, data, *jump)
+            except ValueError:  # the jump collapsed an edge
+                tried = None
+            if tried is not None and tried[2] > ll + SLOPE_TOL:  # NaN or -inf fails
+                (ev, w, ll), pi = tried, jump[1]
+                xs = [_iterate(ev.v, pi, model.sigma)]
+        state = EmState(v=ev.v, pi=pi)
         trace.append(ll)
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
             streak += 1

@@ -548,16 +548,17 @@ class AssumptionReport:
         return all(c.passed for c in self.conditions)
 
 
-def _edge_pairs(vertices: np.ndarray, ends: np.ndarray):
+def _edge_pairs(vertices: np.ndarray, ends: np.ndarray, first: bool = False):
     """Every pair of edges k < l of the embedded graph with edge array `ends`,
-    in the order nested loops over k and then l visit them, in two kinds.
+    in the order nested loops over k and then l visit them, in two kinds; with
+    `first`, only the pairs (0, l), which are the loops' first row.
 
     Returns ((k, l, dist), (apex, a, b, cos)): the pairs that share no vertex,
     with the distance between their segments; and the corners, pairs that meet
     at `apex`, stably ordered by it, with the far ends a of k and b of l and
     the cosine of the angle a-apex-b.
     """
-    k, l = np.triu_indices(len(ends), 1)
+    k, l = (np.zeros(len(ends) - 1, dtype=np.intp), np.arange(1, len(ends))) if first else np.triu_indices(len(ends), 1)
     (a, b), f = ends[k].T, ends[l]
     shared = np.where((a == f[:, 0]) | (a == f[:, 1]), a, np.where((b == f[:, 0]) | (b == f[:, 1]), b, -1))
     apart = shared < 0

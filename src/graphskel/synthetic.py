@@ -295,10 +295,9 @@ def _edge_candidate_ok(
     others = np.ones(len(verts), dtype=bool)
     others[[a, b]] = False
     clear = point_segment_distance(verts[others], verts[a], verts[b])
-    # newest edge first: each pair of accepted edges is then measured with the
-    # arguments it had when the later one was accepted, so only pairs with the
-    # new edge can fail
-    (_, _, dist), (_, _, _, cos) = _edge_pairs(verts, np.array([new_edge, *edges[::-1]]))
+    # every pair of accepted edges passed when the later of the two was
+    # accepted, so only the new edge's pairs are measured, the new edge first
+    (_, _, dist), (_, _, _, cos) = _edge_pairs(verts, np.array([new_edge, *edges]), first=True)
     return not (
         np.any(clear <= (1.5 * cfg.R + 4 * cfg.eps) * margin)
         or np.any(dist <= 5 * cfg.eps * margin)

@@ -593,8 +593,44 @@ class TestEmFit:
 
     def test_twelve_vertex_5d_converges_in_few_iterations(self, twelve_vertex_5d):
         report = em_fit(*twelve_vertex_5d)
-        assert report.converged and report.n_iterations <= 40
+        assert report.converged and report.n_iterations <= 16
         assert report.loglik_trace[-1] >= 2.6062944881
+        assert np.all(np.diff(report.loglik_trace) >= 0)
+        converged = em_fit(*twelve_vertex_5d, EmConfig(max_iters=400, tol_ll=0))
+        assert np.linalg.norm(report.state.v - converged.state.v, axis=1).max() <= 1e-3 * 0.1
+
+    @pytest.mark.parametrize("ratio", [12, 8])
+    def test_fixture_fit_ends_near_converged(self, fixture_cloud, ratio):
+        graph = gs.recover_graph(fixture_cloud, gs.ReconstructionConfig(R=ratio * 0.1, eps=0.1))
+        model, state = initialize(graph, fixture_cloud, sigma=0.05)
+        report = em_fit(model, state, fixture_cloud)
+        converged = em_fit(model, state, fixture_cloud, EmConfig(max_iters=400, tol_ll=0))
+        assert report.converged
+        assert np.linalg.norm(report.state.v - converged.state.v, axis=1).max() <= 1e-2 * 0.1
+
+    def test_jump_collapsing_an_edge_is_rejected(self, fixture_cloud, ratio8_recovery, monkeypatch):
+        """A jump tried after every iteration, each onto a collapsed edge, is
+        dropped: the fit is the one that tries no jump."""
+        model, state = initialize(ratio8_recovery, fixture_cloud, sigma=0.05)
+        config = EmConfig(max_iters=10)
+        monkeypatch.setattr(gs.em, "JUMP_COSINE", 2.0)  # never jumps
+        plain = em_fit(model, state, fixture_cloud, config)
+        jump, tried = gs.em._jump, []
+
+        def collapsing(*args):
+            v, pi = jump(*args)
+            i, j = model.edge_endpoints[0]
+            v[j] = v[i]
+            tried.append(v)
+            return v, pi
+
+        monkeypatch.setattr(gs.em, "JUMP_COSINE", -1.0)
+        monkeypatch.setattr(gs.em, "JUMP_RATIO", 1.0)
+        monkeypatch.setattr(gs.em, "_jump", collapsing)
+        report = em_fit(model, state, fixture_cloud, config)
+        assert len(tried) == config.max_iters - 1  # from the third iterate on
+        assert np.array_equal(report.state.v, plain.state.v)
+        assert np.array_equal(report.loglik_trace, plain.loglik_trace)
         assert np.all(np.diff(report.loglik_trace) >= 0)
 
     def test_marginal_loglik_consistency(self, fixture_cloud, ratio8_recovery):
@@ -651,24 +687,59 @@ def reference_m_step(model, v, pi, a, data):
     return v, backtracks
 
 
+def iterate(v, pi, sigma):
+    """EM's iterate x = (V / sigma, log Pi) as one flat vector."""
+    with np.errstate(divide="ignore"):
+        return np.concatenate([(v / sigma).ravel(), np.log(pi)])
+
+
 def reference_em_fit(model, state, data, config):
-    """Generalized EM rebuilt from the all-pairs oracles, one pass per quantity."""
+    """Generalized EM rebuilt from the all-pairs oracles, one pass per quantity.
+
+    After each iteration whose last two steps d1, d2 of x are aligned and
+    shrinking, it prices x + r / (1 - r) d2 (r = |d2| / |d1|, Pi
+    renormalised) and moves there if that beats the iterate by more than
+    SLOPE_TOL. Returns the vertices, the trace, the iterations, the halved
+    trials and the accepted jumps.
+    """
+    sigma = model.sigma
     v, pi = np.array(state.v, dtype=float), state.pi
     trace = [marginal_log_likelihood(model, v, pi, data)]
-    streak = n_done = backtracks = 0
+    xs = [iterate(v, pi, sigma)]
+    streak = n_done = backtracks = jumps = 0
     for n_done in range(1, config.max_iters + 1):
         a = responsibilities(model, EmState(v=v, pi=pi), data)
         pi = mixing(a)
         v, halved = reference_m_step(model, v, pi, a, data)
         backtracks += halved
-        trace.append(marginal_log_likelihood(model, v, pi, data))
+        ll = marginal_log_likelihood(model, v, pi, data)
+        x = iterate(v, pi, sigma)
+        xs = [*xs[-2:], x] if np.isfinite(x).all() else []
+        if len(xs) == 3:
+            d1, d2 = xs[1] - xs[0], xs[2] - xs[1]
+            n1, n2 = math.sqrt(d1 @ d1), math.sqrt(d2 @ d2)
+            if n2 < gs.em.JUMP_RATIO * n1 and d1 @ d2 > gs.em.JUMP_COSINE * n1 * n2:
+                r = n2 / n1
+                x = xs[2] + r / (1.0 - r) * d2
+                v_jump = x[: v.size].reshape(v.shape) * sigma
+                pi_jump = np.exp(x[v.size :] - x[v.size :].max())
+                pi_jump = pi_jump / pi_jump.sum()
+                try:
+                    ll_jump = marginal_log_likelihood(model, v_jump, pi_jump, data)
+                except ValueError:
+                    ll_jump = -np.inf
+                if ll_jump > ll + SLOPE_TOL:
+                    v, pi, ll = v_jump, pi_jump, ll_jump
+                    xs = [iterate(v, pi, sigma)]
+                    jumps += 1
+        trace.append(ll)
         if abs(trace[-1] - trace[-2]) < config.tol_ll:
             streak += 1
             if streak >= CONSECUTIVE:
                 break
         else:
             streak = 0
-    return v, np.asarray(trace), n_done, backtracks
+    return v, np.asarray(trace), n_done, backtracks, jumps
 
 
 @pytest.fixture(scope="module")
@@ -710,10 +781,11 @@ class TestOneEvaluationPerVertexMatrix:
     def test_matches_reference_em(self, em_case):
         model, state, data, config = em_case
         report = em_fit(model, state, data, config)
-        v, trace, n_done, backtracks = reference_em_fit(model, state, data, config)
+        v, trace, n_done, backtracks, jumps = reference_em_fit(model, state, data, config)
         assert np.array_equal(report.state.v, v)
         assert np.array_equal(report.loglik_trace, trace)
         assert report.n_iterations == n_done
+        assert jumps > 0  # accepted jumps are exercised
         if gs.em.STEP_INIT > 1.0:
             assert backtracks > 0  # rejected trials are exercised
 
@@ -843,8 +915,8 @@ class TestSparsePricing:
 class TestSelectionOncePerIteration:
     def test_bounds_run_once_per_e_step(self, twelve_vertex_5d, monkeypatch):
         model, state, cloud = twelve_vertex_5d
-        bounds, kernel, step = gs.em._bounds, gs.em.edge_log_density_grad_batch, gs.em.m_step
-        calls = {"bounds": 0, "bounds in m_step": 0, "kernel in m_step": 0}
+        bounds, kernel, step, jump = gs.em._bounds, gs.em.edge_log_density_grad_batch, gs.em.m_step, gs.em._jump
+        calls = {"bounds": 0, "bounds in m_step": 0, "kernel in m_step": 0, "jumps": 0}
         in_m_step = [False]
 
         def counted_bounds(*args):
@@ -863,13 +935,21 @@ class TestSelectionOncePerIteration:
             finally:
                 in_m_step[0] = False
 
+        def counted_jump(*args):
+            out = jump(*args)
+            calls["jumps"] += out is not None
+            return out
+
         monkeypatch.setattr(gs.em, "_bounds", counted_bounds)
         monkeypatch.setattr(gs.em, "edge_log_density_grad_batch", counted_kernel)
         monkeypatch.setattr(gs.em, "m_step", flagged_m_step)
+        monkeypatch.setattr(gs.em, "_jump", counted_jump)
         report = em_fit(model, state, cloud, EmConfig(max_iters=6))
         assert report.n_iterations == 6
-        # the start evaluation, then one pass per E-step; no line-search trial runs one
-        assert calls["bounds"] == report.n_iterations + 1
+        # the start evaluation, then one pass per E-step and one per jump
+        # attempt; no line-search trial runs one
+        assert calls["jumps"] > 0
+        assert calls["bounds"] == report.n_iterations + 1 + calls["jumps"]
         assert calls["bounds in m_step"] == 0
         assert calls["kernel in m_step"] >= report.n_iterations
 

@@ -9,6 +9,7 @@ import pytest
 
 import graphskel as gs
 from graphskel.geometry import point_segment_distance
+from graphskel.local_structure import _edge_pairs
 from graphskel.synthetic import (
     EmbeddedGraphSpec,
     GraphGenConfig,
@@ -101,6 +102,24 @@ class TestEmbeddingMeasures:
                     if not passed:
                         failed.add(name)
         assert len(failed) == 5  # every condition's witness was compared
+
+    def test_first_row_matches_all_pairs(self):
+        """The generator measures only its candidate, edge 0: the pairs (0, l)
+        of the measure over every pair, bit for bit and in the same order."""
+        measured = 0
+        for vertices, edges in random_embeddings(300, seed=13):
+            if not edges or embedding_fault(vertices, edges) is not None:
+                continue
+            ends = np.array(edges)
+            (k, l, dist), (apex, a, b, cos) = _edge_pairs(vertices, ends)
+            (k0, l0, dist0), corners = _edge_pairs(vertices, ends, first=True)
+            row = k == 0
+            assert np.all(k0 == 0) and np.array_equal(l0, l[row]) and np.array_equal(dist0, dist[row])
+            row = np.all(np.sort(np.column_stack([apex, a]), axis=1) == np.sort(ends[0]), axis=1)  # k is edge 0
+            for got, want in zip(corners, (apex, a, b, cos)):
+                assert np.array_equal(got, want[row])
+            measured += len(l0) + len(corners[0])
+        assert measured > 100
 
 
 class TestSampleSpec:
