@@ -185,35 +185,38 @@ def match_to_ground_truth(graph: AbstractGraph, truth: "EmbeddedGraphSpec") -> M
 
     A non-injective matching is reported as a structure mismatch, not raised.
     """
-    tv = truth.vertices
-    d = np.sqrt(np.sum((tv[None, :, :] - graph.vertex_centroids[:, None, :]) ** 2, axis=2))
+    return _match_structure(graph, truth.vertices, np.asarray(truth.edges, dtype=np.intp).reshape(-1, 2))
+
+
+def _match_structure(graph: AbstractGraph, tv: np.ndarray, te: np.ndarray) -> MatchReport:
+    """`match_to_ground_truth` against vertices `tv` (n, dim) joined by edges `te` (k, 2)."""
+    d = distance(graph.vertex_centroids[:, None, :], tv)
     vertex_map, vertex_errors = d.argmin(axis=1).tolist(), d.min(axis=1).tolist()
 
-    midpoints = np.array([0.5 * (tv[a] + tv[b]) for (a, b) in truth.edges])
+    midpoints = 0.5 * (tv[te[:, 0]] + tv[te[:, 1]])
     edge_map = []
     for emembers in graph.members()[graph.n_vertices :]:
         if midpoints.size == 0:
             edge_map.append(-1)
             continue
         # distance from the cluster (as a point set) to each true edge midpoint
-        pts = graph.cloud.coords[emembers]
-        d = np.sqrt(np.sum((midpoints[:, None, :] - pts[None, :, :]) ** 2, axis=2)).min(axis=1)
+        d = distance(midpoints[:, None, :], graph.cloud.coords[emembers]).min(axis=1)
         edge_map.append(int(np.argmin(d)))
 
     def report(ok: bool, reason: str = "") -> MatchReport:
         return MatchReport(ok, vertex_map, edge_map, vertex_errors, reason)
 
-    if graph.n_vertices != truth.n_vertices:
-        return report(False, f"vertex count {graph.n_vertices} != {truth.n_vertices}")
-    if graph.n_edges != truth.n_edges:
-        return report(False, f"edge count {graph.n_edges} != {truth.n_edges}")
+    if graph.n_vertices != len(tv):
+        return report(False, f"vertex count {graph.n_vertices} != {len(tv)}")
+    if graph.n_edges != len(te):
+        return report(False, f"edge count {graph.n_edges} != {len(te)}")
     if len(set(vertex_map)) != len(vertex_map):
         return report(False, "vertex matching is not injective")
     if len(set(edge_map)) != len(edge_map):
         return report(False, "edge matching is not injective")
     for eid, (a, b) in enumerate(graph.boundary):
         mapped = {vertex_map[a], vertex_map[b]}
-        true_edge = set(truth.edges[edge_map[eid]])
+        true_edge = set(te[edge_map[eid]].tolist())
         if mapped != true_edge:
             return report(
                 False,

@@ -10,13 +10,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
 from . import __version__
-from .abstract_graph import match_to_ground_truth, recover_graph
+from .abstract_graph import _match_structure, recover_graph
 from .densities import _check_sigma
 from .em import EmConfig, EmState, em_fit, initialize
 from .errors import CloudParseError, GenerationError, NumericalError, StructureError
@@ -39,30 +38,8 @@ EXIT_STRUCTURAL = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass(frozen=True)
-class _ReferenceStructure:
-    """Duck-typed ground truth built from a recovered graph's centroids."""
-
-    vertices: np.ndarray
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-
 def _resolve_scales(args) -> ReconstructionConfig:
-    if args.eps is None:
-        raise ValueError("--eps is required")
-    if args.R is None and args.ratio is None:
-        raise ValueError("provide either --R or --ratio")
-    if args.R is not None and args.ratio is not None:
-        raise ValueError("--R and --ratio are mutually exclusive")
-    R = args.R if args.R is not None else args.ratio * args.eps
+    R = args.R if args.ratio is None else args.ratio * args.eps
     return ReconstructionConfig(R=R, eps=args.eps)
 
 
@@ -156,13 +133,13 @@ def cmd_fit(args) -> int:
         "n1": model.n1,
         "edge_endpoints": model.edge_endpoints.tolist(),
         "sigma": sigma,
-        "vertices": [[float(c) for c in row] for row in report.state.v],
-        "pi": [float(p) for p in report.state.pi],
+        "vertices": report.state.v.tolist(),
+        "pi": report.state.pi.tolist(),
         "final_loglik": float(report.loglik_trace[-1]),
         "iterations": report.n_iterations,
         "converged": report.converged,
-        "loglik_trace": [float(x) for x in report.loglik_trace],
-        "vertex_displacement": [float(x) for x in report.vertex_displacement],
+        "loglik_trace": report.loglik_trace.tolist(),
+        "vertex_displacement": report.vertex_displacement.tolist(),
     }
     write_json_atomic(args.output, out)
     wire_path = args.output + ".wireframe.csv" if not args.output.endswith(".json") else args.output[:-5] + ".wireframe.csv"
@@ -192,9 +169,6 @@ def cmd_pipeline(args) -> int:
 
     sweep = classify_sweep(cloud, configs)  # stage 1 for every ratio in one pass
     ref_graph = recover_graph(cloud, configs[0], sweep[0])
-    reference = _ReferenceStructure(
-        vertices=np.array(ref_graph.vertex_centroids), edges=tuple(map(tuple, ref_graph.boundary.tolist()))
-    )
 
     rows = []
     selected = None  # the last matched row with a fit: the longest-continued fit
@@ -206,7 +180,7 @@ def cmd_pipeline(args) -> int:
         try:
             graph = ref_graph if ratio == reference_ratio else recover_graph(cloud, config, labels)
             row["n_vertices"], row["n_edges"] = graph.n_vertices, graph.n_edges
-            match = match_to_ground_truth(graph, reference)
+            match = _match_structure(graph, ref_graph.vertex_centroids, ref_graph.boundary)
             row["structure_match"] = match.is_isomorphic
             if not match.is_isomorphic:
                 row["error"] = match.reason
@@ -221,7 +195,7 @@ def cmd_pipeline(args) -> int:
                 warm.v[match.vertex_map], warm.pi[strata] = v, pi
                 row["loglik"] = float(report.loglik_trace[-1])
                 row["iterations"], row["converged"] = report.n_iterations, report.converged
-                row["vertices"] = [[float(c) for c in r] for r in report.state.v]
+                row["vertices"] = v.tolist()
                 selected = row
         except (StructureError, NumericalError) as exc:
             row["error"] = str(exc)
@@ -285,9 +259,10 @@ def _add_common_io(p: argparse.ArgumentParser) -> None:
 
 
 def _add_scales(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--R", type=float, default=None, help="shell radius R")
-    p.add_argument("--ratio", type=float, default=None, help="R/eps shorthand (R = ratio * eps)")
-    p.add_argument("--eps", type=float, default=None, help="sample noise bound epsilon")
+    scale = p.add_mutually_exclusive_group(required=True)
+    scale.add_argument("--R", type=float, help="shell radius R")
+    scale.add_argument("--ratio", type=float, help="R/eps shorthand (R = ratio * eps)")
+    p.add_argument("--eps", type=float, required=True, help="sample noise bound epsilon")
 
 
 def _add_em(p: argparse.ArgumentParser) -> None:

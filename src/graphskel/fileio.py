@@ -105,14 +105,6 @@ def read_json(path: str) -> dict[str, Any]:
         return json.load(fh)
 
 
-def _int_list(arr) -> list[int]:
-    return [int(i) for i in np.asarray(arr).tolist()]
-
-
-def _float_list(arr) -> list[float]:
-    return [float(x) for x in np.asarray(arr).tolist()]
-
-
 def graph_to_dict(graph: AbstractGraph, config: dict[str, Any]) -> dict[str, Any]:
     members = graph.members()
     n0 = graph.n_vertices
@@ -123,30 +115,20 @@ def graph_to_dict(graph: AbstractGraph, config: dict[str, Any]) -> dict[str, Any
         "dim": graph.cloud.dim,
         "n_points": len(graph.cloud),
         "vertices": [
-            {"id": i, "centroid": _float_list(centroid), "members": _int_list(members[i])}
+            {"id": i, "centroid": centroid.tolist(), "members": members[i].tolist()}
             for i, centroid in enumerate(graph.vertex_centroids)
         ],
         "edges": [
-            {"id": j, "boundary": _int_list(pair), "members": _int_list(members[n0 + j])}
+            {"id": j, "boundary": pair.tolist(), "members": members[n0 + j].tolist()}
             for j, pair in enumerate(graph.boundary)
         ],
         "boundary_matrix": boundary_matrix(graph).tolist(),
         "labels": {
-            "p0_tilde": _int_list(np.flatnonzero((graph.stratum >= 0) & (graph.stratum < n0))),
-            "p1_tilde": _int_list(np.flatnonzero(graph.stratum >= n0)),
-            "moved": _int_list(np.flatnonzero(graph.moved)),
+            "p0_tilde": np.flatnonzero((graph.stratum >= 0) & (graph.stratum < n0)).tolist(),
+            "p1_tilde": np.flatnonzero(graph.stratum >= n0).tolist(),
+            "moved": np.flatnonzero(graph.moved).tolist(),
         },
     }
-
-
-def _get(doc: Any, *path: str | int) -> Any:
-    """doc[path[0]][path[1]]..., or a ValueError naming the missing field."""
-    for depth, key in enumerate(path):
-        try:
-            doc = doc[key]
-        except (KeyError, IndexError, TypeError):
-            raise ValueError(f"malformed document: no field {'.'.join(map(str, path[: depth + 1]))}") from None
-    return doc
 
 
 def _check_object(doc: Any) -> None:
@@ -156,7 +138,9 @@ def _check_object(doc: Any) -> None:
 
 def _field(doc: dict[str, Any], key: str, valid, what: str) -> Any:
     """doc[key], or a ValueError naming the field when it is missing or not `what`."""
-    value = _get(doc, key)
+    if key not in doc:
+        raise ValueError(f"malformed document: no field {key}")
+    value = doc[key]
     if not valid(value):
         raise ValueError(f"malformed document: field {key} is not {what}")
     return value
@@ -276,8 +260,8 @@ def graph_spec_to_dict(spec: EmbeddedGraphSpec) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION,
         "kind": "graphskel.graph-spec",
         "dim": spec.dim,
-        "vertices": [_float_list(v) for v in spec.vertices],
-        "edges": [[int(a), int(b)] for (a, b) in spec.edges],
+        "vertices": spec.vertices.tolist(),
+        "edges": [list(edge) for edge in spec.edges],
     }
 
 

@@ -92,11 +92,7 @@ class ReconstructionConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.R > self.eps:
             raise ValueError("R must exceed eps (the shell would be empty)")
-        # rounding-tolerant: R = ratio * eps computed in floats must not flip
-        # an exact ratio-12 configuration out of the guarantee regime
-        object.__setattr__(
-            self, "guarantee_warning", self.R < 12 * self.eps * (1 - 1e-9)
-        )
+        object.__setattr__(self, "guarantee_warning", _below_guarantee(self.R, self.eps))
 
     @property
     def ratio(self) -> float:
@@ -150,35 +146,36 @@ class Partition:
         return self.p0.size + self.p1.size
 
 
-def _checked_asin(arg: float, context: str) -> float:
-    if abs(arg) > 1 + _ASIN_CLAMP:
-        raise ValueError(f"{context}: arcsin argument {arg} outside [-1, 1]")
-    return math.asin(min(1.0, max(-1.0, arg)))
+def _below_guarantee(R: float, eps: float) -> bool:
+    """R < 12*eps, rounding-tolerant: R = ratio * eps computed in floats must
+    not flip an exact ratio-12 scale pair out of the guarantee regime."""
+    return R < 12 * eps * (1 - 1e-9)
 
 
-def _checked_acos(arg: float, context: str) -> float:
+def _checked(f, arg: float, context: str) -> float:
+    """f (math.asin or math.acos) at `arg` clamped into [-1, 1], which it may leave only by rounding."""
     if abs(arg) > 1 + _ASIN_CLAMP:
-        raise ValueError(f"{context}: arccos argument {arg} outside [-1, 1]")
-    return math.acos(min(1.0, max(-1.0, arg)))
+        raise ValueError(f"{context}: {f.__name__} argument {arg} outside [-1, 1]")
+    return f(min(1.0, max(-1.0, arg)))
 
 
 def psi(R: float, eps: float) -> float:
     """Upper angle bound for degree-2 vertices, in radians.
 
-    Scale invariant: psi(k*R, k*eps) == psi(R, eps). Defined for R > 12*eps;
+    Scale invariant: psi(k*R, k*eps) == psi(R, eps). Defined for R >= 12*eps;
     below that a warning is emitted and the formula is still evaluated.
     """
     if not (R > 0 and eps > 0):
         raise ValueError("R and eps must be positive")
-    if R <= 12 * eps:
+    if _below_guarantee(R, eps):
         warnings.warn(
-            f"psi evaluated outside the guarantee regime (R/eps = {R / eps:.3g} <= 12)",
+            f"psi evaluated outside the guarantee regime (R/eps = {R / eps:.3g} < 12)",
             RuntimeWarning,
             stacklevel=2,
         )
     num = R * R - 4 * R * eps - 9 * eps * eps
     den = (R + eps) * math.sqrt(R * R + 6 * R * eps + 34 * eps * eps)
-    return math.pi - math.atan((R + 3 * eps) / (6 * eps)) + _checked_asin(num / den, "psi")
+    return math.pi - math.atan((R + 3 * eps) / (6 * eps)) + _checked(math.asin, num / den, "psi")
 
 
 def phi(R: float, eps: float) -> float:
@@ -188,8 +185,8 @@ def phi(R: float, eps: float) -> float:
     if not R > eps:
         raise ValueError("phi requires R > eps")
     re = R - eps
-    first = _checked_acos((re * re - 18 * eps * eps) / (re * re), "phi")
-    second = 2 * _checked_asin(2 * eps / re, "phi")
+    first = _checked(math.acos, (re * re - 18 * eps * eps) / (re * re), "phi")
+    second = 2 * _checked(math.asin, 2 * eps / re, "phi")
     return first + second
 
 

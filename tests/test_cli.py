@@ -691,6 +691,42 @@ class TestArgumentErrors:
         assert not out.exists()
 
 
+class TestScaleFlags:
+    """argparse owns the scale rules: exactly one of --R/--ratio, and --eps.
+    A breach is one JSON usage line and exit 1, with no output, before the
+    input is opened: the input named here does not exist."""
+
+    @pytest.mark.parametrize("command", ["graph", "partition"])
+    @pytest.mark.parametrize(
+        "scales, named",
+        [
+            (["--ratio", "8"], "the following arguments are required: --eps"),
+            (["--R", "0.8", "--ratio", "8", "--eps", "0.1"], "argument --ratio: not allowed with argument --R"),
+            (["--eps", "0.1"], "one of the arguments --R --ratio is required"),
+        ],
+        ids=["no-eps", "R-and-ratio", "neither"],
+    )
+    def test_scale_rule_is_usage_error(self, tmp_path, capsys, command, scales, named):
+        out = tmp_path / "out"
+        assert main([command, "--input", str(tmp_path / "missing.txt"), "--output", str(out), *scales]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert err == {"error": "usage", "message": named}
+        assert not out.exists()
+
+    def test_empty_ratios_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = ["pipeline", "--input", str(tmp_path / "missing.txt"), "--output", str(out), "--eps", "0.1", "--ratios", ","]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "usage", "message": "--ratios must list at least one ratio"}
+        assert not out.exists()
+
+    def test_help_shows_the_scale_group(self, capsys):
+        assert main(["graph", "--help"]) == 0
+        assert "(--R R | --ratio RATIO)" in " ".join(capsys.readouterr().out.split())
+
+
 # each fault class, and the commands that can meet it
 FAULTS = {
     "missing-file": ("partition", "graph", "fit", "pipeline"),

@@ -66,6 +66,20 @@ class TestPsiPhi:
         with pytest.warns(RuntimeWarning):
             psi(8, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "R, eps, below",
+        [(11.99, 1, True), (12 * (1 - 1e-8), 1, True), (12, 1, False), (1.2, 0.1, False), (12.5, 1, False)],
+    )
+    def test_psi_warns_with_the_config(self, R, eps, below):
+        """psi warns exactly where ReconstructionConfig leaves the guarantee regime."""
+        assert ReconstructionConfig(R=R, eps=eps).guarantee_warning is below
+        if below:
+            with pytest.warns(RuntimeWarning, match="guarantee regime"):
+                psi(R, eps)
+        else:
+            psi(R, eps)  # any warning is an error here
+
     def test_phi_requires_r_above_eps(self):
         with pytest.raises(ValueError):
             phi(1.0, 1.0)
