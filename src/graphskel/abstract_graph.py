@@ -19,6 +19,7 @@ from .errors import StructureError
 from .geometry import (
     ComponentLabeling, PointCloud, component_centroids, contact_components, distance, threshold_components
 )
+from .geometry import _pair_distances
 from .local_structure import LocalLabels, Partition, ReconstructionConfig, partition as _partition
 
 if TYPE_CHECKING:
@@ -102,7 +103,7 @@ def _touching(
     hit = (e >= 0) & (v >= 0)
     if strict:  # end k of the concatenation belongs to pair k mod the pair count
         pair = np.flatnonzero(hit) % i.size
-        hit[hit] = distance(cloud.coords[i[pair]], cloud.coords[j[pair]]) < r
+        hit[hit] = _pair_distances(cloud.coords, i[pair], j[pair]) < r
     nv = max(vertices.num_components, 1)
     return np.divmod(np.unique(e[hit] * nv + v[hit]), nv)
 
@@ -158,7 +159,7 @@ def build_graph(cloud: PointCloud, refined: RefinedPartition, config: Reconstruc
     stratum[e_cc.indices] = v_cc.num_components + e_cc.labels
     moved = np.zeros(len(cloud), dtype=bool)
     moved[refined.moved] = True
-    centroids = component_centroids(cloud.coords[v_cc.indices], v_cc.labels, v_cc.num_components)
+    centroids = component_centroids(cloud.coords, v_cc.labels, v_cc.num_components, v_cc.indices)
     return AbstractGraph(stratum, moved, vertex.reshape(-1, 2), centroids, cloud)
 
 

@@ -6,6 +6,7 @@ every JSON artifact embeds the config that produced it.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,43 +39,53 @@ _INT64 = range(-(1 << 63), 1 << 63)
 
 
 def read_cloud(path: str, skip_header: bool = False) -> PointCloud:
-    """Parse a delimited cloud file; raises CloudParseError with line numbers."""
-    rows: list[list[float]] = []
-    width = None
+    """Parse a delimited cloud file; raises CloudParseError with line numbers.
+
+    All fields are converted in one call. An error names the first faulty
+    line and the first of its faults in this order: a field that is not a
+    number, a width other than the first line's, a non-finite coordinate, a
+    magnitude whose squared distances would overflow.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if skip_header:
-                skip_header = False
-                continue
-            parts = line.split(",")
-            try:
-                row = list(map(float, parts))
-            except ValueError:
-                raise CloudParseError(f"cannot parse coordinates from {line!r}", lineno) from None
-            if width is None:
-                width = len(row)
-                # the largest magnitude whose squared distances stay finite
-                limit = math.sqrt(sys.float_info.max / width) / 2
-            elif len(row) != width:
-                raise CloudParseError(
-                    f"expected {width} coordinates, found {len(row)}", lineno
-                )
-            if not all(map(limit.__ge__, map(abs, row))):  # also false for nan
-                if not all(map(math.isfinite, row)):
-                    raise CloudParseError(f"non-finite coordinates in {line!r}", lineno)
-                raise CloudParseError(
-                    f"coordinate magnitude above {limit:.4g} in {line!r}: squared distances would overflow", lineno
-                )
-            rows.append(row)
-    if not rows:
+        lines = [(lineno, line) for lineno, raw in enumerate(fh, start=1) if (line := raw.strip())]
+    lines = lines[1:] if skip_header else lines
+    if not lines:
         raise CloudParseError(f"no points found in {path}")
+    rows = [line.split(",") for _, line in lines]
+    parsed = len(rows)  # the lines before the first one that does not parse
     try:
-        return PointCloud(np.asarray(rows))
-    except ValueError as exc:
-        raise CloudParseError(str(exc)) from None
+        values = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)
+    except ValueError:
+        parsed = next(k for k, row in enumerate(rows) if not _parses(row))
+        values = np.array(list(itertools.chain.from_iterable(rows[:parsed])), dtype=float)
+    width = len(rows[0])
+    # the largest magnitude whose squared distances stay finite
+    limit = math.sqrt(sys.float_info.max / width) / 2
+    widths = np.fromiter(map(len, rows[:parsed]), dtype=np.intp, count=parsed)
+    line_of = np.repeat(np.arange(parsed), widths)
+    bad = np.r_[np.flatnonzero(widths != width), line_of[~(np.abs(values) <= limit)]]  # nan is not <= limit
+    faulty = int(bad.min(initial=parsed))
+    if faulty == len(rows):
+        return PointCloud(values.reshape(-1, width))
+    lineno, line = lines[faulty]
+    if faulty == parsed:
+        raise CloudParseError(f"cannot parse coordinates from {line!r}", lineno)
+    if widths[faulty] != width:
+        raise CloudParseError(f"expected {width} coordinates, found {widths[faulty]}", lineno)
+    if not np.all(np.isfinite(values[line_of == faulty])):
+        raise CloudParseError(f"non-finite coordinates in {line!r}", lineno)
+    raise CloudParseError(
+        f"coordinate magnitude above {limit:.4g} in {line!r}: squared distances would overflow", lineno
+    )
+
+
+def _parses(fields: list[str]) -> bool:
+    """Whether every field converts to a float."""
+    try:
+        np.array(fields, dtype=float)
+    except ValueError:
+        return False
+    return True
 
 
 def write_text_atomic(path: str, payload: str) -> None:

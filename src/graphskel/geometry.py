@@ -7,9 +7,10 @@ The neighbour searches (`pairs_within`, `threshold_components`) query a k-d
 tree at a slightly padded radius and then decide every candidate with the
 `sqrt(sum(d**2))` distance and the comparison an exact linear scan uses, so
 ties at the threshold resolve as it would. Stage 1's cell queries use the same
-padding and distance (`_padded`, `distance`).
+padding and distance (`_padded`, `_pair_distances`).
 A `PointCloud` keeps its own k-d tree and its contact pairs, so every stage
-that needs the 3*eps contact graph of a cloud reads the same one.
+that needs the 3*eps contact graph of a cloud reads the same one, and the last
+labeling each of `threshold_components` and `contact_components` computed.
 """
 from __future__ import annotations
 
@@ -45,10 +46,11 @@ class PointCloud:
 
     Point order is stable: indices act as identities for all labeling steps.
     Duplicate points are allowed. The k-d tree, the contact pairs and the
-    centred coordinates are derived from the coordinates on first use and kept.
+    centred coordinates are derived from the coordinates on first use and kept,
+    as is the last labeling of each components function (`_kept_components`).
     """
 
-    __slots__ = ("_coords", "_tree", "_contact", "_centred")
+    __slots__ = ("_coords", "_tree", "_contact", "_centred", "_labelings")
 
     def __init__(self, coords) -> None:
         arr = np.asarray(coords, dtype=float)
@@ -64,6 +66,7 @@ class PointCloud:
         self._tree = None
         self._contact = None  # (r, pairs_within(coords, r)) for the last r asked for
         self._centred = None
+        self._labelings = {}  # components function -> (r, the labeling it computed last)
 
     @property
     def coords(self) -> np.ndarray:
@@ -191,12 +194,24 @@ def _padded(r: float) -> float:
     return r * (1.0 + _QUERY_PAD)
 
 
+def _pair_distances(points: np.ndarray, i, j) -> np.ndarray:
+    """`distance(points[i], points[j])` for index arrays i and j, bit for bit.
+
+    Below 8 coordinates `np.sum` adds the squares in coordinate order, so each
+    coordinate is gathered on its own and the squares are added in that order;
+    from 8 on it adds them pairwise, so the rows are gathered for `distance`.
+    """
+    if points.shape[1] >= 8:
+        return distance(points[i], points[j])
+    return np.sqrt(sum((column.take(i) - column.take(j)) ** 2 for column in points.T))
+
+
 def pairs_within(coords: np.ndarray, r: float, tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All pairs (i, j) with i < j and ||p_i - p_j|| <= r, each once, in the
     order the tree returns them. Indices are int32 below 2**31 points, else intp."""
     tree = cKDTree(coords) if tree is None else tree
     pairs = tree.query_pairs(_padded(r), output_type="ndarray")
-    keep = distance(coords[pairs[:, 0]], coords[pairs[:, 1]]) <= r
+    keep = _pair_distances(coords, pairs[:, 0], pairs[:, 1]) <= r
     index = np.int32 if len(coords) < 2**31 else np.intp
     return pairs[keep, 0].astype(index), pairs[keep, 1].astype(index)
 
@@ -228,10 +243,7 @@ def threshold_components(cloud: PointCloud, subset, r: float) -> ComponentLabeli
     """
     if r < 0:
         raise ValueError("threshold must be nonnegative")
-    subset = _checked_subset(cloud, subset)
-    i, j = pairs_within(cloud.coords[subset], r)
-    labels, count = component_labels(subset.size, i, j)
-    return ComponentLabeling(subset, labels, count)
+    return _kept_components(cloud, "threshold", subset, r, lambda subset: pairs_within(cloud.coords[subset], r))
 
 
 def contact_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling:
@@ -240,14 +252,32 @@ def contact_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling
     Builds no tree of its own: the subset's graph is the cloud's contact graph
     restricted to the subset.
     """
+
+    def edges(subset):
+        i, j = cloud.contact_pairs(r)
+        pos = np.full(len(cloud), -1, dtype=np.intp)
+        pos[subset] = np.arange(subset.size)
+        pi, pj = pos[i], pos[j]
+        keep = (pi >= 0) & (pj >= 0)
+        return pi[keep], pj[keep]
+
+    return _kept_components(cloud, "contact", subset, r, edges)
+
+
+def _kept_components(cloud: PointCloud, kind: str, subset, r: float, edges) -> ComponentLabeling:
+    """The components of the graph on the checked subset whose edges
+    `edges(subset)` gives as positions in it. The labeling is read-only and
+    kept on the cloud under `kind` until another subset or r is asked for:
+    stage 2 asks again for the sides that `refine` leaves as they were."""
     subset = _checked_subset(cloud, subset)
-    i, j = cloud.contact_pairs(r)
-    pos = np.full(len(cloud), -1, dtype=np.intp)
-    pos[subset] = np.arange(subset.size)
-    pi, pj = pos[i], pos[j]
-    keep = (pi >= 0) & (pj >= 0)
-    labels, count = component_labels(subset.size, pi[keep], pj[keep])
-    return ComponentLabeling(subset, labels, count)
+    last = cloud._labelings.get(kind)
+    if last is not None and last[0] == r and np.array_equal(last[1].indices, subset):
+        return last[1]
+    labels, count = component_labels(subset.size, *edges(subset))
+    for arr in (subset, labels):
+        arr.setflags(write=False)  # shared by every caller, like coords
+    cloud._labelings[kind] = (r, ComponentLabeling(subset, labels, count))
+    return cloud._labelings[kind][1]
 
 
 def _checked_subset(cloud: PointCloud, subset) -> np.ndarray:
@@ -258,16 +288,18 @@ def _checked_subset(cloud: PointCloud, subset) -> np.ndarray:
     return subset
 
 
-def component_centroids(points, labels, count: int) -> np.ndarray:
-    """(count, n) means of the rows of `points` per label in 0..count-1.
+def component_centroids(points, labels, count: int, rows=None) -> np.ndarray:
+    """(count, n) means of the rows of `points` (of `points[rows]` when given)
+    per label in 0..count-1.
 
     Each label's members are summed in array order, one `np.bincount` per
-    coordinate. A label with no members is an error.
+    coordinate, which gathers that coordinate alone. A label with no members
+    is an error.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=np.intp)
     sizes = np.bincount(labels, minlength=count)
     if sizes.size != count or not np.all(sizes):
         raise ValueError(f"cannot take centroids: each of the {count} labels needs a member, and no other may occur")
-    sums = [np.bincount(labels, weights=points[:, d], minlength=count) for d in range(points.shape[1])]
+    sums = [np.bincount(labels, weights=x if rows is None else x.take(rows), minlength=count) for x in points.T]
     return np.stack(sums, axis=1) / sizes[:, None]

@@ -28,6 +28,7 @@ from .geometry import (
     _QUERY_PAD,
     PointCloud,
     _padded,
+    _pair_distances,
     angle_cosine,
     component_centroids,
     component_labels,
@@ -325,7 +326,7 @@ def _clique_cells(cloud: PointCloud, r: float) -> _Cells:
     lead = members[ptr[:-1]]
     rank = np.empty(m, dtype=np.intp)
     rank[members] = np.arange(m) - np.repeat(ptr[:-1], size)
-    reach = np.maximum.reduceat(distance(coords[members], coords[np.repeat(lead, size)]), ptr[:-1])
+    reach = np.maximum.reduceat(_pair_distances(coords, members, np.repeat(lead, size)), ptr[:-1])
     # every contact pair across two cells, from both ends, sorted by (point, the
     # other end's cell); indices keep the pairs' width, and each temporary is
     # dropped once read, since the pairs outnumber the points
@@ -404,7 +405,7 @@ def _query_cells(cells: _Cells, coords, centres, radius: float) -> tuple[np.ndar
     hits = cells.tree.query_ball_point(coords[centres], _lead_radius(cells, radius), return_sorted=True)
     sizes, cell = _flatten(hits)
     owner = np.repeat(np.arange(centres.size), sizes)
-    return owner, cell, distance(coords[cells.lead[cell]], coords[centres[owner]])
+    return owner, cell, _pair_distances(coords, cells.lead[cell], centres[owner])
 
 
 def _sides(d: np.ndarray, reach: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -421,7 +422,7 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
     """The labels of `centres` at each of `configs`, from one query of the
     cells about them at `radius`, the largest ball radius of the configs."""
     owner, cell, d = _query_cells(cells, coords, centres, radius)
-    keep = ~_sides(d, cells.reach[cell], radius)[1]
+    keep = np.flatnonzero(~_sides(d, cells.reach[cell], radius)[1])
     # (centre, cell) groups, sorted by centre: the cells that may meet the largest ball
     owner, cell, d = owner[keep], cell[keep], d[keep]
     size, reach = cells.size[cell], cells.reach[cell]
@@ -434,12 +435,14 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
     met = np.zeros(cells.size.size, dtype=bool)
     met[cell] = True
     column = np.where(met, np.cumsum(met), 0)
-    table = np.full((centres.size, column.max() + 1), -1, dtype=np.int32)
-    table[owner, column[cell]] = np.arange(owner.size)
+    width = int(column.max()) + 1
+    table = np.full(centres.size * width, -1, dtype=np.int32)  # row-major (centre, column)
+    table[owner * width + column[cell]] = np.arange(owner.size)
     # adjacent cells of one centre, each pair once: the group edges between complete groups
     src, at = _entries(cell, cells.adj_ptr)
-    dst = table[owner[src], column[cells.adj[at]]]
-    joined = src[dst >= 0], dst[dst >= 0]
+    dst = table[owner[src] * width + column[cells.adj[at]]]
+    linked = np.flatnonzero(dst >= 0)
+    joined = src[linked], dst[linked]
     # the members of cut groups, whose distances are checked one by one
     cut = np.flatnonzero(~decided)
     at, entry = _entries(cell[cut], cells.ptr)
@@ -447,7 +450,7 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
     member = cells.members[entry]
     first = np.zeros(owner.size, dtype=np.intp)  # position of each cut group's first member
     first[cut] = np.cumsum(size[cut]) - size[cut]
-    member_d = distance(coords[member], coords[centres[owner[group]]])
+    member_d = _pair_distances(coords, member, centres[owner[group]])
 
     def components(count, region):
         """The components of a region, given its member count per group and
@@ -455,24 +458,24 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
         smallest group and -1 outside the region, the count per centre, and
         each label's centre."""
         complete = count == size
-        both = complete[joined[0]] & complete[joined[1]]
+        both = np.flatnonzero(complete[joined[0]] & complete[joined[1]])
         # a cut group meets each present group of a cell its region members touch:
         # a complete one outright, a cut one if a touched point is in the region
         loose = np.flatnonzero(region & ~complete[group])
         at, block = _entries(member[loose], cells.touch_ptr)
         x = group[loose[at]]
-        y = table[owner[x], column[cells.block_cell[block]]]
+        y = table[owner[x] * width + column[cells.block_cell[block]]]
         found = (y >= 0) & (count[y] > 0)
-        full = found & complete[y]
+        full = np.flatnonzero(found & complete[y])
         part = np.flatnonzero(found & ~complete[y] & (x < y))
         at2, entry = _entries(block[part], cells.block_ptr)
         x2, y2 = x[part[at2]], y[part[at2]]
-        hit = region[first[y2] + cells.rank[cells.nbr[entry]]]
-        present = count > 0
-        pos = np.cumsum(present) - 1
+        hit = np.flatnonzero(region[first[y2] + cells.rank[cells.nbr[entry]]])
+        present = np.flatnonzero(count)
+        pos = np.cumsum(count > 0) - 1
         src = pos[np.concatenate([joined[0][both], x[full], x2[hit]])]
         dst = pos[np.concatenate([joined[1][both], y[full], y2[hit]])]
-        labels, n_labels = component_labels(int(pos[-1]) + 1, src, dst)
+        labels, n_labels = component_labels(present.size, src, dst)
         label_owner = np.empty(n_labels, dtype=np.intp)
         label_owner[labels] = owner[present]
         group_label = np.full(owner.size, -1)
@@ -487,7 +490,7 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
         # region, and else the number of its checked members in it
         in_shell = decided & ball_in & inner_out
         ball_count, shell_count = (
-            np.where(wholly, size, np.bincount(group[region], minlength=owner.size))
+            np.where(wholly, size, np.bincount(group[np.flatnonzero(region)], minlength=owner.size))
             for wholly, region in ((ball_in, ball), (in_shell, shell))
         )
         connected = components(ball_count, ball)[1] <= 1
@@ -512,7 +515,7 @@ def _labels(coords, centres, members, comp, connected, shell_count, config) -> L
     in pairs per centre, and `members` are their members."""
     cand = connected & (shell_count == 2)
     n_cand = int(cand.sum())
-    centroids = component_centroids(coords[members], comp, 2 * n_cand).reshape(n_cand, 2, coords.shape[1])
+    centroids = component_centroids(coords, comp, 2 * n_cand, members).reshape(n_cand, 2, coords.shape[1])
     p = coords[centres[cand]]
     a, b = centroids[:, 0] - p, centroids[:, 1] - p
     ip = np.full(centres.size, np.nan)

@@ -42,5 +42,14 @@ def twelve_vertex_5d_recovery():
     return gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
 
 
+@pytest.fixture
+def computed_labelings(monkeypatch):
+    """The node counts of the component labelings computed from here on, in order."""
+    sizes = []
+    real = gs.geometry.component_labels
+    monkeypatch.setattr(gs.geometry, "component_labels", lambda n, i, j: sizes.append(n) or real(n, i, j))
+    return sizes
+
+
 def random_cloud(rng: np.random.Generator, n: int, dim: int, scale: float = 1.0) -> gs.PointCloud:
     return gs.PointCloud(rng.normal(size=(n, dim)) * scale)

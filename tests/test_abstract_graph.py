@@ -17,7 +17,7 @@ from graphskel.abstract_graph import (
     refine,
 )
 from graphskel.fileio import graph_from_dict, graph_to_dict
-from graphskel.geometry import PointCloud
+from graphskel.geometry import PointCloud, contact_components, threshold_components
 from graphskel.local_structure import partition
 
 
@@ -129,6 +129,64 @@ class TestRefine:
         refined = refine(cloud, q0, q1, cfg)
         assert refined.p0_tilde.tolist() == [0, 1]
         assert refined.moved.size == 0
+
+
+class TestKeptSides:
+    """`build_graph` asks again for the labelings that `cluster_p0` and
+    `cluster_p1` computed; the cloud hands them back only for the same side."""
+
+    CFG = gs.ReconstructionConfig(R=1.2, eps=0.1)
+
+    @pytest.fixture
+    def cloud(self, fixture_spec):
+        return gs.sample_graph(fixture_spec, gs.SampleSpec(eps=0.1, seed=1))  # a fresh cloud keeps nothing yet
+
+    def test_recover_graph_leaves_both_refined_sides_kept(self, cloud, computed_labelings):
+        graph = recover_graph(cloud, self.CFG)
+        p0_tilde = np.flatnonzero((graph.stratum >= 0) & (graph.stratum < graph.n_vertices))
+        p1_tilde = np.flatnonzero(graph.stratum >= graph.n_vertices)
+        sides = (
+            (threshold_components, p0_tilde, self.CFG.vertex_cluster_scale),
+            (contact_components, p1_tilde, self.CFG.contact_scale),
+        )
+        count = len(computed_labelings)
+        kept = [components(cloud, side, r) for components, side, r in sides]
+        assert len(computed_labelings) == count
+        fresh = PointCloud(cloud.coords)
+        for labeling, (components, side, r) in zip(kept, sides):
+            want = components(fresh, side, r)
+            assert np.array_equal(labeling.indices, want.indices) and np.array_equal(labeling.labels, want.labels)
+            assert labeling.num_components == want.num_components
+            assert not (labeling.indices.flags.writeable or labeling.labels.flags.writeable)
+
+    def test_refine_moving_a_point_reclusters_the_vertex_side(self, computed_labelings):
+        cloud = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0], [0.3, 0.0], [5.0, 5.0], [5.2, 5.0]]))
+        q0 = threshold_components(cloud, [0, 1], self.CFG.vertex_cluster_scale)
+        q1 = threshold_components(cloud, [2], self.CFG.contact_scale)
+        graph = build_graph(cloud, refine(cloud, q0, q1, self.CFG), self.CFG)
+        assert computed_labelings == [2, 1, 3, 0]  # P0, the stub, P0 with the stub, and the empty edge side
+        assert graph.stratum.tolist() == [0, 0, 0, -1, -1]
+        assert graph.vertex_centroids.tolist() == [[0.4 / 3, 0.0]]
+
+    @pytest.mark.parametrize("hand", ["as-partitioned", "one-moved", "one-left-out"])
+    def test_hand_built_partition_reads_no_stale_labeling(self, cloud, hand):
+        recover_graph(cloud, self.CFG)  # keeps a labeling of each refined side
+        part = partition(cloud, self.CFG)
+        p0, p1 = part.p0, part.p1
+        refined = {
+            "as-partitioned": RefinedPartition(p0, p1, p1[:0]),
+            "one-moved": RefinedPartition(np.sort(np.r_[p0, p1[:1]]), p1[1:], p1[:1]),
+            "one-left-out": RefinedPartition(p0[1:], p1, p1[:0]),
+        }[hand]
+
+        def outcome(c):
+            try:
+                g = build_graph(c, refined, self.CFG)
+            except gs.StructureError as exc:
+                return str(exc)
+            return g.stratum.tolist(), g.moved.tolist(), g.boundary.tolist(), g.vertex_centroids.tobytes()
+
+        assert outcome(cloud) == outcome(PointCloud(cloud.coords))
 
 
 class TestBuildGraph:

@@ -225,6 +225,63 @@ class TestPartition:
         assert rc == 0
 
 
+class TestReadCloud:
+    """`read_cloud` converts every field in one call and names the first
+    faulty line with that line's first fault, as a scan line by line would."""
+
+    @staticmethod
+    def fault(tmp_path, text: str, **kwargs) -> CloudParseError:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(CloudParseError) as info:
+            read_cloud(str(path), **kwargs)
+        return info.value
+
+    def test_magnitude_before_a_parse_error_is_named(self, tmp_path):
+        rows = ["0.0,0.0"] * 8
+        rows[2], rows[6] = "1e160,0.0", "0.0,zero"
+        err = self.fault(tmp_path, "\n".join(rows) + "\n")
+        assert err.line_number == 3
+        assert str(err).startswith("line 3: coordinate magnitude above")
+
+    def test_width_before_a_parse_error_is_named(self, tmp_path):
+        err = self.fault(tmp_path, "0.0,0.0\n1.0,2.0,3.0\n1.0,x\n")
+        assert str(err) == "line 2: expected 2 coordinates, found 3"
+
+    def test_parse_error_before_other_faults_is_named(self, tmp_path):
+        err = self.fault(tmp_path, "0.0,0.0\n\n1.0,,2.0\nnan,1.0\n")
+        assert str(err) == "line 3: cannot parse coordinates from '1.0,,2.0'"
+
+    def test_first_line_sets_the_width(self, tmp_path):
+        err = self.fault(tmp_path, "bad\n0.0,0.0\n")
+        assert str(err) == "line 1: cannot parse coordinates from 'bad'"
+        err = self.fault(tmp_path, "0.0,0.0,1.0\n0.0,inf\n")
+        assert str(err) == "line 2: expected 3 coordinates, found 2"
+
+    def test_non_finite_is_named_before_magnitude(self, tmp_path):
+        err = self.fault(tmp_path, "0.0,0.0\n1e300,nan\n")
+        assert str(err) == "line 2: non-finite coordinates in '1e300,nan'"
+
+    def test_empty_file(self, tmp_path):
+        err = self.fault(tmp_path, "\n  \nheader\n", skip_header=True)
+        assert err.line_number is None and str(err).startswith("no points found in")
+
+    @pytest.mark.parametrize(
+        "text, skip_header",
+        [
+            ("0.5,-1.0\r\n2.0,3.25\r\n", False),
+            ("0.5,-1.0\n2.0,3.25\n\n\n  \n", False),
+            ("\nx,y\n0.5,-1.0\n\n2.0,3.25\n", True),
+            (" 0.5 , -1_0e-1\t\n２.0,3.25", False),
+        ],
+        ids=["crlf", "trailing-blank-lines", "header-after-blank-line", "what-float-accepts"],
+    )
+    def test_formats(self, tmp_path, text, skip_header):
+        path = tmp_path / "cloud.txt"
+        path.write_bytes(text.encode())
+        assert read_cloud(str(path), skip_header=skip_header).coords.tolist() == [[0.5, -1.0], [2.0, 3.25]]
+
+
 class TestGraph:
     def test_fixture_graph_document(self, cloud_file, tmp_path):
         out = tmp_path / "graph.json"

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from graphskel.geometry import (
     PointCloud,
+    _pair_distances,
     angle_cosine,
     component_centroids,
+    contact_components,
     distance,
     point_segment_distance,
     segment_segment_distance,
@@ -97,6 +99,31 @@ class TestDistance:
         for _ in range(200):
             a, b, c = rng.normal(size=(3, 5))
             assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
+
+
+class TestPairDistances:
+    """`_pair_distances` gathers one coordinate at a time below 8 coordinates
+    and rows from 8 on; either way it keeps `distance`'s bits."""
+
+    @settings(max_examples=150)
+    @given(
+        n=st.integers(1, 12),
+        scale=st.sampled_from([1.0, 1e-150, 1e150]),
+        data=st.data(),
+    )
+    def test_bits_match_distance_of_gathered_rows(self, n, scale, data):
+        m = data.draw(st.integers(1, 6))
+        entry = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+        points = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+        points *= scale
+        # short lists over few points: empty pairs, repeated indices and i == j all occur
+        index = st.lists(st.integers(0, m - 1), max_size=12)
+        i, j = data.draw(index), data.draw(index)
+        i, j = np.array(i[: len(j)], dtype=np.int32), np.array(j[: len(i)], dtype=np.intp)
+        got = _pair_distances(points, i, j)
+        want = distance(points[i], points[j])
+        assert got.dtype == want.dtype and got.shape == want.shape == (i.size,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPointSegmentDistance:
@@ -268,6 +295,38 @@ class TestThresholdComponents:
         rng = np.random.default_rng(10)
         cloud = PointCloud(rng.normal(size=(40, 3)))
         assert threshold_components(cloud, np.arange(40), 0.0).num_components == 40
+
+
+class TestKeptLabelings:
+    """A cloud keeps the last labeling each components function computed and
+    hands it back only when the same subset and r are asked for again."""
+
+    @pytest.mark.parametrize("components", [threshold_components, contact_components])
+    def test_same_subset_and_r_read_the_kept_labeling(self, components, computed_labelings):
+        cloud = PointCloud([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0], [3.0, 0.0], [3.1, 0.0]])
+        first = components(cloud, [0, 1, 2, 3], 0.3)
+        again = components(cloud, np.array([3, 2, 1, 0, 0]), 0.3)  # the same subset once checked
+        assert again is first and computed_labelings == [4]
+        for arr in (again.indices, again.labels):
+            assert not arr.flags.writeable
+        assert (again.labels.tolist(), again.num_components) == ([0, 0, 0, 1], 2)
+
+    @pytest.mark.parametrize("components", [threshold_components, contact_components])
+    def test_another_subset_or_r_recomputes(self, components, computed_labelings):
+        cloud = PointCloud([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0], [3.0, 0.0], [3.1, 0.0]])
+        components(cloud, [0, 1, 2, 3], 0.3)
+        other_subset = components(cloud, [0, 2, 3, 4], 0.3)
+        other_r = components(cloud, [0, 2, 3, 4], 0.45)
+        assert computed_labelings == [4, 4, 4]
+        assert other_subset.labels.tolist() == [0, 1, 2, 2]  # 0 and 2 met through 1 only
+        assert other_r.labels.tolist() == [0, 0, 1, 1]
+
+    def test_labelings_are_kept_per_cloud(self, computed_labelings):
+        coords = [[0.0, 0.0], [0.2, 0.0], [3.0, 0.0]]
+        a, b = PointCloud(coords), PointCloud(coords)
+        threshold_components(a, [0, 1, 2], 0.5)
+        threshold_components(b, [0, 1, 2], 0.5)
+        assert computed_labelings == [3, 3]
 
 
 class TestCentroid:

@@ -354,7 +354,7 @@ class TestOneContactGraph:
         graph = gs.recover_graph(cloud, CFG)
         assert (graph.n_vertices, graph.n_edges) == (5, 5)
         assert trees.count(len(cloud)) == 1
-        assert len(trees) == 4  # the cloud's tree, stage 1's tree of cell leads and the two vertex-scale subset trees
+        assert len(trees) == 3  # the cloud's tree, stage 1's tree of cell leads and one vertex-scale subset tree
         assert radii.count(CFG.contact_scale) == 1
         assert CFG.contact_scale not in components
 
