@@ -4,9 +4,10 @@ boundary operator.
 Vertex-like samples cluster at scale 3R/2 + 2*eps (one cluster per vertex);
 edge-like samples cluster at contact scale 3*eps. Edge-like clusters adjacent
 to a single vertex cluster live in a vertex's grey annulus and are reabsorbed
-into the vertex side before the final clustering. Everything at the contact
-scale (edge clustering and which vertex clusters an edge cluster touches)
-reads the cloud's own contact pairs, the same ones classification used.
+into the vertex side, which is clustered again only when a point moves.
+Everything at the contact scale (edge clustering and which vertex clusters an
+edge cluster touches) reads the cloud's own contact pairs, the same ones
+classification used.
 """
 from __future__ import annotations
 
@@ -41,10 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RefinedPartition:
-    """Partition after reabsorbing non-spanning edge-like clusters."""
+    """The clustered sides after reabsorbing non-spanning edge-like clusters."""
 
-    p0_tilde: np.ndarray
-    p1_tilde: np.ndarray
+    vertices: ComponentLabeling  # P0~ at scale 3R/2 + 2*eps
+    edges: ComponentLabeling  # P1~ at scale 3*eps
     moved: np.ndarray  # indices relocated from the edge-like side
 
 
@@ -118,6 +119,10 @@ def refine(
 
     Adjacency is strict single-linkage distance < 3*eps. A cluster adjacent to
     no vertex cluster cannot occur at a valid scale and raises StructureError.
+    `q0` and `q1` are `cluster_p0`'s and `cluster_p1`'s labelings; the vertex
+    side is `q0` unless a point moves. The edge side is the kept clusters of
+    `q1` renumbered in order, which is how P1~ itself clusters, since ids
+    follow smallest members.
     """
     edge, _ = _touching(cloud, q1, q0, config.contact_scale, strict=True)
     adjacent = np.bincount(edge, minlength=q1.num_components)
@@ -128,22 +133,26 @@ def refine(
             f"orphan edge cluster (id {cid}, {np.count_nonzero(q1.labels == cid)} points): no vertex cluster "
             f"within {config.contact_scale:.6g}; the scale pair (R, eps) is likely invalid"
         )
-    moving = (adjacent == 1)[q1.labels]
-    moved = q1.indices[moving]
-    p0_tilde = np.sort(np.concatenate([q0.indices, moved]))
-    return RefinedPartition(p0_tilde=p0_tilde, p1_tilde=q1.indices[~moving], moved=moved)
+    kept = adjacent != 1
+    stays = kept[q1.labels]
+    moved = q1.indices[~stays]
+    vertices = q0
+    if moved.size:
+        vertices = threshold_components(cloud, np.concatenate([q0.indices, moved]), config.vertex_cluster_scale)
+    ids = np.cumsum(kept) - 1
+    edges = ComponentLabeling(q1.indices[stays], ids[q1.labels[stays]], int(np.count_nonzero(kept)))
+    return RefinedPartition(vertices, edges, moved)
 
 
 def build_graph(cloud: PointCloud, refined: RefinedPartition, config: ReconstructionConfig) -> AbstractGraph:
-    """Cluster the refined partition from scratch and assign boundary pairs.
+    """Assign boundary pairs to the clusters of `refined`; this clusters nothing.
 
     Every edge cluster must sit within 3*eps (single linkage) of exactly two
     vertex clusters; anything else is a structural error naming the cluster.
     A point in neither side of `refined` gets stratum -1. The graph's `moved`
-    column marks `refined.moved`, the one thing of `refined` it keeps.
+    column marks `refined.moved`.
     """
-    v_cc = threshold_components(cloud, refined.p0_tilde, config.vertex_cluster_scale)
-    e_cc = contact_components(cloud, refined.p1_tilde, config.contact_scale)
+    v_cc, e_cc = refined.vertices, refined.edges
     edge, vertex = _touching(cloud, e_cc, v_cc, config.contact_scale, strict=False)
     touching = np.bincount(edge, minlength=e_cc.num_components)
     bad = np.flatnonzero(touching != 2)

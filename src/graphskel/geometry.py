@@ -9,8 +9,7 @@ tree at a slightly padded radius and then decide every candidate with the
 ties at the threshold resolve as it would. Stage 1's cell queries use the same
 padding and distance (`_padded`, `_pair_distances`).
 A `PointCloud` keeps its own k-d tree and its contact pairs, so every stage
-that needs the 3*eps contact graph of a cloud reads the same one, and the last
-labeling each of `threshold_components` and `contact_components` computed.
+that needs the 3*eps contact graph of a cloud reads the same one.
 """
 from __future__ import annotations
 
@@ -46,11 +45,10 @@ class PointCloud:
 
     Point order is stable: indices act as identities for all labeling steps.
     Duplicate points are allowed. The k-d tree, the contact pairs and the
-    centred coordinates are derived from the coordinates on first use and kept,
-    as is the last labeling of each components function (`_kept_components`).
+    centred coordinates are derived from the coordinates on first use and kept.
     """
 
-    __slots__ = ("_coords", "_tree", "_contact", "_centred", "_labelings")
+    __slots__ = ("_coords", "_tree", "_contact", "_centred")
 
     def __init__(self, coords) -> None:
         arr = np.asarray(coords, dtype=float)
@@ -66,7 +64,6 @@ class PointCloud:
         self._tree = None
         self._contact = None  # (r, pairs_within(coords, r)) for the last r asked for
         self._centred = None
-        self._labelings = {}  # components function -> (r, the labeling it computed last)
 
     @property
     def coords(self) -> np.ndarray:
@@ -243,7 +240,9 @@ def threshold_components(cloud: PointCloud, subset, r: float) -> ComponentLabeli
     """
     if r < 0:
         raise ValueError("threshold must be nonnegative")
-    return _kept_components(cloud, "threshold", subset, r, lambda subset: pairs_within(cloud.coords[subset], r))
+    subset = _checked_subset(cloud, subset)
+    labels, count = component_labels(subset.size, *pairs_within(cloud.coords[subset], r))
+    return ComponentLabeling(subset, labels, count)
 
 
 def contact_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling:
@@ -252,32 +251,14 @@ def contact_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling
     Builds no tree of its own: the subset's graph is the cloud's contact graph
     restricted to the subset.
     """
-
-    def edges(subset):
-        i, j = cloud.contact_pairs(r)
-        pos = np.full(len(cloud), -1, dtype=np.intp)
-        pos[subset] = np.arange(subset.size)
-        pi, pj = pos[i], pos[j]
-        keep = (pi >= 0) & (pj >= 0)
-        return pi[keep], pj[keep]
-
-    return _kept_components(cloud, "contact", subset, r, edges)
-
-
-def _kept_components(cloud: PointCloud, kind: str, subset, r: float, edges) -> ComponentLabeling:
-    """The components of the graph on the checked subset whose edges
-    `edges(subset)` gives as positions in it. The labeling is read-only and
-    kept on the cloud under `kind` until another subset or r is asked for:
-    stage 2 asks again for the sides that `refine` leaves as they were."""
     subset = _checked_subset(cloud, subset)
-    last = cloud._labelings.get(kind)
-    if last is not None and last[0] == r and np.array_equal(last[1].indices, subset):
-        return last[1]
-    labels, count = component_labels(subset.size, *edges(subset))
-    for arr in (subset, labels):
-        arr.setflags(write=False)  # shared by every caller, like coords
-    cloud._labelings[kind] = (r, ComponentLabeling(subset, labels, count))
-    return cloud._labelings[kind][1]
+    i, j = cloud.contact_pairs(r)
+    pos = np.full(len(cloud), -1, dtype=np.intp)
+    pos[subset] = np.arange(subset.size)
+    pi, pj = pos.take(i), pos.take(j)
+    keep = (pi >= 0) & (pj >= 0)
+    labels, count = component_labels(subset.size, pi[keep], pj[keep])
+    return ComponentLabeling(subset, labels, count)
 
 
 def _checked_subset(cloud: PointCloud, subset) -> np.ndarray:

@@ -37,7 +37,7 @@ class TestClusterStages:
         q1 = cluster_p1(fixture_cloud, part, ratio8_config)
         refined = refine(fixture_cloud, q0, q1, ratio8_config)
         spanning = gs.geometry.threshold_components(
-            fixture_cloud, refined.p1_tilde, ratio8_config.contact_scale
+            fixture_cloud, refined.edges.indices, ratio8_config.contact_scale
         )
         assert spanning.num_components == 5
 
@@ -94,8 +94,8 @@ class TestRefine:
         q1_stub = gs.geometry.threshold_components(cloud, [2], cfg.contact_scale)
         refined = refine(cloud, q0, q1_stub, cfg)
         assert refined.moved.tolist() == [2]
-        assert refined.p1_tilde.size == 0
-        assert sorted(refined.p0_tilde.tolist()) == [0, 1, 2]
+        assert refined.edges.indices.size == 0
+        assert sorted(refined.vertices.indices.tolist()) == [0, 1, 2]
         graph = build_graph(cloud, refined, cfg)
         assert np.flatnonzero(graph.moved).tolist() == [2]
         assert graph_to_dict(graph, {})["labels"] == {"p0_tilde": [0, 1, 2], "p1_tilde": [], "moved": [2]}
@@ -117,9 +117,9 @@ class TestRefine:
         q0 = cluster_p0(cloud, part, cfg)
         q1 = cluster_p1(cloud, part, cfg)
         refined = refine(cloud, q0, q1, cfg)
-        assert refined.p1_tilde.size > 0
+        assert refined.edges.indices.size > 0
         # moved components never touch two vertex clusters
-        assert refined.p0_tilde.size + refined.p1_tilde.size == len(cloud)
+        assert refined.vertices.indices.size + refined.edges.indices.size == len(cloud)
 
     def test_no_p1_components_identity(self):
         cfg = gs.ReconstructionConfig(R=1.2, eps=0.1)
@@ -127,59 +127,74 @@ class TestRefine:
         q0 = gs.geometry.threshold_components(cloud, [0, 1], cfg.vertex_cluster_scale)
         q1 = gs.geometry.threshold_components(cloud, [], cfg.contact_scale)
         refined = refine(cloud, q0, q1, cfg)
-        assert refined.p0_tilde.tolist() == [0, 1]
+        assert refined.vertices.indices.tolist() == [0, 1]
         assert refined.moved.size == 0
 
 
 class TestKeptSides:
-    """`build_graph` asks again for the labelings that `cluster_p0` and
-    `cluster_p1` computed; the cloud hands them back only for the same side."""
+    """`refine` keeps the labelings it is handed where it can: `q0` as the
+    vertex side unless a point moves, and the spanning clusters of `q1` as the
+    edge side. So `recover_graph` computes one labeling per side, and the
+    cloud keeps none of them."""
 
     CFG = gs.ReconstructionConfig(R=1.2, eps=0.1)
 
     @pytest.fixture
     def cloud(self, fixture_spec):
-        return gs.sample_graph(fixture_spec, gs.SampleSpec(eps=0.1, seed=1))  # a fresh cloud keeps nothing yet
+        return gs.sample_graph(fixture_spec, gs.SampleSpec(eps=0.1, seed=1))
 
-    def test_recover_graph_leaves_both_refined_sides_kept(self, cloud, computed_labelings):
+    def test_recover_graph_clusters_each_side_once(self, cloud, computed_labelings):
         graph = recover_graph(cloud, self.CFG)
-        p0_tilde = np.flatnonzero((graph.stratum >= 0) & (graph.stratum < graph.n_vertices))
-        p1_tilde = np.flatnonzero(graph.stratum >= graph.n_vertices)
-        sides = (
-            (threshold_components, p0_tilde, self.CFG.vertex_cluster_scale),
-            (contact_components, p1_tilde, self.CFG.contact_scale),
-        )
-        count = len(computed_labelings)
-        kept = [components(cloud, side, r) for components, side, r in sides]
-        assert len(computed_labelings) == count
-        fresh = PointCloud(cloud.coords)
-        for labeling, (components, side, r) in zip(kept, sides):
-            want = components(fresh, side, r)
-            assert np.array_equal(labeling.indices, want.indices) and np.array_equal(labeling.labels, want.labels)
-            assert labeling.num_components == want.num_components
-            assert not (labeling.indices.flags.writeable or labeling.labels.flags.writeable)
+        counts = list(computed_labelings)
+        part = partition(cloud, self.CFG)
+        assert counts == [part.p0.size, part.p1.size]
+        assert not graph.moved.any()
 
     def test_refine_moving_a_point_reclusters_the_vertex_side(self, computed_labelings):
         cloud = PointCloud(np.array([[0.0, 0.0], [0.1, 0.0], [0.3, 0.0], [5.0, 5.0], [5.2, 5.0]]))
         q0 = threshold_components(cloud, [0, 1], self.CFG.vertex_cluster_scale)
         q1 = threshold_components(cloud, [2], self.CFG.contact_scale)
         graph = build_graph(cloud, refine(cloud, q0, q1, self.CFG), self.CFG)
-        assert computed_labelings == [2, 1, 3, 0]  # P0, the stub, P0 with the stub, and the empty edge side
+        assert computed_labelings == [2, 1, 3]  # P0, the stub, and P0 with the stub; not the edge side
         assert graph.stratum.tolist() == [0, 0, 0, -1, -1]
         assert graph.vertex_centroids.tolist() == [[0.4 / 3, 0.0]]
 
+    def test_kept_edge_clusters_are_renumbered_as_a_fresh_clustering(self):
+        # edge-like clusters: points 2 and 3 touch only vertex 0 and move; the
+        # chain from point 4 along the x axis spans vertices 0 and 1 and stays,
+        # renumbered from id 1 to id 0
+        cloud = PointCloud(np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 0.25], [0.0, 0.5], [0.25, 0.0], *(
+            [x, 0.0] for x in np.arange(0.5, 7.9, 0.25)
+        )]))
+        edges = np.arange(2, len(cloud))
+        q0 = threshold_components(cloud, [0, 1], self.CFG.vertex_cluster_scale)
+        q1 = contact_components(cloud, edges, self.CFG.contact_scale)
+        assert q1.num_components == 2 and q1.labels[:2].tolist() == [0, 0]
+        refined = refine(cloud, q0, q1, self.CFG)
+        assert refined.moved.tolist() == [2, 3]
+        want = contact_components(cloud, refined.edges.indices, self.CFG.contact_scale)
+        np.testing.assert_array_equal(refined.edges.indices, edges[2:])
+        np.testing.assert_array_equal(refined.edges.indices, want.indices)
+        np.testing.assert_array_equal(refined.edges.labels, want.labels)
+        assert refined.edges.num_components == want.num_components == 1
+
     @pytest.mark.parametrize("hand", ["as-partitioned", "one-moved", "one-left-out"])
     def test_hand_built_partition_reads_no_stale_labeling(self, cloud, hand):
-        recover_graph(cloud, self.CFG)  # keeps a labeling of each refined side
+        recover_graph(cloud, self.CFG)  # the used cloud must answer as a fresh one
         part = partition(cloud, self.CFG)
         p0, p1 = part.p0, part.p1
-        refined = {
-            "as-partitioned": RefinedPartition(p0, p1, p1[:0]),
-            "one-moved": RefinedPartition(np.sort(np.r_[p0, p1[:1]]), p1[1:], p1[:1]),
-            "one-left-out": RefinedPartition(p0[1:], p1, p1[:0]),
+        vertices, edges, moved = {
+            "as-partitioned": (p0, p1, p1[:0]),
+            "one-moved": (np.sort(np.r_[p0, p1[:1]]), p1[1:], p1[:1]),
+            "one-left-out": (p0[1:], p1, p1[:0]),
         }[hand]
 
         def outcome(c):
+            refined = RefinedPartition(
+                threshold_components(c, vertices, self.CFG.vertex_cluster_scale),
+                contact_components(c, edges, self.CFG.contact_scale),
+                moved,
+            )
             try:
                 g = build_graph(c, refined, self.CFG)
             except gs.StructureError as exc:
@@ -238,7 +253,11 @@ class TestBuildGraph:
         graph = ratio8_recovery
         p0, p1 = np.flatnonzero(graph.stratum < graph.n_vertices), np.flatnonzero(graph.stratum >= graph.n_vertices)
         left_out = p1[-1]
-        partial = RefinedPartition(p0, p1[:-1], np.flatnonzero(graph.moved))
+        partial = RefinedPartition(
+            threshold_components(fixture_cloud, p0, ratio8_config.vertex_cluster_scale),
+            contact_components(fixture_cloud, p1[:-1], ratio8_config.contact_scale),
+            np.flatnonzero(graph.moved),
+        )
         g = build_graph(fixture_cloud, partial, ratio8_config)
         assert g.stratum[left_out] == -1
         want = [m[m != left_out].tolist() for m in graph.members()]
@@ -405,5 +424,6 @@ class TestGraphDocument:
         q0, q1 = cluster_p0(fixture_cloud, part, ratio8_config), cluster_p1(fixture_cloud, part, ratio8_config)
         refined = refine(fixture_cloud, q0, q1, ratio8_config)
         labels = graph_to_dict(ratio8_recovery, {})["labels"]
-        for name in ("p0_tilde", "p1_tilde", "moved"):
-            assert labels[name] == getattr(refined, name).tolist(), name
+        sides = {"p0_tilde": refined.vertices.indices, "p1_tilde": refined.edges.indices, "moved": refined.moved}
+        for name, side in sides.items():
+            assert labels[name] == side.tolist(), name

@@ -27,7 +27,7 @@ from graphskel import geometry
 from graphskel.abstract_graph import RefinedPartition, build_graph, cluster_p0, cluster_p1, refine
 from graphskel.cli import main
 from graphskel.fileio import write_cloud
-from graphskel.geometry import PointCloud, threshold_components
+from graphskel.geometry import PointCloud, contact_components, threshold_components
 from graphskel.local_structure import Partition, ReconstructionConfig, classify_all
 from oracles import Label, ball_query, classify_point, component_sets, label_rows, shell_query
 
@@ -191,7 +191,7 @@ class TestAxisTies:
         assert adjacent == [1]
         refined = refine(cloud, q0, q1, CFG)
         assert refined.moved.tolist() == e_idx.tolist()
-        assert refined.p1_tilde.size == 0
+        assert refined.edges.indices.size == 0
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["vertex-first", "edge-first"])
     def test_build_graph_is_inclusive(self, reverse):
@@ -199,13 +199,15 @@ class TestAxisTies:
         cloud, a_idx, e_idx, b_idx = self.chain(CFG.contact_scale, reverse)
         assert scan_linkage(cloud, b_idx, e_idx) == CFG.contact_scale
         refined = RefinedPartition(
-            p0_tilde=np.concatenate([a_idx, b_idx]), p1_tilde=e_idx, moved=np.empty(0, dtype=int)
+            vertices=threshold_components(cloud, np.concatenate([a_idx, b_idx]), CFG.vertex_cluster_scale),
+            edges=contact_components(cloud, e_idx, CFG.contact_scale),
+            moved=np.empty(0, dtype=int),
         )
         graph = build_graph(cloud, refined, CFG)
         assert [m.tolist() for m in graph.members()] == sorted([a_idx.tolist(), b_idx.tolist()]) + [e_idx.tolist()]
         assert graph.boundary.tolist() == [[0, 1]]
         # under refine's strict test the same chain touches neither vertex
-        q0 = threshold_components(cloud, refined.p0_tilde, CFG.vertex_cluster_scale)
+        q0 = refined.vertices
         q1 = threshold_components(cloud, e_idx, CFG.contact_scale)
         with pytest.raises(gs.StructureError, match="orphan"):
             refine(cloud, q0, q1, CFG)
@@ -293,13 +295,13 @@ class TestStageTwoMatchesScans:
                 refine(cloud, q0, q1, cfg)
         else:
             refined = refine(cloud, q0, q1, cfg)
-            got = (refined.p0_tilde.tolist(), refined.p1_tilde.tolist(), refined.moved.tolist())
+            got = (refined.vertices.indices.tolist(), refined.edges.indices.tolist(), refined.moved.tolist())
             assert got == want
 
         # build_graph on the unrefined split too, so it is exercised when refine raises
-        unrefined = RefinedPartition(p0_tilde=part.p0, p1_tilde=part.p1, moved=np.empty(0, dtype=int))
+        unrefined = RefinedPartition(vertices=q0, edges=q1, moved=np.empty(0, dtype=int))
         for refined in [unrefined] + ([] if want is None else [refine(cloud, q0, q1, cfg)]):
-            want_graph = scan_build(cloud, cfg, refined.p0_tilde, refined.p1_tilde)
+            want_graph = scan_build(cloud, cfg, refined.vertices.indices, refined.edges.indices)
             if want_graph is None:
                 with pytest.raises(gs.StructureError, match="touches"):
                     build_graph(cloud, refined, cfg)
@@ -398,9 +400,35 @@ def test_no_reader_depends_on_pair_order(request, monkeypatch, recovery, ratio):
 
 MEMORY_BUDGET_MIB = 400
 
+# Prepended to each script run by `run_fresh`.
+_PEAK_KIB = textwrap.dedent(
+    """
+    def peak_kib():
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    """
+)
+
+
+def run_fresh(script: str) -> dict:
+    """Run `script` in a fresh interpreter and return the JSON of its last line.
+
+    The script reports its peak resident set through `peak_kib()`, the
+    process's own VmHWM. `ru_maxrss` would not do: Linux carries it over
+    from the parent across fork and exec, so it would measure this process.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gs.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_KIB + script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 _MEMORY_SCRIPT = textwrap.dedent(
     """
-    import json, resource
+    import json
     import numpy as np
     import graphskel as gs
 
@@ -414,7 +442,7 @@ _MEMORY_SCRIPT = textwrap.dedent(
         "edge_points": int(np.count_nonzero(graph.stratum >= graph.n_vertices)),
         "vertices": graph.n_vertices,
         "edges": graph.n_edges,
-        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_kib": peak_kib(),
     }))
     """
 )
@@ -428,21 +456,15 @@ def test_recover_graph_memory_is_bounded():
     the (k, k) distance matrix. The recovery must now finish in a fresh
     process whose peak resident set stays under MEMORY_BUDGET_MIB.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gs.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _MEMORY_SCRIPT], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = run_fresh(_MEMORY_SCRIPT)
     assert out["edge_points"] == 7255
     assert (out["vertices"], out["edges"]) == (2, 1)
-    assert out["maxrss_kib"] / 1024 < MEMORY_BUDGET_MIB
+    assert out["peak_kib"] / 1024 < MEMORY_BUDGET_MIB
 
 
 _DENSE_FIXTURE_SCRIPT = textwrap.dedent(
     """
-    import json, resource
+    import json
     import graphskel as gs
 
     cloud = gs.sample_graph(gs.builtin_fixture(), gs.SampleSpec(eps=0.1, spacing=0.005, seed=0))
@@ -451,7 +473,7 @@ _DENSE_FIXTURE_SCRIPT = textwrap.dedent(
         "points": len(cloud),
         "vertices": graph.n_vertices,
         "edges": graph.n_edges,
-        "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_kib": peak_kib(),
     }))
     """
 )
@@ -463,13 +485,7 @@ def test_dense_fixture_recovery_is_bounded():
     recovery must finish in a fresh process whose peak resident set stays
     under MEMORY_BUDGET_MIB.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gs.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _DENSE_FIXTURE_SCRIPT], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = run_fresh(_DENSE_FIXTURE_SCRIPT)
     assert out["points"] == 6739
     assert (out["vertices"], out["edges"]) == (5, 5)
-    assert out["maxrss_kib"] / 1024 < MEMORY_BUDGET_MIB
+    assert out["peak_kib"] / 1024 < MEMORY_BUDGET_MIB
