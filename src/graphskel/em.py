@@ -18,9 +18,10 @@ An evaluation prices only a selection of (point, stratum) pairs, a
 point-major pair list: every pair whose distance bound comes within
 UNDERFLOW_GAP + SELECT_MARGIN of its row's largest logit. A is one weight per
 pair of that list. The M-step prices every trial on the selection of its
-start evaluation. Each E-step runs one bounds pass and checks the skipped
-pairs against their rows' priced maxima; only if one comes within
-UNDERFLOW_GAP is the union of the priced pairs and a fresh selection priced.
+start evaluation. One E-step (`_e_step`) serves the start point, every
+iteration and every jump: it runs one bounds pass, checks the skipped pairs
+against their rows' priced maxima and, only if one comes within
+UNDERFLOW_GAP, prices the vertices again on a fresh selection.
 Every pair left unpriced gets responsibility exactly 0.0 from an all-pairs
 evaluation too, and sums over pairs add in pair order (np.bincount), so the
 fit is the one it would give.
@@ -246,13 +247,10 @@ def _bounds(model: StrataModel, v: np.ndarray, data: PointCloud, pi) -> tuple[np
     return top, out
 
 
-def _select(top: np.ndarray, upper: np.ndarray, keep: _Pairs | None = None) -> _Pairs:
+def _select(top: np.ndarray, upper: np.ndarray) -> _Pairs:
     """Every pair whose bound comes within UNDERFLOW_GAP + SELECT_MARGIN of
-    its row's top (its largest bound does), and the pairs of `keep`."""
-    priced = ~(upper < top - (UNDERFLOW_GAP + SELECT_MARGIN))
-    if keep is not None:
-        priced[keep.stratum, keep.point] = True
-    point, stratum = np.nonzero(priced.T)
+    its row's top (its largest bound does)."""
+    point, stratum = np.nonzero(~(upper < top - (UNDERFLOW_GAP + SELECT_MARGIN)).T)
     return _Pairs(point, stratum, np.searchsorted(point, np.arange(len(top) + 1)))
 
 
@@ -278,24 +276,31 @@ def _pricer(model: StrataModel, data: PointCloud, pairs: _Pairs):
     return price
 
 
-def _exact_logits(model: StrataModel, ev: _Evaluation, data: PointCloud, pi) -> tuple[_Evaluation, np.ndarray]:
-    """`ev` and the E-step logits under `pi`, equal to the all-pairs logits
-    wherever exp(logit - row maximum) is not exactly 0.0.
+def _e_step(
+    model: StrataModel, data: PointCloud, v, pi, ev: _Evaluation | None = None
+) -> tuple[_Evaluation, np.ndarray, np.ndarray]:
+    """The evaluation at (v, pi), its posterior weights and each point's log
+    normalizer, equal to the all-pairs ones wherever exp(logit - row
+    maximum) is not exactly 0.0.
 
-    `ev` may be priced on a selection made at other vertices or weights. One
-    bounds pass at ev.v under `pi` compares every skipped pair's upper bound
-    with its row's priced maximum. Only when one comes within UNDERFLOW_GAP
-    is ev.v priced again, on the union of ev's pairs and a fresh selection.
+    One bounds pass at (v, pi). `ev`, already priced at v on a selection made
+    at other vertices or weights, is kept unless a skipped pair's upper bound
+    comes within UNDERFLOW_GAP of its row's priced maximum; otherwise v is
+    priced on a fresh selection. The bounds cap each logit from above and
+    each row maximum from below, so that selection holds every pair within
+    UNDERFLOW_GAP of its row maximum.
     """
-    logits = _logits(ev, pi)
-    top, upper = _bounds(model, ev.v, data, pi)
-    # a pair bounded at -inf has logit -inf wherever it is priced
-    doubt = ~(upper < np.maximum.reduceat(logits, ev.pairs.start[:-1]) - UNDERFLOW_GAP) & (upper != -np.inf)
-    doubt[ev.pairs.stratum, ev.pairs.point] = False
-    if doubt.any():
-        ev = _pricer(model, data, _select(top, upper, ev.pairs))(ev.v)
+    top, upper = _bounds(model, v, data, pi)
+    if ev is not None:
         logits = _logits(ev, pi)
-    return ev, logits
+        # a pair bounded at -inf has logit -inf wherever it is priced
+        doubt = ~(upper < np.maximum.reduceat(logits, ev.pairs.start[:-1]) - UNDERFLOW_GAP) & (upper != -np.inf)
+        doubt[ev.pairs.stratum, ev.pairs.point] = False
+    if ev is None or doubt.any():
+        ev = _pricer(model, data, _select(top, upper))(v)
+        logits = _logits(ev, pi)
+    w, per_point = _normalize_rows(ev.pairs, logits)
+    return ev, w, per_point
 
 
 def _logits(ev: _Evaluation, pi) -> np.ndarray:
@@ -480,15 +485,6 @@ def _check_range(data: PointCloud, sigma: float) -> None:
         )
 
 
-def _fresh(model: StrataModel, data: PointCloud, v, pi) -> tuple[_Evaluation, np.ndarray, float]:
-    """The evaluation at (v, pi) on a selection made there, its posterior
-    weights and its marginal log-likelihood: selected under pi, so exact as
-    priced."""
-    ev = _pricer(model, data, _select(*_bounds(model, v, data, pi)))(v)
-    w, per_point = _normalize_rows(ev.pairs, _logits(ev, pi))
-    return ev, w, float(np.mean(per_point))
-
-
 def _iterate(v: np.ndarray, pi, sigma: float) -> np.ndarray:
     """EM's iterate as one flat vector x = (V / sigma, log Pi)."""
     with np.errstate(divide="ignore"):
@@ -530,8 +526,8 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     v_init = _check_vertices(model, state.v, data.dim)
     # One evaluation per accepted vertex matrix feeds the trace entry, the next
     # E-step and the next M-step's start point; A is its weight vector w.
-    ev, w, ll = _fresh(model, data, v_init, state.pi)
-    trace = [ll]
+    ev, w, per_point = _e_step(model, data, v_init, state.pi)
+    trace = [float(np.mean(per_point))]
     xs = [_iterate(v_init, state.pi, model.sigma)]
     streak = 0
     converged = False
@@ -540,8 +536,7 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
     for n_done in range(1, config.max_iters + 1):
         pi = _mixing(ev.pairs, w, model.n_strata)
         ev = m_step(model, ev, pi, w, data)
-        ev, logits = _exact_logits(model, ev, data, pi)
-        w, per_point = _normalize_rows(ev.pairs, logits)
+        ev, w, per_point = _e_step(model, data, ev.v, pi, ev)
         ll = float(np.mean(per_point))
         if not np.isfinite(ll):
             bad = np.flatnonzero(~np.isfinite(per_point)).tolist()
@@ -553,11 +548,12 @@ def em_fit(model: StrataModel, state: EmState, data: PointCloud, config: EmConfi
             try:
                 with warnings.catch_warnings():  # a failed jump is dropped, not reported
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    tried = _fresh(model, data, *jump)
+                    tried = _e_step(model, data, *jump)
             except ValueError:  # the jump collapsed an edge
                 tried = None
-            if tried is not None and tried[2] > ll + SLOPE_TOL:  # NaN or -inf fails
-                (ev, w, ll), pi = tried, jump[1]
+            if tried is not None and np.mean(tried[2]) > ll + SLOPE_TOL:  # NaN or -inf fails
+                (ev, w, per_point), pi = tried, jump[1]
+                ll = float(np.mean(per_point))
                 xs = [_iterate(ev.v, pi, model.sigma)]
         state = EmState(v=ev.v, pi=pi)
         trace.append(ll)

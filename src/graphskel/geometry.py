@@ -216,7 +216,8 @@ def pairs_within(coords: np.ndarray, r: float, tree: cKDTree | None = None) -> t
 def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, int]:
     """Connected components of the undirected graph on n nodes with edges (i, j).
 
-    Labels are contiguous and ordered by each component's smallest node.
+    Labels are contiguous and ordered by each component's smallest node, as
+    scipy's undirected `connected_components` numbers them.
     """
     if n == 0:
         return np.empty(0, dtype=np.intp), 0
@@ -225,11 +226,7 @@ def component_labels(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, 
     np.cumsum(np.bincount(i, minlength=n), out=ptr[1:])
     graph = csr_matrix((np.ones(i.size), j[np.argsort(i, kind="stable")].astype(np.int32), ptr), shape=(n, n))
     count, labels = connected_components(graph, directed=False)
-    first = np.full(count, n)
-    np.minimum.at(first, labels, np.arange(n))
-    rank = np.empty(count, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(count)
-    return rank[labels], int(count)
+    return labels.astype(np.intp), int(count)
 
 
 def threshold_components(cloud: PointCloud, subset, r: float) -> ComponentLabeling:

@@ -505,23 +505,16 @@ def _classify_chunk(coords, centres, cells: _Cells, configs, radius: float) -> l
         members = np.concatenate([cells.members[entry], member[sel]])
         comp = comp[shell_labels[np.concatenate([whole[at], group[sel]])]]
         order = np.argsort(comp * len(coords) + members)
-        chunk.append(_labels(coords, centres, members[order], comp[order], connected, n_shell, config))
+        n_cand = int(cand.sum())
+        centroids = component_centroids(coords, comp[order], 2 * n_cand, members[order])
+        centroids = centroids.reshape(n_cand, 2, coords.shape[1])
+        p = coords[centres[cand]]
+        a, b = centroids[:, 0] - p, centroids[:, 1] - p
+        ip = np.full(centres.size, np.nan)
+        ip[cand] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+        vertex_like = connected & ((n_shell != 2) | (ip > config.ip_threshold))
+        chunk.append(LocalLabels(vertex_like, connected, n_shell, ip))
     return chunk
-
-
-def _labels(coords, centres, members, comp, connected, shell_count, config) -> LocalLabels:
-    """One config's labels of `centres`, where `comp` numbers the shell
-    components of the candidates (connected, two shell components) 0, 1, ...
-    in pairs per centre, and `members` are their members."""
-    cand = connected & (shell_count == 2)
-    n_cand = int(cand.sum())
-    centroids = component_centroids(coords, comp, 2 * n_cand, members).reshape(n_cand, 2, coords.shape[1])
-    p = coords[centres[cand]]
-    a, b = centroids[:, 0] - p, centroids[:, 1] - p
-    ip = np.full(centres.size, np.nan)
-    ip[cand] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-    vertex_like = connected & ((shell_count != 2) | (ip > config.ip_threshold))
-    return LocalLabels(vertex_like, connected, shell_count, ip)
 
 
 def partition(cloud: PointCloud, config: ReconstructionConfig, labels: LocalLabels | None = None) -> Partition:

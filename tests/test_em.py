@@ -28,15 +28,13 @@ from graphskel.em import (
     m_step,
 )
 from graphskel.em import (
-    _bounds,
     _curvature_blocks,
-    _exact_logits,
+    _e_step,
     _logits,
     _mixing,
     _normalize_rows,
     _Pairs,
     _pricer,
-    _select,
 )
 from graphskel.fileio import graph_from_dict, graph_to_dict
 from graphskel.geometry import PointCloud
@@ -750,14 +748,20 @@ def twelve_vertex_5d(twelve_vertex_5d_recovery):
     return model, state, twelve_vertex_5d_recovery.cloud
 
 
-@pytest.fixture(scope="module", params=["fixture-ratio8", "random-5d-large-step", "random-5d-12-vertex"])
+@pytest.fixture(
+    scope="module", params=["fixture-ratio8", "fixture-ratio12", "random-5d-large-step", "random-5d-12-vertex"]
+)
 def em_inputs(request, fixture_cloud, ratio8_recovery):
-    """(model, state, data, config, initial M-step step): the fixture at ratio
-    8, a small 5-D compliant graph whose large initial step forces
+    """(model, state, data, config, initial M-step step): the fixture at
+    ratios 8 and 12 (where an E-step finds its selection stale and prices a
+    fresh one), a small 5-D compliant graph whose large initial step forces
     line-search backtracks, and a 12-vertex 5-D graph where most pairs are
     never priced."""
-    if request.param == "fixture-ratio8":
-        graph = ratio8_recovery
+    if request.param.startswith("fixture-"):
+        if request.param == "fixture-ratio8":
+            graph = ratio8_recovery
+        else:
+            graph = gs.recover_graph(fixture_cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
         model, state = initialize(graph, fixture_cloud, sigma=0.05)
         return model, state, fixture_cloud, EmConfig(max_iters=10), gs.em.STEP_INIT
     if request.param == "random-5d-12-vertex":
@@ -767,6 +771,23 @@ def em_inputs(request, fixture_cloud, ratio8_recovery):
     graph = gs.recover_graph(cloud, gs.ReconstructionConfig(R=1.2, eps=0.1))
     model, state = initialize(graph, cloud, sigma=0.05)
     return model, state, cloud, EmConfig(max_iters=10), 64.0
+
+
+@pytest.fixture
+def reprices(monkeypatch):
+    """One entry per E-step that em_fit hands an M-step's evaluation, from
+    here on: True where it priced a fresh selection instead."""
+    seen = []
+    e_step = gs.em._e_step
+
+    def spy(model, data, v, pi, ev=None):
+        out = e_step(model, data, v, pi, ev)
+        if ev is not None:
+            seen.append(out[0] is not ev)
+        return out
+
+    monkeypatch.setattr(gs.em, "_e_step", spy)
+    return seen
 
 
 @pytest.fixture
@@ -789,7 +810,13 @@ class TestOneEvaluationPerVertexMatrix:
         if gs.em.STEP_INIT > 1.0:
             assert backtracks > 0  # rejected trials are exercised
 
-    def test_each_vertex_matrix_priced_once(self, em_case, monkeypatch):
+    @pytest.mark.parametrize("em_inputs", ["fixture-ratio12"], indirect=True)
+    def test_reference_case_reprices(self, em_case, reprices):
+        # so test_matches_reference_em checks the fresh reprice, which no benchmark fit takes
+        em_fit(*em_case)
+        assert any(reprices)
+
+    def test_each_vertex_matrix_priced_once(self, em_case, reprices, monkeypatch):
         model, state, data, config = em_case
         seen = []  # (kernel name, endpoint bytes) of every edge-kernel call made by em_fit
 
@@ -808,7 +835,8 @@ class TestOneEvaluationPerVertexMatrix:
         report = em_fit(model, state, data, config)
         assert len(seen) > report.n_iterations
         assert {name for name, _ in seen} == {"edge_log_density_grad_batch"}
-        assert len({key for _, key in seen}) == len(seen)
+        # a reprice prices the M-step's accepted vertex matrix a second time
+        assert len(seen) - len({key for _, key in seen}) == sum(reprices)
 
 
 def pair_keys(ev, n_strata):
@@ -862,53 +890,70 @@ class TestSparsePricing:
         v = v + shift
         pi = rng.dirichlet(np.ones(n_strata))
         pi[rng.random(n_strata) < 0.3] = 10.0 ** -rng.uniform(50, 300)
-        support = rng.random((n_strata, len(data))) < 0.05
+        support = rng.random((len(data), n_strata)) < 0.05
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             dense = dense_evaluation(model, v, data)
-            keep = _Pairs(*support.T.nonzero(), None)  # forced into the selection
-            selected = _pricer(model, data, _select(*_bounds(model, v, data, pi), keep))(v)
-            ev, logits = _exact_logits(model, selected, data, pi)
             dense_logits = _logits(dense, pi)
-        assert ev is selected  # selected for this pi: nothing is priced twice
-        point, stratum, start = selected.pairs
-        keys = pair_keys(selected, n_strata)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            ev, w, norm = _e_step(model, data, v, pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            again = _e_step(model, data, v, pi, ev)
+        assert again[0] is ev  # selected for this pi: nothing is priced twice
+        point, stratum, start = ev.pairs
+        keys = pair_keys(ev, n_strata)
         assert np.all(np.diff(keys) > 0)  # point-major, each pair once
         assert np.array_equal(start, np.searchsorted(point, np.arange(len(data) + 1)))
         priced = np.zeros(len(dense_logits), dtype=bool)
         priced[keys] = True
-        assert np.all(priced.reshape(len(data), n_strata)[support.T])
-        assert np.array_equal(selected.logdens, dense.logdens[keys], equal_nan=True)
+        assert np.array_equal(ev.logdens, dense.logdens[keys], equal_nan=True)
         if edges:
             on = stratum >= n0
             seg = stratum[on] - n0
             at = point[on] * len(edges) + seg  # the same pairs in the all-pairs kernel call
-            assert np.array_equal(selected.edge.seg, seg)
-            for got, want in zip(selected.edge[:4], dense.edge[:4]):
+            assert np.array_equal(ev.edge.seg, seg)
+            for got, want in zip(ev.edge[:4], dense.edge[:4]):
                 assert np.array_equal(got, want[at])
-            assert np.array_equal(selected.edge.s, dense.edge.s[:, at])
+            assert np.array_equal(ev.edge.s, dense.edge.s[:, at])
         top = np.repeat(np.maximum.reduceat(dense_logits, dense.pairs.start[:-1]), n_strata)
         assert np.all(dense_logits[~priced] <= top[~priced] - UNDERFLOW_GAP)
 
-        moved = rng.dirichlet(np.ones(n_strata))  # weights that moved since the selection
+        # an evaluation that also prices the pairs of `support` is kept, as
+        # no skipped pair comes near its row's maximum
+        wide_point, wide_stratum = np.nonzero(priced.reshape(len(data), n_strata) | support)
+        wide_pairs = _Pairs(wide_point, wide_stratum, np.searchsorted(wide_point, np.arange(len(data) + 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            moved_ev, moved_logits = _exact_logits(model, selected, data, moved)
-        cases = ((ev, logits, dense_logits), (moved_ev, moved_logits, _logits(dense, moved)))
-        for got_ev, got_logits, want_logits in cases:
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                got_w, got_norm = _normalize_rows(got_ev.pairs, got_logits)
+            wide = _pricer(model, data, wide_pairs)(v)
+        with warnings.catch_warnings(record=True) as seen_wide:
+            warnings.simplefilter("always")
+            wide_ev, wide_w, wide_norm = _e_step(model, data, v, pi, wide)
+        assert wide_ev is wide
+
+        moved = rng.dirichlet(np.ones(n_strata))  # weights that moved since the selection
+        with warnings.catch_warnings(record=True) as seen_moved:
+            warnings.simplefilter("always")
+            moved_ev, moved_w, moved_norm = _e_step(model, data, v, moved, ev)
+        cases = (
+            (ev, w, norm, seen, pi),
+            (wide_ev, wide_w, wide_norm, seen_wide, pi),
+            (moved_ev, moved_w, moved_norm, seen_moved, moved),
+        )
+        for got_ev, got_w, got_norm, got_seen, weights in cases:
             with warnings.catch_warnings(record=True) as seen_dense:
                 warnings.simplefilter("always")
-                want_w, want_norm = _normalize_rows(dense.pairs, want_logits)
+                want_w, want_norm = _normalize_rows(dense.pairs, _logits(dense, weights))
             got, want = dense_a(got_ev.pairs, got_w, n_strata), dense_a(dense.pairs, want_w, n_strata)
             assert np.array_equal(got, want)
             assert np.array_equal(got_norm, want_norm, equal_nan=True)
-            assert [str(w.message) for w in seen] == [str(w.message) for w in seen_dense]
+            # the E-step's own warnings, not the kernels' overflow at the remote point
+            e_step_seen = [str(w.message) for w in got_seen if w.filename == gs.em.__file__]
+            assert e_step_seen == [str(w.message) for w in seen_dense]
             if remote:  # every stratum underflows at the remote point
-                assert any("zero density" in str(w.message) for w in seen)
+                assert any("zero density" in str(w.message) for w in got_seen)
                 assert np.all(got[-1] == 1.0 / n_strata)
 
 
@@ -956,17 +1001,17 @@ class TestSelectionOncePerIteration:
     def test_stale_selection_is_priced_again(self, twelve_vertex_5d):
         model, state, cloud = twelve_vertex_5d
         n_strata = model.n_strata
-        start = _pricer(model, cloud, _select(*_bounds(model, state.v, cloud, state.pi)))(state.v)
+        start = _e_step(model, cloud, state.v, state.pi)[0]
         v = state.v.copy()
         v[0] += 8 * model.sigma * np.ones(cloud.dim) / math.sqrt(cloud.dim)  # several sigma
         stale = _pricer(model, cloud, start.pairs)(v)  # priced on the start vertices' selection
-        ev, logits = _exact_logits(model, stale, cloud, state.pi)
+        ev, got_w, got_norm = _e_step(model, cloud, v, state.pi, stale)
         dense = dense_evaluation(model, v, cloud)
         want_w, want_norm = _normalize_rows(dense.pairs, _logits(dense, state.pi))
         want = dense_a(dense.pairs, want_w, n_strata)
         assert ev is not stale and np.array_equal(ev.v, v)
-        assert np.all(np.isin(pair_keys(stale, n_strata), pair_keys(ev, n_strata)))  # the union keeps every pair
-        got_w, got_norm = _normalize_rows(ev.pairs, logits)
+        fresh = _e_step(model, cloud, v, state.pi)[0]
+        assert np.array_equal(pair_keys(ev, n_strata), pair_keys(fresh, n_strata))  # a fresh selection at v
         assert np.array_equal(dense_a(ev.pairs, got_w, n_strata), want)
         assert np.array_equal(got_norm, want_norm)
         stale_w = _normalize_rows(stale.pairs, _logits(stale, state.pi))[0]

@@ -12,6 +12,7 @@ from graphskel.geometry import (
     _pair_distances,
     angle_cosine,
     component_centroids,
+    component_labels,
     distance,
     point_segment_distance,
     segment_segment_distance,
@@ -294,6 +295,44 @@ class TestThresholdComponents:
         rng = np.random.default_rng(10)
         cloud = PointCloud(rng.normal(size=(40, 3)))
         assert threshold_components(cloud, np.arange(40), 0.0).num_components == 40
+
+
+def first_node_components(n: int, edges) -> tuple[list[int], int]:
+    """Independent oracle: components found by a search from each unlabeled
+    node in turn, so ids are ordered by each component's smallest node."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    labels, count = [-1] * n, 0
+    for start in range(n):
+        if labels[start] < 0:
+            labels[start], stack = count, [start]
+            while stack:
+                for b in adj[stack.pop()]:
+                    if labels[b] < 0:
+                        labels[b] = count
+                        stack.append(b)
+            count += 1
+    return labels, count
+
+
+class TestComponentLabels:
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(0, 40), dtype=st.sampled_from([np.intp, np.int32]))
+    def test_matches_first_node_oracle(self, data, n, dtype):
+        # isolated nodes, and edges repeated in either direction
+        edges = []
+        if n > 1:
+            node = st.integers(0, n - 1)
+            edges = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=3 * n))
+        if edges:
+            edges += data.draw(st.lists(st.sampled_from(edges), max_size=5))
+        edges = [e if data.draw(st.booleans()) else e[::-1] for e in edges]
+        i, j = (np.array([e[k] for e in edges], dtype=dtype) for k in (0, 1))
+        labels, count = component_labels(n, i, j)
+        assert labels.dtype == np.intp
+        assert (labels.tolist(), count) == first_node_components(n, edges)
 
 
 class TestCentroid:
