@@ -20,6 +20,7 @@ from .densities import _check_sigma
 from .em import EmConfig, EmState, em_fit, initialize
 from .errors import CloudParseError, GenerationError, NumericalError, StructureError
 from .fileio import (
+    _document,
     graph_from_dict,
     graph_spec_from_dict,
     graph_to_dict,
@@ -109,25 +110,31 @@ def _wireframe_csv(graph_boundary, v: np.ndarray) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _sigma(args, eps: float | None = None) -> float | None:
+    """EM's noise scale, by the one rule of `fit` and `pipeline`: --sigma when
+    given, else eps/2, checked; None when neither is known yet."""
+    if args.sigma is None:
+        return None if eps is None else _check_sigma(eps / 2)
+    return _check_sigma(args.sigma)
+
+
 def cmd_fit(args) -> int:
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
+    sigma = _sigma(args)  # a given --sigma is checked before any file is read
     cloud = read_cloud(args.input, skip_header=args.skip_header)
     graph, graph_cfg = graph_from_dict(read_json(args.graph), cloud)
-    sigma = args.sigma
     if sigma is None:
         eps = graph_cfg.get("eps")
         if eps is None:
             raise ValueError("--sigma not given and the graph document has no eps to default from")
         if type(eps) not in (int, float) or not 0 < eps < math.inf:
             raise ValueError("malformed document: field config.eps is not a positive finite number")
-        sigma = float(eps) / 2
+        sigma = _sigma(args, float(eps))
     model, report = _fit(cloud, graph, sigma, em_config)
 
     cfg = _config_dict("fit", args, sigma=sigma)
     out = {
-        "schema_version": 1,
-        "kind": "graphskel.fit",
-        "config": cfg,
+        **_document("graphskel.fit", cfg),
         "graph_config": graph_cfg,
         "n0": model.n0,
         "n1": model.n1,
@@ -163,7 +170,7 @@ def cmd_pipeline(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{exc}; ratio {ratio:g}") from None
     reference_ratio = ratios[0]
-    sigma = _check_sigma(args.sigma if args.sigma is not None else eps / 2)
+    sigma = _sigma(args, eps)
     em_config = EmConfig(max_iters=args.max_iters, tol_ll=args.tol)
     cloud = read_cloud(args.input, skip_header=args.skip_header)
 
@@ -202,9 +209,7 @@ def cmd_pipeline(args) -> int:
         rows.append(row)
 
     out = {
-        "schema_version": 1,
-        "kind": "graphskel.pipeline",
-        "config": _config_dict("pipeline", args, sigma=sigma, ratios=ratios),
+        **_document("graphskel.pipeline", _config_dict("pipeline", args, sigma=sigma, ratios=ratios)),
         "reference_ratio": reference_ratio,
         "reference_in_guarantee_regime": not configs[0].guarantee_warning,
         "rows": rows,
@@ -234,9 +239,7 @@ def cmd_simulate(args) -> int:
     report = hausdorff_check(cloud, spec, sample.eps)
     write_cloud(args.output, cloud)
     manifest = {
-        "schema_version": 1,
-        "kind": "graphskel.cloud-manifest",
-        "config": _config_dict("simulate", args, eps=sample.eps),
+        **_document("graphskel.cloud-manifest", _config_dict("simulate", args, eps=sample.eps)),
         "seed": sample.seed,
         "spacing": sample.spacing,
         "noise": sample.noise,

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 from typing import Any
 
 import numpy as np
@@ -36,6 +37,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _INT64 = range(-(1 << 63), 1 << 63)
+# The umask is read by setting it, process-wide: one thread at a time, and the
+# value set meanwhile is the strictest.
+_UMASK_LOCK = threading.Lock()
 
 
 def read_cloud(path: str, skip_header: bool = False) -> PointCloud:
@@ -89,11 +93,19 @@ def _parses(fields: list[str]) -> bool:
 
 
 def write_text_atomic(path: str, payload: str) -> None:
-    """Write `payload` to a temp file beside `path`, then rename it over `path`."""
+    """Write `payload` to a temp file beside `path`, then rename it over `path`.
+
+    The file gets the mode `open()` would create it with, 0o666 less the
+    umask, rather than the temp file's 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".graphskel-", suffix=".tmp")
+    with _UMASK_LOCK:
+        umask = os.umask(0o077)
+        os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -116,13 +128,18 @@ def read_json(path: str) -> dict[str, Any]:
         return json.load(fh)
 
 
+def _document(kind: str, config: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The fields every JSON artifact opens with: the schema version, its
+    `kind` and, when a run produced it, that run's `config`."""
+    head = {"schema_version": SCHEMA_VERSION, "kind": kind}
+    return head if config is None else head | {"config": config}
+
+
 def graph_to_dict(graph: AbstractGraph, config: dict[str, Any]) -> dict[str, Any]:
     members = graph.members()
     n0 = graph.n_vertices
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "graphskel.graph",
-        "config": config,
+        **_document("graphskel.graph", config),
         "dim": graph.cloud.dim,
         "n_points": len(graph.cloud),
         "vertices": [
@@ -268,8 +285,7 @@ def graph_from_dict(doc: dict[str, Any], cloud: PointCloud) -> tuple[AbstractGra
 
 def graph_spec_to_dict(spec: EmbeddedGraphSpec) -> dict[str, Any]:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "graphskel.graph-spec",
+        **_document("graphskel.graph-spec"),
         "dim": spec.dim,
         "vertices": spec.vertices.tolist(),
         "edges": [list(edge) for edge in spec.edges],

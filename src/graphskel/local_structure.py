@@ -625,7 +625,7 @@ def check_assumptions(graph: "EmbeddedGraphSpec", config: ReconstructionConfig) 
     except ValueError as exc:
         checks.append(ConditionCheck("deg2_angle_upper_bound", False, -math.inf, f"Psi undefined: {exc}"))
     else:
-        deg2 = np.bincount(ends.ravel(), minlength=graph.n_vertices)[apex] == 2
+        deg2 = graph.degrees[apex] == 2
         angle, apex = angle[deg2], apex[deg2]
         witness = "angle {:.6g} rad at degree-2 vertex {}"
         checks.append(_least("deg2_angle_upper_bound", -angle, -upper, witness, angle, apex, strict=False))

@@ -2,8 +2,8 @@
 
 The sampler walks every edge at arc-length spacing <= s, keeps both endpoints,
 and perturbs each base point inside a ball of radius b. With s/2 + b <= eps
-the Hausdorff bound d_H(|G|, P) <= eps holds by construction, and an
-independent discretization-based verifier can certify it.
+the Hausdorff bound d_H(|G|, P) <= eps holds by construction, and a verifier
+on the sampler's own discretization, at spacing eps/100, can certify it.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ class EmbeddedGraphSpec:
             w = np.argmax(crossing)
             raise ValueError(f"non-adjacent edges {edges[k[w]]} and {edges[l[w]]} intersect")
         # adjacent edges must not overlap, and degree-2 angles must differ from pi
-        straight = (np.bincount(ends.ravel(), minlength=n_v)[apex] == 2) & (cos <= -1.0)
+        straight = (self.degrees[apex] == 2) & (cos <= -1.0)
         bad = (cos >= 1.0) | straight
         if bad.any():
             w = np.argmax(bad)
@@ -99,21 +99,10 @@ class EmbeddedGraphSpec:
         """(n_edges, 2) array of the edges' vertex indices."""
         return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def isolated_vertices(self) -> list[int]:
-        used = {v for e in self.edges for v in e}
-        return [v for v in range(self.n_vertices) if v not in used]
+    @property
+    def degrees(self) -> np.ndarray:
+        """(n_vertices,) array of each vertex's edge count."""
+        return np.bincount(self.ends.ravel(), minlength=self.n_vertices)
 
 
 @dataclass(frozen=True)
@@ -146,6 +135,8 @@ class SampleSpec:
             )
         if self.noise_kind not in ("uniform", "gaussian"):
             raise ValueError("noise_kind must be 'uniform' or 'gaussian'")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def builtin_fixture() -> EmbeddedGraphSpec:
@@ -185,6 +176,29 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _edge_points(spec: EmbeddedGraphSpec, spacing: float, field: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """Points at arc-length spacing <= `spacing` along each edge, both ends
+    included, as one array per edge, and the isolated vertices.
+
+    Points whose coordinates would not fit in physical memory are a
+    ValueError that starts with `field`, the caller's name and value for the
+    spacing, raised before any point is allocated.
+    """
+    ends = spec.ends
+    va, vb = spec.vertices[ends[:, 0]], spec.vertices[ends[:, 1]]
+    isolated = np.flatnonzero(spec.degrees == 0)
+    with np.errstate(over="ignore", divide="ignore"):  # a count past the largest double is inf, refused below
+        segments = np.maximum(1.0, np.ceil(distance(va, vb) / spacing))
+        total = float(segments.sum()) + len(ends) + len(isolated)
+    memory = _physical_memory()
+    if not total * spec.dim * 8.0 <= memory:
+        raise ValueError(
+            f"{field} asks for {total:.3g} points on the graph at spacing {spacing:.3g}, "
+            f"whose coordinates exceed the {memory:.3g} bytes of physical memory"
+        )
+    return [a + np.linspace(0.0, 1.0, int(n) + 1)[:, None] * (b - a) for a, b, n in zip(va, vb, segments)], isolated
+
+
 def sample_graph(spec: EmbeddedGraphSpec, sample: SampleSpec) -> PointCloud:
     """Deterministic eps-sample of the embedded graph.
 
@@ -194,27 +208,12 @@ def sample_graph(spec: EmbeddedGraphSpec, sample: SampleSpec) -> PointCloud:
     the coordinates alone would not fit in physical memory is a ValueError
     naming it, raised before anything is allocated.
     """
-    memory = _physical_memory()
-    total = 0.0  # samples so far, in floating point so no count overflows
+    edges, isolated = _edge_points(spec, sample.spacing, f"spacing {sample.spacing:g}")
+    streams = [(0, e) for e in range(len(edges))] + [(1, v) for v in isolated.tolist()]
     chunks = []
-    for eidx, (a, b) in enumerate(spec.edges):
-        va, vb = spec.vertices[a], spec.vertices[b]
-        segments = distance(va, vb) / sample.spacing
-        total += max(1.0, segments) + 1.0
-        if not total * spec.dim * 8.0 <= memory:
-            raise ValueError(
-                f"spacing {sample.spacing:g} implies {segments:.3g} samples on edge {eidx}, "
-                f"{total:.3g} in all so far, whose coordinates exceed the {memory:.3g} bytes of physical memory"
-            )
-        n_seg = max(1, math.ceil(segments))
-        ts = np.linspace(0.0, 1.0, n_seg + 1)
-        base = va[None, :] + ts[:, None] * (vb - va)[None, :]
-        rng = np.random.default_rng([sample.seed, 0, eidx])
+    for stream, base in zip(streams, edges + [spec.vertices[[v]] for v in isolated]):
+        rng = np.random.default_rng([sample.seed, *stream])
         chunks.append(base + _ball_noise(rng, len(base), spec.dim, sample.noise, sample.noise_kind))
-    for vidx in spec.isolated_vertices():
-        rng = np.random.default_rng([sample.seed, 1, vidx])
-        base = spec.vertices[vidx][None, :]
-        chunks.append(base + _ball_noise(rng, 1, spec.dim, sample.noise, sample.noise_kind))
     return PointCloud(np.vstack(chunks))
 
 
@@ -226,34 +225,12 @@ class HausdorffReport:
     resolution: float
 
 
-def _graph_discretization(spec: EmbeddedGraphSpec, resolution: float) -> np.ndarray:
-    """Points at spacing <= resolution along every edge, both ends included, and
-    the isolated vertices. Raises ValueError naming eps = 100 * resolution, as
-    `hausdorff_check` sets it, before allocating points whose coordinates would
-    not fit in physical memory."""
-    ends = spec.ends
-    va, vb = spec.vertices[ends[:, 0]], spec.vertices[ends[:, 1]]
-    segments = np.maximum(1.0, np.ceil(distance(va, vb) / resolution))
-    isolated = spec.isolated_vertices()
-    total = float(segments.sum()) + len(ends) + len(isolated)
-    memory = _physical_memory()
-    if not total * spec.dim * 8.0 <= memory:
-        raise ValueError(
-            f"eps {100 * resolution:g} asks for {total:.3g} points on the graph to check the Hausdorff "
-            f"bound at eps/100, whose coordinates exceed the {memory:.3g} bytes of physical memory"
-        )
-    chunks = [
-        a[None, :] + np.linspace(0.0, 1.0, int(n) + 1)[:, None] * (b - a)[None, :] for a, b, n in zip(va, vb, segments)
-    ]
-    return np.vstack(chunks + [spec.vertices[isolated]])
-
-
 def _distance_to_graph(points: np.ndarray, spec: EmbeddedGraphSpec) -> np.ndarray:
     """Distance from each point to the embedded graph: one running minimum over the edges and isolated vertices."""
     best = np.full(len(points), math.inf)
     for (a, b) in spec.edges:
         np.minimum(best, point_segment_distance(points, spec.vertices[a], spec.vertices[b]), out=best)
-    for vidx in spec.isolated_vertices():
+    for vidx in np.flatnonzero(spec.degrees == 0):
         np.minimum(best, distance(points, spec.vertices[vidx]), out=best)
     return best
 
@@ -265,7 +242,8 @@ def hausdorff_check(cloud: PointCloud, spec: EmbeddedGraphSpec, eps: float) -> H
     is a ValueError naming it, raised before the discretization is allocated.
     """
     resolution = eps / 100.0
-    grid = _graph_discretization(spec, resolution)
+    edges, isolated = _edge_points(spec, resolution, f"eps {eps:g}")
+    grid = np.vstack(edges + [spec.vertices[isolated]])
     graph_to_cloud = float(cloud.tree.query(grid, k=1)[0].max())
     cloud_to_graph = float(_distance_to_graph(cloud.coords, spec).max())
     measured = max(graph_to_cloud, cloud_to_graph)

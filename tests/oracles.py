@@ -14,6 +14,10 @@ must agree with.
 * `embedding_fault` and `assumption_rows` measure an embedded graph with
   nested loops over vertex pairs, vertex-edge pairs, edge pairs and corners,
   one scalar call each, so the first witness is the one the loops meet first.
+* `sample_loop` samples an embedded graph one edge, then one isolated
+  vertex, at a time, and `graph_discretization` is the Hausdorff grid with
+  its own point counts; `sample_graph` and `hausdorff_check` share one
+  discretization that must give both the same bits.
 * The EM helpers price every (point, stratum) pair, straight from
   `graphskel.densities`, so they share no selection code with the sparse
   evaluation that `em_fit` runs. Each row sums left to right, as the package's
@@ -51,6 +55,7 @@ from graphskel.geometry import (
     threshold_components,
 )
 from graphskel.local_structure import LocalLabels, ReconstructionConfig, phi, psi
+from graphskel.synthetic import _ball_noise
 
 
 # -- geometry ---------------------------------------------------------------
@@ -360,3 +365,38 @@ def assumption_rows(graph, config: ReconstructionConfig) -> list[tuple[str, bool
         ok = worst <= upper  # vacuously true with no degree-2 vertices
         rows.append(("deg2_angle_upper_bound", ok, upper - worst, "" if ok else witness))
     return rows
+
+
+def _isolated(graph) -> list[int]:
+    used = {v for e in graph.edges for v in e}
+    return [v for v in range(graph.n_vertices) if v not in used]
+
+
+def sample_loop(spec, sample) -> np.ndarray:
+    """`sample_graph`'s coordinates, one edge's noisy samples at a time from
+    its substream, then each isolated vertex's."""
+    chunks = []
+    for eidx, (a, b) in enumerate(spec.edges):
+        va, vb = spec.vertices[a], spec.vertices[b]
+        n_seg = max(1, math.ceil(distance(va, vb) / sample.spacing))
+        ts = np.linspace(0.0, 1.0, n_seg + 1)
+        base = va[None, :] + ts[:, None] * (vb - va)[None, :]
+        rng = np.random.default_rng([sample.seed, 0, eidx])
+        chunks.append(base + _ball_noise(rng, len(base), spec.dim, sample.noise, sample.noise_kind))
+    for vidx in _isolated(spec):
+        rng = np.random.default_rng([sample.seed, 1, vidx])
+        base = spec.vertices[vidx][None, :]
+        chunks.append(base + _ball_noise(rng, 1, spec.dim, sample.noise, sample.noise_kind))
+    return np.vstack(chunks)
+
+
+def graph_discretization(spec, resolution: float) -> np.ndarray:
+    """Points at spacing <= resolution along every edge, both ends included,
+    then the isolated vertices: the grid `hausdorff_check` measures at eps/100."""
+    ends = spec.ends
+    va, vb = spec.vertices[ends[:, 0]], spec.vertices[ends[:, 1]]
+    segments = np.maximum(1.0, np.ceil(distance(va, vb) / resolution))
+    chunks = [
+        a[None, :] + np.linspace(0.0, 1.0, int(n) + 1)[:, None] * (b - a)[None, :] for a, b, n in zip(va, vb, segments)
+    ]
+    return np.vstack(chunks + [spec.vertices[_isolated(spec)]])

@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +150,29 @@ class TestSimulate:
         assert err["error"] == "usage"
         assert err["message"].startswith(field + " ")
         assert not out.exists()
+
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "c.txt"
+        rc = main(["simulate", "--builtin", "--eps", "0.1", "--seed", "-1", "--output", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith("seed ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_artifacts_keep_the_umask_mode(self, tmp_path, umask, mode):
+        # the mode open() would create a file with, not the temp file's 0o600
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gs.__file__)))
+        out = tmp_path / "c.txt"
+        argv = [sys.executable, "-m", "graphskel.cli", "simulate", "--builtin", "--eps", "0.1", "--output", str(out)]
+        proc = subprocess.run(
+            argv, env=dict(os.environ, PYTHONPATH=src), umask=umask, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+        assert modes == {"c.txt": mode, "c.txt.manifest.json": mode}
 
 
 class TestPartition:
@@ -452,6 +478,17 @@ class TestFit:
         out = tmp_path / "out.json"
         source = ["--graph", str(graph_file)] if command == "fit" else ["--eps", "0.1", "--ratios", "12,8"]
         rc = main([command, "--input", str(cloud_file), *source, "--sigma", sigma, "--output", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage"
+        assert err["message"].startswith("sigma ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "pipeline"])
+    def test_bad_sigma_is_named_before_reading(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        source = ["--graph", str(tmp_path / "g.json")] if command == "fit" else ["--eps", "0.1", "--ratios", "12,8"]
+        rc = main([command, "--input", str(tmp_path / "nope.txt"), *source, "--sigma", "-1", "--output", str(out)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "usage"

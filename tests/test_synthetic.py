@@ -13,13 +13,15 @@ from graphskel.local_structure import _edge_pairs
 from graphskel.synthetic import (
     EmbeddedGraphSpec,
     GraphGenConfig,
+    HausdorffReport,
     SampleSpec,
+    _edge_points,
     builtin_fixture,
     hausdorff_check,
     random_compliant_graph,
     sample_graph,
 )
-from oracles import assumption_rows, embedding_fault
+from oracles import assumption_rows, embedding_fault, graph_discretization, sample_loop
 
 
 class TestEmbeddedGraphSpec:
@@ -27,7 +29,7 @@ class TestEmbeddedGraphSpec:
         spec = builtin_fixture()
         assert spec.vertices[1].tolist() == [4.6, 6.24, 0.0]
         assert spec.n_edges == 5
-        degs = sorted((spec.degree(v) for v in range(spec.n_vertices)), reverse=True)
+        degs = sorted(spec.degrees.tolist(), reverse=True)
         assert degs == [3, 2, 2, 2, 1]
 
     def test_rejects_duplicate_vertices(self):
@@ -54,7 +56,7 @@ class TestEmbeddedGraphSpec:
     def test_isolated_vertices_listed(self):
         verts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0]])
         spec = EmbeddedGraphSpec(verts, ((0, 1),))
-        assert spec.isolated_vertices() == [2]
+        assert np.flatnonzero(spec.degrees == 0).tolist() == [2]
 
 
 def random_embeddings(count: int, seed: int):
@@ -136,6 +138,14 @@ class TestSampleSpec:
         with pytest.raises(ValueError):
             SampleSpec(eps=0.1, spacing=0.01, noise=0.2)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            SampleSpec(eps=0.1, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert SampleSpec(eps=0.1, seed=np.int64(3)).seed == 3
+
     @pytest.mark.parametrize("field", ["eps", "spacing", "noise"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):
@@ -165,8 +175,14 @@ class TestSampleGraph:
         assert sorted(cloud.coords[:, 0].tolist()) == [0.0, 0.5, 1.0]
 
     def test_spacing_past_intp_is_named(self):
-        with pytest.raises(ValueError, match="^spacing 1e-300 implies .* samples on edge 0"):
+        with pytest.raises(ValueError, match="^spacing 1e-300 asks for .* points on the graph"):
             sample_graph(builtin_fixture(), SampleSpec(eps=0.1, spacing=1e-300))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spacing_past_largest_double_is_named(self):
+        # every edge's count overflows to inf: the refusal, not a RuntimeWarning
+        with pytest.raises(ValueError, match="^spacing 1e-310 asks for inf points"):
+            sample_graph(builtin_fixture(), SampleSpec(eps=0.1, spacing=1e-310))
 
     def test_isolated_vertex_sampled(self):
         verts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0]])
@@ -200,9 +216,7 @@ class TestSampleGraph:
 class TestHausdorffCheck:
     def test_exact_discretization(self):
         spec = builtin_fixture()
-        from graphskel.synthetic import _graph_discretization
-
-        grid = _graph_discretization(spec, 0.1 / 100)
+        grid = graph_discretization(spec, 0.1 / 100)
         cloud = gs.PointCloud(grid[:: 7])  # subsample still within resolution*7
         rep = hausdorff_check(cloud, spec, 0.1)
         assert rep.measured <= 0.01
@@ -212,12 +226,16 @@ class TestHausdorffCheck:
         with pytest.raises(ValueError, match="^eps 0.1 asks for 1e\\+18 points"):
             hausdorff_check(gs.PointCloud([[0.0, 0.0]]), spec, 0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [1e-308, 1e-322])  # eps/100 subnormal, and eps/100 rounded to 0
+    def test_grid_past_largest_double_is_named(self, eps):
+        with pytest.raises(ValueError, match=f"^eps {eps:g} asks for inf points"):
+            hausdorff_check(gs.PointCloud([[0.0, 0.0, 0.0]]), builtin_fixture(), eps)
+
     def test_planted_violation_detected(self):
         spec = builtin_fixture()
         eps = 0.1
-        from graphskel.synthetic import _graph_discretization
-
-        grid = _graph_discretization(spec, eps / 2)
+        grid = graph_discretization(spec, eps / 2)
         # displace perpendicular to one edge at its midpoint; every other edge
         # is several units away there, so the offset is the true graph distance
         a, b = spec.edges[0]
@@ -230,6 +248,58 @@ class TestHausdorffCheck:
         rep = hausdorff_check(cloud, spec, eps)
         assert not rep.passed
         assert rep.measured >= 2 * eps - rep.resolution
+
+
+def random_samples(count: int, seed: int):
+    """(spec, SampleSpec) pairs over `random_embeddings`' valid graphs, with
+    isolated vertices, uniform and gaussian noise and noise 0."""
+    rng = np.random.default_rng(seed)
+    for vertices, edges in random_embeddings(count, seed):
+        if embedding_fault(vertices, edges) is not None:
+            continue
+        eps = float(rng.uniform(0.1, 0.5))
+        spacing = eps * float(rng.uniform(0.2, 1.0))
+        noise = 0.0 if rng.random() < 0.3 else (eps - spacing / 2) * float(rng.random())
+        kind = "gaussian" if rng.random() < 0.5 else "uniform"
+        yield EmbeddedGraphSpec(vertices, edges), SampleSpec(eps, spacing, noise, int(rng.integers(1 << 20)), kind)
+
+
+class TestOneDiscretization:
+    """`sample_graph` and `hausdorff_check` walk the graph with one helper;
+    the per-edge sampler loop and the grid of their own (`oracles`) pin its bits."""
+
+    def test_samples_match_per_edge_loop(self):
+        seen = {"isolated": 0, "gaussian": 0, "noiseless": 0}
+        for spec, sample in random_samples(120, seed=21):
+            assert np.array_equal(sample_graph(spec, sample).coords, sample_loop(spec, sample))
+            seen["isolated"] += bool(np.any(spec.degrees == 0))
+            seen["gaussian"] += sample.noise_kind == "gaussian" and sample.noise > 0
+            seen["noiseless"] += sample.noise == 0
+        assert min(seen.values()) >= 5
+
+    def test_hausdorff_grid_matches_discretization(self):
+        checked = 0
+        for spec, sample in random_samples(60, seed=22):
+            eps, resolution = sample.eps, sample.eps / 100
+            edges, isolated = _edge_points(spec, resolution, "eps")
+            grid = graph_discretization(spec, resolution)
+            assert np.array_equal(np.vstack(edges + [spec.vertices[isolated]]), grid)
+            # the report from the oracle grid and a minimum over every edge and isolated vertex
+            cloud = sample_graph(spec, sample)
+            to_graph = [point_segment_distance(cloud.coords, spec.vertices[a], spec.vertices[b]) for a, b in spec.edges]
+            to_graph += [np.linalg.norm(cloud.coords - spec.vertices[v], axis=1) for v in isolated]
+            measured = max(float(cloud.tree.query(grid, k=1)[0].max()), float(np.min(to_graph, axis=0).max()))
+            want = HausdorffReport(measured <= eps + resolution, measured, eps + resolution, resolution)
+            assert hausdorff_check(cloud, spec, eps) == want
+            checked += 1
+        assert checked >= 20
+
+    def test_degrees_count_each_edge_end(self):
+        for vertices, edges in random_embeddings(100, seed=23):
+            if embedding_fault(vertices, edges) is not None:
+                continue
+            want = [sum(v in edge for edge in edges) for v in range(len(vertices))]
+            assert EmbeddedGraphSpec(vertices, edges).degrees.tolist() == want
 
 
 class TestRandomCompliantGraph:
